@@ -17,8 +17,6 @@ from .model import (
     SystemParams,
     ValidatedSystem,
     delta_constant,
-    eval_nonlinearity,
-    growth_quotient,
     limiting_system,
     system_from_config,
     validate_system,
@@ -74,8 +72,6 @@ __all__ = [
     "GradientExponentTooLarge",
     "ExistenceConditionViolated",
     "validate_system",
-    "eval_nonlinearity",
-    "growth_quotient",
     "limiting_system",
     "system_from_config",
     "delta_constant",

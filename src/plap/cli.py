@@ -17,16 +17,14 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .integrator import Overflow, StepSizeUnderflow, integrate_radial
-from .model import system_from_config
+from .model import ExistenceConditionViolated, GradientExponentTooLarge, system_from_config
 from .profile import profile_residual, solve_profile
 from .verify import run_verification
 
@@ -37,7 +35,6 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 
-_SYSTEM_FIELDS = ("p", "n", "alpha", "r_max", "f1", "f2", "g1", "g2", "g3")
 _RESIDUAL_GRID = np.geomspace(1e-2, 1e4, 25)
 
 
@@ -184,38 +181,36 @@ def _apply_overrides(cfg: dict, point: dict) -> dict:
     return out
 
 
-def _sweep_rows(cfg: dict, keys: list[str], points: list[dict], threads: int) -> list[list[str]]:
-    def one_point(point: dict) -> list[str]:
-        row = [_fmt(point[k]) for k in keys]
-        try:
-            point_cfg = _apply_overrides(cfg, point)
-            system = system_from_config(point_cfg)
-            prof = solve_profile(system)
-            a = float(point_cfg.get("a", 1.0))
-            b = float(point_cfg.get("b", 1.0))
-            tol = float(point_cfg.get("tol", 1e-9))
-            report, _, _ = run_verification(system, a, b, tol)
-            limits = report.limits or {}
-            lim_u = limits.get("u")
-            lim_v = limits.get("v")
-            return row + [
-                _fmt(prof.lam),
-                _fmt(prof.mu),
-                "true" if report.monotonicity.passed else "false",
-                _fmt(lim_u.value) if lim_u else "",
-                _fmt(lim_v.value) if lim_v else "",
-                "ok" if report.passed else "verify_failed",
-                "",
-            ]
-        except (StepSizeUnderflow, Overflow) as exc:
-            return row + ["", "", "", "", "", "error", type(exc).__name__]
-        except ValueError as exc:
-            return row + ["", "", "", "", "", "rejected", type(exc).__name__]
+def _sweep_row(point_cfg: dict) -> list[str]:
+    """Summary cells of one sweep point, after its parameter cells.
 
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one_point, points))
-    return [one_point(pt) for pt in points]
+    A point that fails an admissibility gate is ``rejected``; any other
+    validation or numerical failure of the point is an ``error``.  Either
+    way the failure's class name is the reason and the sweep goes on.
+    """
+    try:
+        system = system_from_config(point_cfg)
+        prof = solve_profile(system)
+        a = float(point_cfg.get("a", 1.0))
+        b = float(point_cfg.get("b", 1.0))
+        tol = float(point_cfg.get("tol", 1e-9))
+        report, _, _ = run_verification(system, a, b, tol)
+    except (GradientExponentTooLarge, ExistenceConditionViolated) as exc:
+        return ["", "", "", "", "", "rejected", type(exc).__name__]
+    except (ValueError, ArithmeticError, StepSizeUnderflow, Overflow) as exc:
+        return ["", "", "", "", "", "error", type(exc).__name__]
+    limits = report.limits or {}
+    lim_u = limits.get("u")
+    lim_v = limits.get("v")
+    return [
+        _fmt(prof.lam),
+        _fmt(prof.mu),
+        "true" if report.monotonicity.passed else "false",
+        _fmt(lim_u.value) if lim_u else "",
+        _fmt(lim_v.value) if lim_v else "",
+        "ok" if report.passed else "verify_failed",
+        "",
+    ]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -231,18 +226,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"sweep parameter '{key}' must map to a non-empty list")
         value_lists.append([float(v) for v in vals])
     points = [dict(zip(keys, combo)) for combo in product(*value_lists)]
+    # every override is applied before any point runs, so a config error
+    # aborts the sweep before it has done any work
+    point_cfgs = [_apply_overrides(cfg, point) for point in points]
 
-    env_threads = os.environ.get("PLAP_THREADS")
-    if env_threads is not None:
-        try:
-            threads = max(1, int(env_threads))
-        except ValueError:
-            raise ConfigError(f"PLAP_THREADS must be an integer, got {env_threads!r}")
-    else:
-        threads = min(4, os.cpu_count() or 1)
-    threads = min(threads, len(points))
-
-    rows = _sweep_rows(cfg, keys, points, threads)
+    rows = [
+        [_fmt(point[k]) for k in keys] + _sweep_row(point_cfg)
+        for point, point_cfg in zip(points, point_cfgs)
+    ]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(keys + ["lambda", "mu", "monotone_pass", "limit_U", "limit_V", "status", "reason"])

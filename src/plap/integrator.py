@@ -102,21 +102,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.r)
 
-    def state(self, i: int) -> State:
-        return State(
-            r=float(self.r[i]),
-            u=float(self.u[i]),
-            v=float(self.v[i]),
-            P=float(self.P[i]),
-            S=float(self.S[i]),
-            du=float(self.du[i]),
-            dv=float(self.dv[i]),
-        )
-
-    @property
-    def states(self) -> list[State]:
-        return [self.state(i) for i in range(len(self.r))]
-
 
 def geometric_grid(r0: float, r_max: float, points_per_decade: int = 64) -> np.ndarray:
     """Geometric output grid from r0 to r_max, about `points_per_decade` per decade."""

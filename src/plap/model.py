@@ -43,8 +43,6 @@ __all__ = [
     "SystemParams",
     "ValidatedSystem",
     "validate_system",
-    "eval_nonlinearity",
-    "growth_quotient",
     "limiting_system",
     "system_from_config",
     "delta_constant",
@@ -78,7 +76,38 @@ def _normalise_terms(terms: Iterable[Sequence[float]]) -> tuple[tuple[float, flo
 
 
 @dataclass(frozen=True)
-class CoefficientFunction:
+class _PowerSum:
+    """``x -> sum_i c_i * x^(e_i)`` with ``c_i >= 0``, ``e_i >= 0`` and a nonzero term.
+
+    Construction normalises the terms (``_normalise_terms``) and raises
+    ``_error`` on an empty or negative term list.
+    """
+
+    terms: tuple[tuple[float, float], ...]
+
+    _error = ValueError  # class attributes, not dataclass fields
+    _empty_message = ""
+    _noun = ""
+
+    def __post_init__(self) -> None:
+        merged = _normalise_terms(self.terms)
+        if not merged:
+            raise self._error(self._empty_message)
+        for coeff, expo in merged:
+            if coeff < 0.0:
+                raise self._error(f"negative coefficient {coeff} in {self._noun}")
+            if expo < 0.0:
+                raise self._error(f"negative exponent {expo} in {self._noun}")
+        object.__setattr__(self, "terms", merged)
+
+    def __call__(self, x: Scalar) -> Scalar:
+        total = 0.0
+        for coeff, expo in self.terms:
+            total = total + coeff * x**expo
+        return total
+
+
+class CoefficientFunction(_PowerSum):
     """Radial weight ``r -> sum_i c_i * r^(m_i)`` with ``c_i >= 0`` and ``m_i >= 0``.
 
     Nonnegative coefficients and exponents keep the weight continuous,
@@ -87,18 +116,8 @@ class CoefficientFunction:
     convention ``0^0 = 1`` applies, so a constant weight is ``[(c, 0)]``.
     """
 
-    terms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        merged = _normalise_terms(self.terms)
-        if not merged:
-            raise ValueError("coefficient function needs at least one positive term")
-        for coeff, expo in merged:
-            if coeff < 0.0:
-                raise ValueError(f"negative coefficient {coeff} in radial weight")
-            if expo < 0.0:
-                raise ValueError(f"negative exponent {expo} in radial weight")
-        object.__setattr__(self, "terms", merged)
+    _empty_message = "coefficient function needs at least one positive term"
+    _noun = "radial weight"
 
     @classmethod
     def pure_power(cls, coeff: float = 1.0, expo: float = 0.0) -> "CoefficientFunction":
@@ -108,15 +127,8 @@ class CoefficientFunction:
     def is_pure_power(self) -> bool:
         return len(self.terms) == 1
 
-    def __call__(self, r: Scalar) -> Scalar:
-        total = 0.0
-        for coeff, expo in self.terms:
-            total = total + coeff * r**expo
-        return total
 
-
-@dataclass(frozen=True)
-class Nonlinearity:
+class Nonlinearity(_PowerSum):
     """Growth law ``s -> sum_i a_i * s^(e_i)`` normalised at its top power.
 
     Construction enforces: all coefficients nonnegative, all exponents
@@ -125,23 +137,17 @@ class Nonlinearity:
     zero-coefficient terms are dropped.  A degree-zero law is the constant 1.
     """
 
-    terms: tuple[tuple[float, float], ...]
+    _error = MalformedNonlinearity
+    _empty_message = "growth law has no nonzero terms"
+    _noun = "growth law"
 
     def __post_init__(self) -> None:
-        merged = _normalise_terms(self.terms)
-        if not merged:
-            raise MalformedNonlinearity("growth law has no nonzero terms")
-        for coeff, expo in merged:
-            if coeff < 0.0:
-                raise MalformedNonlinearity(f"negative coefficient {coeff} in growth law")
-            if expo < 0.0:
-                raise MalformedNonlinearity(f"negative exponent {expo} in growth law")
-        if merged[-1][0] != 1.0:
+        super().__post_init__()
+        if self.terms[-1][0] != 1.0:
             raise MalformedNonlinearity(
-                f"leading coefficient must be exactly 1, got {merged[-1][0]} "
-                f"at exponent {merged[-1][1]}"
+                f"leading coefficient must be exactly 1, got {self.terms[-1][0]} "
+                f"at exponent {self.terms[-1][1]}"
             )
-        object.__setattr__(self, "terms", merged)
 
     @classmethod
     def pure_power(cls, degree: float) -> "Nonlinearity":
@@ -156,12 +162,6 @@ class Nonlinearity:
     def is_constant(self) -> bool:
         return self.degree == 0.0
 
-    def __call__(self, s: Scalar) -> Scalar:
-        total = 0.0
-        for coeff, expo in self.terms:
-            total = total + coeff * s**expo
-        return total
-
     def quotient(self, s: Scalar, t: Scalar) -> Scalar:
         """Evaluate ``g(s*t) / t^degree`` without forming the large products.
 
@@ -174,16 +174,6 @@ class Nonlinearity:
         for coeff, expo in self.terms:
             total = total + coeff * s**expo * t ** (expo - k)
         return total
-
-
-def eval_nonlinearity(g: Nonlinearity, s: Scalar) -> Scalar:
-    """Value of the growth law at ``s >= 0`` (with the ``0^0 = 1`` convention)."""
-    return g(s)
-
-
-def growth_quotient(g: Nonlinearity, s: Scalar, t: Scalar) -> Scalar:
-    """Overflow-safe ``g(s*t) / t^degree`` for ``s >= 1``, ``t > 0``."""
-    return g.quotient(s, t)
 
 
 @dataclass(frozen=True)

