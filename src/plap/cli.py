@@ -7,7 +7,8 @@ also carry ``a``, ``b``, ``tol`` defaults and, for ``sweep``, a ``sweep``
 object mapping parameter names to value lists.
 
 Exit codes: 0 success, 1 validation/config failure, 2 numerical failure
-(step underflow or overflow), 3 verification failure.  Artifacts are
+(step underflow, state overflow, or an ``ArithmeticError`` such as an
+``OverflowError`` of the profile amplitudes), 3 verification failure.  Artifacts are
 deterministic: the same config produces byte-identical output.
 """
 
@@ -293,7 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if code == 0 else EXIT_VALIDATION
     try:
         return _COMMANDS[args.command](args)
-    except (StepSizeUnderflow, Overflow) as exc:
+    except (StepSizeUnderflow, Overflow, ArithmeticError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

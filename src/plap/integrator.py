@@ -25,10 +25,13 @@ Stepping uses an embedded Dormand-Prince 5(4) pair with PI-free standard step
 control, relative tolerance ``tol`` and a per-component absolute floor scaled
 to the startup magnitudes (a flat absolute floor would licence arbitrarily
 large relative drift in the fluxes near the origin, where P can be 1e-18).
+The step loop runs on plain Python floats: for a 4-component state, numpy's
+per-call overhead would cost several times the arithmetic itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -87,7 +90,9 @@ class Trajectory:
 
     Component arrays are aligned with ``r``; ``du``/``dv`` are the gradients
     recovered from the fluxes, not finite differences.  ``meta`` records the
-    initial data, startup radius, tolerances and step counts of the run.
+    initial data, startup radius, tolerances, step counts and right-hand-side
+    evaluations of the run.  A default-grid trajectory shares its read-only
+    ``r`` with every other run on the same grid (see ``geometric_grid``).
     """
 
     r: np.ndarray
@@ -103,13 +108,20 @@ class Trajectory:
         return len(self.r)
 
 
+@functools.lru_cache(maxsize=16)
 def geometric_grid(r0: float, r_max: float, points_per_decade: int = 64) -> np.ndarray:
-    """Geometric output grid from r0 to r_max, about `points_per_decade` per decade."""
+    """Geometric output grid from r0 to r_max, about `points_per_decade` per decade.
+
+    Grids are memoised and read-only, so repeated runs on one grid share one
+    array instead of holding a copy each.
+    """
     if not (0.0 < r0 < r_max):
         raise ValueError(f"need 0 < r0 < r_max, got r0={r0}, r_max={r_max}")
     decades = math.log10(r_max / r0)
     count = max(2, int(math.ceil(decades * points_per_decade)) + 1)
-    return np.geomspace(r0, r_max, count)
+    grid = np.geomspace(r0, r_max, count)
+    grid.flags.writeable = False
+    return grid
 
 
 def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> State:
@@ -144,9 +156,11 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
     return State(r=r0, u=a, v=b, P=P, S=S, du=du, dv=dv)
 
 
-def flux_rhs(system: ValidatedSystem) -> Callable[[float, np.ndarray], np.ndarray]:
+def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tuple]:
     """Right-hand side of the flux system as a plain callable f(r, y).
 
+    ``y`` is any sequence ``(u, v, P, S)`` of floats (an ndarray is read
+    through ``tolist``); the derivatives come back as a tuple of floats.
     Transient stage values of the explicit stepper may momentarily push a
     component below zero; those are clamped (the converged solution is
     strictly positive, and the error estimate rejects any step for which the
@@ -161,21 +175,19 @@ def flux_rhs(system: ValidatedSystem) -> Callable[[float, np.ndarray], np.ndarra
     g1, g2, g3 = system.g1, system.g2, system.g3
     n1 = float(n - 1)
 
-    def rhs(r: float, y: np.ndarray) -> np.ndarray:
-        u, v, P, S = y.tolist()
+    def rhs(r: float, y: Sequence[float]) -> tuple:
+        u, v, P, S = y.tolist() if isinstance(y, np.ndarray) else y
         if v < 0.0:
             v = 0.0
         rd = r**delta
         rn = r**n1
         du = (P / rd) ** inv_grad if P > 0.0 else 0.0
         dv = (S / rn) ** inv_p1 if S > 0.0 else 0.0
-        return np.array(
-            (
-                du,
-                dv,
-                coef * rd * f1(r) * g1(v),
-                rn * f2(r) * g2(v) * g3(du),
-            )
+        return (
+            du,
+            dv,
+            coef * rd * f1(r) * g1(v),
+            rn * f2(r) * g2(v) * g3(du),
         )
 
     return rhs
@@ -200,40 +212,64 @@ _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -
 
 
 def dormand_prince_step(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[float, Sequence[float]], Sequence[float]],
     r: float,
-    y: np.ndarray,
+    y: Sequence[float],
     h: float,
-    k1: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    k1: Optional[Sequence[float]] = None,
+) -> tuple[list, list, Sequence[float]]:
     """One embedded 5(4) step from (r, y) with step h.
 
-    Returns the 5th-order solution, the embedded error vector and the
-    right-hand side at the new point (FSAL stage, reusable as the next k1).
+    Returns the 5th-order solution and the embedded error vector as lists of
+    floats, and the right-hand side at the new point as ``f`` returned it
+    (FSAL stage, reusable as the next k1).  An ndarray ``y`` is read through
+    ``tolist``.  Each stage is one pass over the components; the weights are
+    summed left to right with the zero ones skipped, then scaled by h.
     """
+    if isinstance(y, np.ndarray):
+        y = y.tolist()
+    _, c2, c3, c4, c5, c6, c7 = _DP_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), (
+        a71, _, a73, a74, a75, a76,
+    ) = _DP_A[1:]
+    e1, _, e3, e4, e5, e6, e7 = _DP_ERR
     if k1 is None:
-        k1 = np.asarray(f(r, y), dtype=float)
-    k = [k1]
-    y_new = y
-    for i in range(1, 7):
-        acc = _DP_A[i][0] * k[0]
-        for j in range(1, i):
-            aij = _DP_A[i][j]
-            if aij != 0.0:
-                acc = acc + aij * k[j]
-        y_new = y + h * acc
-        k.append(np.asarray(f(r + _DP_C[i] * h, y_new), dtype=float))
-    # stage 7 sits at (r+h, y5): y_new is already the 5th-order solution
-    err = _DP_ERR[0] * k[0]
-    for j in range(1, 7):
-        cj = _DP_ERR[j]
-        if cj != 0.0:
-            err = err + cj * k[j]
-    return y_new, h * err, k[6]
+        k1 = f(r, y)
+    k2 = f(r + c2 * h, [y0 + h * (a21 * q1) for y0, q1 in zip(y, k1)])
+    k3 = f(r + c3 * h, [y0 + h * (a31 * q1 + a32 * q2) for y0, q1, q2 in zip(y, k1, k2)])
+    k4 = f(
+        r + c4 * h,
+        [y0 + h * (a41 * q1 + a42 * q2 + a43 * q3) for y0, q1, q2, q3 in zip(y, k1, k2, k3)],
+    )
+    k5 = f(
+        r + c5 * h,
+        [
+            y0 + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
+            for y0, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)
+        ],
+    )
+    k6 = f(
+        r + c6 * h,
+        [
+            y0 + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
+            for y0, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)
+        ],
+    )
+    # the 5th-order solution; stage 7 sits at (r+h, y_new)
+    y_new = [
+        y0 + h * (a71 * q1 + a73 * q3 + a74 * q4 + a75 * q5 + a76 * q6)
+        for y0, q1, q3, q4, q5, q6 in zip(y, k1, k3, k4, k5, k6)
+    ]
+    k7 = f(r + c7 * h, y_new)
+    err = [
+        h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7)
+        for q1, q3, q4, q5, q6, q7 in zip(k1, k3, k4, k5, k6, k7)
+    ]
+    return y_new, err, k7
 
 
 def integrate_fixed_grid(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[float, Sequence[float]], Sequence[float]],
     grid: Sequence[float],
     y0: Sequence[float],
 ) -> np.ndarray:
@@ -255,42 +291,52 @@ _MAX_STEPS = 2_000_000
 
 
 def _propagate(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[float, Sequence[float]], Sequence[float]],
     grid: np.ndarray,
-    y0: np.ndarray,
+    y0: Sequence[float],
     rtol: float,
-    atol: np.ndarray,
+    atol: Sequence[float],
 ) -> tuple[np.ndarray, int, int]:
-    """Adaptive stepping that lands exactly on every output grid point."""
-    y = np.asarray(y0, dtype=float).copy()
-    out = np.empty((len(grid), len(y)))
+    """Adaptive stepping that lands exactly on every output grid point.
+
+    ``atol`` holds positive per-component floors (a scalar is broadcast).
+    """
+    y = np.asarray(y0, dtype=float).tolist()
+    dim = len(y)
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), (dim,)).tolist()
+    radii = np.asarray(grid, dtype=float).tolist()
+    out = np.empty((len(radii), dim))
     out[0] = y
-    r = float(grid[0])
+    r = radii[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k1 = np.asarray(f(r, y), dtype=float)
-        h = float(grid[1] - grid[0])
+        k1 = f(r, y)
+        h = radii[1] - radii[0]
         accepted = rejected = 0
-        for i in range(1, len(grid)):
-            target = float(grid[i])
+        for i, target in enumerate(radii[1:], 1):
             while True:
                 remaining = target - r
                 if remaining <= abs(r) * 1e-15:
                     break
                 h_try = min(h, remaining)
                 y_new, err, k_last = dormand_prince_step(f, r, y, h_try, k1)
-                finite = bool(np.all(np.isfinite(y_new)))
+                finite = all(map(math.isfinite, y_new))
+                enorm = math.inf
                 if finite:
-                    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                    enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-                else:
-                    enorm = math.inf
-                ok = finite and enorm <= 1.0 and bool(np.all(y_new > 0.0))
+                    # RMS of the scaled error, summed left to right: sum()
+                    # compensates rounding from Python 3.12 on, which would
+                    # move step decisions between interpreter versions
+                    total = 0.0
+                    for e, floor, y_old, y_cur in zip(err, atol, y, y_new):
+                        q = e / (floor + rtol * max(abs(y_old), abs(y_cur)))
+                        total += q * q
+                    enorm = math.sqrt(total / dim)
+                ok = finite and enorm <= 1.0 and min(y_new) > 0.0
                 if ok:
                     r = target if h_try == remaining else r + h_try
                     y = y_new
                     k1 = k_last
                     accepted += 1
-                    if float(np.max(np.abs(y))) > _OVERFLOW_LIMIT:
+                    if max(map(abs, y)) > _OVERFLOW_LIMIT:
                         raise Overflow(r)
                     grow = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm**-0.2)
                     h = h_try * max(0.2, grow)
@@ -306,7 +352,7 @@ def _propagate(
                         shrink = max(0.1, min(0.9, 0.9 * enorm**-0.2))
                     h = h_try * shrink
                     if h < _UNDERFLOW_SCALE * max(abs(r), 1e-300):
-                        if not finite or float(np.max(np.abs(y))) > 1e200:
+                        if not finite or max(map(abs, y)) > 1e200:
                             raise Overflow(r)
                         raise StepSizeUnderflow(r)
                 if accepted + rejected > _MAX_STEPS:
@@ -330,7 +376,8 @@ def integrate_radial(
 
     ``tol`` is the relative local-error tolerance (allowed range 1e-13 to
     1e-3); the absolute floor is ``tol * 1e-3`` scaled per component by the
-    startup magnitudes.  Raises ``StepSizeUnderflow`` when the controller
+    startup magnitudes.  Default grids come from ``geometric_grid`` and are
+    shared, read-only arrays.  Raises ``StepSizeUnderflow`` when the controller
     drives the step below 1e-14 * r and ``Overflow`` (with the radius reached)
     when a component leaves the representable range.
     """
@@ -348,24 +395,26 @@ def integrate_radial(
         r_start = float(r0 if r0 is not None else 1e-6 * min(1.0, r_end))
         grid = geometric_grid(r_start, r_end, points_per_decade)
     start = startup_state(system, a, b, r_start)
-    y0 = np.array([start.u, start.v, start.P, start.S])
-    atol = (tol * 1e-3) * np.maximum(np.abs(y0), 1e-300)
+    y0 = [start.u, start.v, start.P, start.S]
+    atol = [(tol * 1e-3) * max(abs(x), 1e-300) for x in y0]
     ys, accepted, rejected = _propagate(flux_rhs(system), grid, y0, tol, atol)
 
     prm = system.params
     inv_grad = 1.0 / (prm.p - 1.0 - prm.alpha)
     inv_p1 = 1.0 / (prm.p - 1.0)
-    u, v, P, S = ys.T
+    # the four state columns are rows of one contiguous block, so a kept
+    # trajectory holds six arrays and nothing more
+    u, v, P, S = ys.T.copy()
     du = (P / grid**system.delta) ** inv_grad
     dv = (S / grid ** (prm.n - 1)) ** inv_p1
     return Trajectory(
         r=grid,
-        u=u.copy(),
-        v=v.copy(),
+        u=u,
+        v=v,
         du=du,
         dv=dv,
-        P=P.copy(),
-        S=S.copy(),
+        P=P,
+        S=S,
         meta={
             "a": a,
             "b": b,
@@ -374,6 +423,8 @@ def integrate_radial(
             "atol_floor": tol * 1e-3,
             "steps_accepted": accepted,
             "steps_rejected": rejected,
+            # one startup evaluation, then six per attempted step (FSAL)
+            "rhs_evals": 1 + 6 * (accepted + rejected),
         },
     )
 

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import plap
 from plap import geometric_grid, solve_profile, system_from_config
 from plap.cli import main
 from conftest import P3_CONFIG, POISSON_CONFIG
@@ -261,3 +265,28 @@ def test_exit_2_on_numerical_blowup(write_config, capsys):
     )
     assert main(["integrate", "--config", cfg, "--tol", "1e-5"]) == 2
     assert "Overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, failure",
+    [("profile", "OverflowError"), ("verify", "OverflowError"), ("integrate", "StepSizeUnderflow")],
+)
+def test_exit_2_on_arithmetic_error(write_config, command, failure):
+    """Admissible by a margin of 2e-4: the profile amplitudes overflow.
+
+    Run as a fresh process, so an escaping exception would show as a
+    traceback and exit code 1.
+    """
+    cfg = write_config("amplitude.json", P3_CONFIG, f1=[[1e100, 0.0]], g1=[[1.0, 2.0]], g3=[[1.0, 1.9999]])
+    src = os.path.dirname(os.path.dirname(plap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plap.cli", command, "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"numerical failure: {failure}: ")
+    assert "Traceback" not in proc.stderr

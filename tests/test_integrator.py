@@ -20,8 +20,9 @@ from plap import (
     startup_state,
     system_from_config,
 )
-from plap.integrator import _propagate, dormand_prince_step
-from conftest import sample_integration_system
+from plap import integrator
+from plap.integrator import _DP_A, _DP_C, _DP_ERR, _propagate, dormand_prince_step
+from conftest import P3_CONFIG, POISSON_CONFIG, sample_integration_system
 
 
 MULTI_TERM_CONFIG = {
@@ -48,6 +49,20 @@ def test_geometric_grid_endpoints_and_density():
     assert len(grid) == math.ceil(8 * 64) + 1
     ratios = grid[1:] / grid[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-12)
+
+
+def test_default_grids_are_shared_and_read_only(poisson_system):
+    first = integrate_radial(poisson_system, 1.0, 1.0, r_max=10.0)
+    second = integrate_radial(poisson_system, 2.0, 0.5, tol=1e-6, r_max=10.0)
+    assert first.r is second.r is geometric_grid(1e-6, 10.0, 64)
+    assert not first.r.flags.writeable
+    with pytest.raises(ValueError):
+        first.r[0] = 0.5
+    # an explicit grid is used as given
+    grid = np.geomspace(1e-3, 10.0, 40)
+    own = integrate_radial(poisson_system, 1.0, 1.0, grid=grid)
+    assert own.r.flags.writeable and np.array_equal(own.r, grid)
+    assert own.r is not geometric_grid(1e-3, 10.0, 10)
 
 
 def test_geometric_grid_rejects_bad_ranges():
@@ -260,6 +275,160 @@ def test_integrate_radial_meta(poisson_traj):
     assert meta["rtol"] == 1e-9
     assert meta["r0"] == pytest.approx(1e-6)
     assert meta["steps_accepted"] > 0
+
+
+def _counting_flux_rhs(monkeypatch):
+    """Wrap the callables ``plap.integrator.flux_rhs`` hands out; return the call log."""
+    calls = []
+    original = integrator.flux_rhs
+
+    def flux_rhs(system):
+        rhs = original(system)
+
+        def counted(r, y):
+            calls.append(r)
+            return rhs(r, y)
+
+        return counted
+
+    monkeypatch.setattr(integrator, "flux_rhs", flux_rhs)
+    return calls
+
+
+def test_meta_counts_rhs_evaluations(monkeypatch, p3_system):
+    calls = _counting_flux_rhs(monkeypatch)
+    rejected = 0
+    # the second run rejects steps, which cost six evaluations each as well
+    for tol, ppd in ((1e-9, 64), (1e-6, 1)):
+        calls.clear()
+        meta = integrate_radial(p3_system, 1.0, 1.0, tol, r_max=1e4, points_per_decade=ppd).meta
+        steps = meta["steps_accepted"] + meta["steps_rejected"]
+        assert meta["rhs_evals"] == len(calls) == 1 + 6 * steps
+        rejected += meta["steps_rejected"]
+    assert rejected > 0
+
+
+def test_benchmark_hooks_accept_numpy_states(monkeypatch, p3_system):
+    """The benchmark calls the public stepper pieces on ndarray states and
+    counts evaluations by patching ``plap.integrator.flux_rhs``."""
+    f = flux_rhs(p3_system)
+    y = np.array([1.0, 1.0, 1e-6, 2e-6])
+    assert f(0.5, y) == f(0.5, y.tolist())
+    y5, err, k7 = dormand_prince_step(f, 0.5, y, 1e-3)
+    assert (y5, err, k7) == dormand_prince_step(f, 0.5, y.tolist(), 1e-3)
+    assert len(y5) == len(err) == len(k7) == 4
+    calls = _counting_flux_rhs(monkeypatch)
+    integrate_radial(p3_system, 1.0, 1.0, r_max=10.0)
+    assert len(calls) > 0
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the step loop as it ran on numpy arrays
+# ---------------------------------------------------------------------------
+
+
+def _reference_step(f, r, y, h, k1):
+    k = [k1]
+    for i in range(1, 7):
+        acc = _DP_A[i][0] * k[0]
+        for j in range(1, i):
+            if _DP_A[i][j] != 0.0:
+                acc = acc + _DP_A[i][j] * k[j]
+        y_new = y + h * acc
+        k.append(np.asarray(f(r + _DP_C[i] * h, y_new), dtype=float))
+    err = _DP_ERR[0] * k[0]
+    for j in range(1, 7):
+        if _DP_ERR[j] != 0.0:
+            err = err + _DP_ERR[j] * k[j]
+    return y_new, h * err, k[6]
+
+
+def _reference_propagate(f, grid, y0, rtol, atol):
+    y = np.asarray(y0, dtype=float).copy()
+    out = np.empty((len(grid), len(y)))
+    out[0] = y
+    r = float(grid[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k1 = np.asarray(f(r, y), dtype=float)
+        h = float(grid[1] - grid[0])
+        accepted = rejected = 0
+        for i in range(1, len(grid)):
+            target = float(grid[i])
+            while (remaining := target - r) > abs(r) * 1e-15:
+                h_try = min(h, remaining)
+                y_new, err, k_last = _reference_step(f, r, y, h_try, k1)
+                finite = bool(np.all(np.isfinite(y_new)))
+                enorm = math.inf
+                if finite:
+                    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+                    enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
+                if finite and enorm <= 1.0 and bool(np.all(y_new > 0.0)):
+                    r = target if h_try == remaining else r + h_try
+                    y, k1 = y_new, k_last
+                    accepted += 1
+                    if float(np.max(np.abs(y))) > 1e250:
+                        raise Overflow(r)
+                    h = h_try * max(0.2, 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm**-0.2))
+                else:
+                    rejected += 1
+                    if not math.isfinite(enorm):
+                        h = h_try * 0.2
+                    else:
+                        h = h_try * (0.5 if enorm <= 1.0 else max(0.1, min(0.9, 0.9 * enorm**-0.2)))
+                    if h < 1e-14 * max(abs(r), 1e-300):
+                        if not finite or float(np.max(np.abs(y))) > 1e200:
+                            raise Overflow(r)
+                        raise StepSizeUnderflow(r)
+            out[i] = y
+    return out, accepted, rejected
+
+
+def _reference_trajectory(system, tol, r_max, points_per_decade):
+    """Trajectory arrays of ``integrate_radial(system, 1, 1, ...)`` from the numpy loop."""
+    grid = geometric_grid(1e-6 * min(1.0, r_max), r_max, points_per_decade)
+    start = startup_state(system, 1.0, 1.0, float(grid[0]))
+    y0 = np.array([start.u, start.v, start.P, start.S])
+    atol = (tol * 1e-3) * np.maximum(np.abs(y0), 1e-300)
+    f = flux_rhs(system)
+    ys, accepted, rejected = _reference_propagate(lambda r, y: np.array(f(r, y)), grid, y0, tol, atol)
+    prm = system.params
+    u, v, P, S = ys.T
+    du = (P / grid**system.delta) ** (1.0 / (prm.p - 1.0 - prm.alpha))
+    dv = (S / grid ** (prm.n - 1)) ** (1.0 / (prm.p - 1.0))
+    return dict(r=grid, u=u, v=v, du=du, dv=dv, P=P, S=S), accepted, rejected
+
+
+@pytest.mark.parametrize(
+    "config, tol, r_max, points_per_decade",
+    [
+        (POISSON_CONFIG, 1e-9, 100.0, 64),
+        (P3_CONFIG, 1e-9, 1e4, 64),
+        (MULTI_TERM_CONFIG, 1e-9, 10.0, 64),
+        (P3_CONFIG, 1e-6, 1e4, 1),  # rejects steps
+    ],
+    ids=["poisson", "coupled_p3", "multi_term", "rejections"],
+)
+def test_step_loop_matches_numpy_reference_bit_for_bit(config, tol, r_max, points_per_decade):
+    system = system_from_config(config)
+    expected, accepted, rejected = _reference_trajectory(system, tol, r_max, points_per_decade)
+    traj = integrate_radial(system, 1.0, 1.0, tol, r_max=r_max, points_per_decade=points_per_decade)
+    for name, values in expected.items():
+        assert np.array_equal(getattr(traj, name), values), name
+    assert (traj.meta["steps_accepted"], traj.meta["steps_rejected"]) == (accepted, rejected)
+    if points_per_decade == 1:
+        assert rejected > 0
+
+
+def test_step_loop_matches_numpy_reference_on_underflow():
+    """p - 1 - alpha = 0.02: the startup gradient underflows at r0 = 1e-6."""
+    system = system_from_config(
+        dict(P3_CONFIG, alpha=1.98, r_max=1e4, g1=[[1.0, 0.001]], g3=[[1.0, 0.001]])
+    )
+    with pytest.raises(StepSizeUnderflow) as expected:
+        _reference_trajectory(system, 1e-9, 1e4, 64)
+    with pytest.raises(StepSizeUnderflow) as info:
+        integrate_radial(system, 1.0, 1.0, 1e-9, r_max=1e4)
+    assert info.value.radius == expected.value.radius
 
 
 # ---------------------------------------------------------------------------
