@@ -8,8 +8,8 @@ object mapping parameter names to value lists.
 
 Exit codes: 0 success, 1 validation/config failure, 2 numerical failure
 (step underflow, state overflow, or an ``ArithmeticError`` such as an
-``OverflowError`` of the profile amplitudes), 3 verification failure.  Artifacts are
-deterministic: the same config produces byte-identical output.
+``OverflowError`` of the profile amplitudes), 3 verification failure.
+Artifacts are deterministic: the same config produces byte-identical output.
 """
 
 from __future__ import annotations
