@@ -26,7 +26,12 @@ control, relative tolerance ``tol`` and a per-component absolute floor scaled
 to the startup magnitudes (a flat absolute floor would licence arbitrarily
 large relative drift in the fluxes near the origin, where P can be 1e-18).
 The step loop runs on plain Python floats: for a 4-component state, numpy's
-per-call overhead would cost several times the arithmetic itself.
+per-call overhead would cost several times the arithmetic itself.  The two
+hot functions are generated from their single sources: ``flux_rhs`` writes
+each system's power-sum terms out inline, and the stepper is unrolled over
+the components from the Butcher tableau, once per dimension.  Both keep the
+order of every floating-point operation, so they compute what the generic
+power sums and the tableau loops compute, bit for bit.
 """
 
 from __future__ import annotations
@@ -90,9 +95,10 @@ class Trajectory:
 
     Component arrays are aligned with ``r``; ``du``/``dv`` are the gradients
     recovered from the fluxes, not finite differences.  ``meta`` records the
-    initial data, startup radius, tolerances, step counts and right-hand-side
-    evaluations of the run.  A default-grid trajectory shares its read-only
-    ``r`` with every other run on the same grid (see ``geometric_grid``).
+    initial data, startup radius, tolerances, step counts, rejected steps by
+    cause (``rejections``) and right-hand-side evaluations of the run.  A
+    default-grid trajectory shares its read-only ``r`` with every other run
+    on the same grid (see ``geometric_grid``).
     """
 
     r: np.ndarray
@@ -156,6 +162,56 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
     return State(r=r0, u=a, v=b, P=P, S=S, du=du, dv=dv)
 
 
+@functools.lru_cache(maxsize=64)
+def _compile_factory(factory: str, name: str) -> Callable:
+    """Compile a ``_bind`` factory once per source text; ``_generate`` binds it."""
+    namespace: dict = {}
+    exec(compile(factory, f"<generated {name}>", "exec"), namespace)
+    return namespace["_bind"]
+
+
+def _generate(source: str, name: str, constants: dict) -> Callable:
+    """Compile ``source``, which defines ``name``, with ``constants`` bound as names.
+
+    The constants become closure cells of the compiled function, so they are
+    read as fast as locals and enter the code by name, never as literals:
+    ``repr`` would turn an infinite coefficient into the unbound name ``inf``.
+    The code depends only on the names, so systems with the same number of
+    terms per law share one compilation.
+    """
+    params = ", ".join(constants)
+    body = "".join(f"    {line}\n" for line in source.splitlines())
+    factory = f"def _bind({params}):\n{body}    return {name}\n"
+    return _compile_factory(factory, name)(**constants)
+
+
+def _power_sum_source(prefix: str, law, arg: str, constants: dict) -> str:
+    """Inline ``law(arg)`` with the arithmetic of ``_PowerSum.__call__``.
+
+    The terms are added left to right onto 0.0, ``((0.0 + c0*x**e0) + c1*x**e1)``,
+    with each coefficient and exponent bound in ``constants``.
+    """
+    total = "0.0"
+    for i, (coeff, expo) in enumerate(law.terms):
+        constants[f"{prefix}_c{i}"] = coeff
+        constants[f"{prefix}_e{i}"] = expo
+        total = f"({total} + {prefix}_c{i} * {arg} ** {prefix}_e{i})"
+    return total
+
+
+_RHS_SOURCE = """\
+def rhs(r, y):
+    u, v, P, S = y.tolist() if isinstance(y, ndarray) else y
+    if v < 0.0:
+        v = 0.0
+    rd = r**delta
+    rn = r**n1
+    du = (P / rd) ** inv_grad if P > 0.0 else 0.0
+    dv = (S / rn) ** inv_p1 if S > 0.0 else 0.0
+    return (du, dv, coef * rd * {f1} * {g1}, rn * {f2} * {g2} * {g3})
+"""
+
+
 def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tuple]:
     """Right-hand side of the flux system as a plain callable f(r, y).
 
@@ -165,32 +221,32 @@ def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tupl
     component below zero; those are clamped (the converged solution is
     strictly positive, and the error estimate rejects any step for which the
     clamp mattered).
+
+    The callable is generated per system with the five power sums written
+    out term by term; it computes exactly what ``f1(r) * g1(v)`` and
+    ``f2(r) * g2(v) * g3(du)`` compute, bit for bit.
     """
     prm = system.params
-    p, n, alpha, delta = prm.p, prm.n, prm.alpha, system.delta
-    inv_grad = 1.0 / (p - 1.0 - alpha)
-    inv_p1 = 1.0 / (p - 1.0)
-    coef = (p - 1.0 - alpha) / (p - 1.0)
-    f1, f2 = prm.f1, prm.f2
-    g1, g2, g3 = system.g1, system.g2, system.g3
-    n1 = float(n - 1)
-
-    def rhs(r: float, y: Sequence[float]) -> tuple:
-        u, v, P, S = y.tolist() if isinstance(y, np.ndarray) else y
-        if v < 0.0:
-            v = 0.0
-        rd = r**delta
-        rn = r**n1
-        du = (P / rd) ** inv_grad if P > 0.0 else 0.0
-        dv = (S / rn) ** inv_p1 if S > 0.0 else 0.0
-        return (
-            du,
-            dv,
-            coef * rd * f1(r) * g1(v),
-            rn * f2(r) * g2(v) * g3(du),
+    p, alpha = prm.p, prm.alpha
+    constants = dict(
+        ndarray=np.ndarray,
+        delta=system.delta,
+        n1=float(prm.n - 1),
+        inv_grad=1.0 / (p - 1.0 - alpha),
+        inv_p1=1.0 / (p - 1.0),
+        coef=(p - 1.0 - alpha) / (p - 1.0),
+    )
+    sums = {
+        name: _power_sum_source(name, law, arg, constants)
+        for name, law, arg in (
+            ("f1", prm.f1, "r"),
+            ("g1", system.g1, "v"),
+            ("f2", prm.f2, "r"),
+            ("g2", system.g2, "v"),
+            ("g3", system.g3, "du"),
         )
-
-    return rhs
+    }
+    return _generate(_RHS_SOURCE.format(**sums), "rhs", constants)
 
 
 # ----------------------------------------------------------------------------
@@ -211,6 +267,53 @@ _DP_A = (
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
+def _weighted_sum(prefix: str, weights: Sequence[float], m: int, constants: dict) -> str:
+    """``w1 * k1_m + w2 * k2_m + ...`` over the nonzero weights, left to right."""
+    terms = []
+    for j, w in enumerate(weights, 1):
+        if w != 0.0:
+            constants[f"{prefix}{j}"] = w
+            terms.append(f"{prefix}{j} * k{j}_{m}")
+    return " + ".join(terms)
+
+
+@functools.lru_cache(maxsize=16)
+def _dp_stepper(dim: int) -> Callable:
+    """The Dormand-Prince step for ``dim`` components, generated from the tableau.
+
+    Every stage is written out per component: its weights are summed left to
+    right with the zero ones skipped, then scaled by h and added to y.  The
+    last stage is evaluated at the 5th-order solution (FSAL).
+    """
+    comps = range(dim)
+    constants: dict = {}
+
+    def unpack(name: str) -> str:
+        return "".join(f"{name}{m}, " for m in comps).rstrip()
+
+    lines = [
+        "def step(f, r, y, h, k1):",
+        f"    {unpack('y')} = y",
+        "    if k1 is None:",
+        "        k1 = f(r, y)",
+        f"    {unpack('k1_')} = k1",
+    ]
+    for i in range(1, len(_DP_A)):
+        stage = i + 1
+        constants[f"c{stage}"] = _DP_C[i]
+        sums = [_weighted_sum(f"a{stage}", _DP_A[i], m, constants) for m in comps]
+        values = ", ".join(f"y{m} + h * ({total})" for m, total in enumerate(sums))
+        lines += [
+            f"    s{stage} = [{values}]",
+            f"    k{stage} = f(r + c{stage} * h, s{stage})",
+            f"    {unpack(f'k{stage}_')} = k{stage}",
+        ]
+    last = len(_DP_A)
+    errs = ", ".join(f"h * ({_weighted_sum('e', _DP_ERR, m, constants)})" for m in comps)
+    lines.append(f"    return s{last}, [{errs}], k{last}")
+    return _generate("\n".join(lines), "step", constants)
+
+
 def dormand_prince_step(
     f: Callable[[float, Sequence[float]], Sequence[float]],
     r: float,
@@ -223,49 +326,13 @@ def dormand_prince_step(
     Returns the 5th-order solution and the embedded error vector as lists of
     floats, and the right-hand side at the new point as ``f`` returned it
     (FSAL stage, reusable as the next k1).  An ndarray ``y`` is read through
-    ``tolist``.  Each stage is one pass over the components; the weights are
-    summed left to right with the zero ones skipped, then scaled by h.
+    ``tolist``.  The step is generated once per dimension from the tableau
+    (``_dp_stepper``): each stage sums its weights left to right with the
+    zero ones skipped, then scales by h.
     """
     if isinstance(y, np.ndarray):
         y = y.tolist()
-    _, c2, c3, c4, c5, c6, c7 = _DP_C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), (
-        a71, _, a73, a74, a75, a76,
-    ) = _DP_A[1:]
-    e1, _, e3, e4, e5, e6, e7 = _DP_ERR
-    if k1 is None:
-        k1 = f(r, y)
-    k2 = f(r + c2 * h, [y0 + h * (a21 * q1) for y0, q1 in zip(y, k1)])
-    k3 = f(r + c3 * h, [y0 + h * (a31 * q1 + a32 * q2) for y0, q1, q2 in zip(y, k1, k2)])
-    k4 = f(
-        r + c4 * h,
-        [y0 + h * (a41 * q1 + a42 * q2 + a43 * q3) for y0, q1, q2, q3 in zip(y, k1, k2, k3)],
-    )
-    k5 = f(
-        r + c5 * h,
-        [
-            y0 + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
-            for y0, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)
-        ],
-    )
-    k6 = f(
-        r + c6 * h,
-        [
-            y0 + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
-            for y0, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)
-        ],
-    )
-    # the 5th-order solution; stage 7 sits at (r+h, y_new)
-    y_new = [
-        y0 + h * (a71 * q1 + a73 * q3 + a74 * q4 + a75 * q5 + a76 * q6)
-        for y0, q1, q3, q4, q5, q6 in zip(y, k1, k3, k4, k5, k6)
-    ]
-    k7 = f(r + c7 * h, y_new)
-    err = [
-        h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7)
-        for q1, q3, q4, q5, q6, q7 in zip(k1, k3, k4, k5, k6, k7)
-    ]
-    return y_new, err, k7
+    return _dp_stepper(len(y))(f, r, y, h, k1)
 
 
 def integrate_fixed_grid(
@@ -296,13 +363,18 @@ def _propagate(
     y0: Sequence[float],
     rtol: float,
     atol: Sequence[float],
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int, dict]:
     """Adaptive stepping that lands exactly on every output grid point.
 
     ``atol`` holds positive per-component floors (a scalar is broadcast).
+    Returns the states on the grid, the accepted step count and the rejected
+    steps by cause: ``error`` (the estimate exceeded the tolerance),
+    ``positivity`` (the estimate was within tolerance but a component was not
+    positive) and ``nonfinite`` (the new state or its estimate was not finite).
     """
     y = np.asarray(y0, dtype=float).tolist()
     dim = len(y)
+    step = _dp_stepper(dim)
     atol = np.broadcast_to(np.asarray(atol, dtype=float), (dim,)).tolist()
     radii = np.asarray(grid, dtype=float).tolist()
     out = np.empty((len(radii), dim))
@@ -312,13 +384,14 @@ def _propagate(
         k1 = f(r, y)
         h = radii[1] - radii[0]
         accepted = rejected = 0
+        rejections = {"error": 0, "positivity": 0, "nonfinite": 0}
         for i, target in enumerate(radii[1:], 1):
             while True:
                 remaining = target - r
                 if remaining <= abs(r) * 1e-15:
                     break
                 h_try = min(h, remaining)
-                y_new, err, k_last = dormand_prince_step(f, r, y, h_try, k1)
+                y_new, err, k_last = step(f, r, y, h_try, k1)
                 finite = all(map(math.isfinite, y_new))
                 enorm = math.inf
                 if finite:
@@ -343,13 +416,14 @@ def _propagate(
                 else:
                     rejected += 1
                     if not math.isfinite(enorm):
-                        shrink = 0.2
+                        cause, shrink = "nonfinite", 0.2
                     elif enorm <= 1.0:
                         # Rejected on positivity alone; the error estimate is
                         # uninformative, so just halve.
-                        shrink = 0.5
+                        cause, shrink = "positivity", 0.5
                     else:
-                        shrink = max(0.1, min(0.9, 0.9 * enorm**-0.2))
+                        cause, shrink = "error", max(0.1, min(0.9, 0.9 * enorm**-0.2))
+                    rejections[cause] += 1
                     h = h_try * shrink
                     if h < _UNDERFLOW_SCALE * max(abs(r), 1e-300):
                         if not finite or max(map(abs, y)) > 1e200:
@@ -358,7 +432,7 @@ def _propagate(
                 if accepted + rejected > _MAX_STEPS:
                     raise StepSizeUnderflow(r, f"step budget exhausted at r={r!r}")
             out[i] = y
-    return out, accepted, rejected
+    return out, accepted, rejections
 
 
 def integrate_radial(
@@ -397,7 +471,8 @@ def integrate_radial(
     start = startup_state(system, a, b, r_start)
     y0 = [start.u, start.v, start.P, start.S]
     atol = [(tol * 1e-3) * max(abs(x), 1e-300) for x in y0]
-    ys, accepted, rejected = _propagate(flux_rhs(system), grid, y0, tol, atol)
+    ys, accepted, rejections = _propagate(flux_rhs(system), grid, y0, tol, atol)
+    rejected = sum(rejections.values())
 
     prm = system.params
     inv_grad = 1.0 / (prm.p - 1.0 - prm.alpha)
@@ -423,6 +498,7 @@ def integrate_radial(
             "atol_floor": tol * 1e-3,
             "steps_accepted": accepted,
             "steps_rejected": rejected,
+            "rejections": rejections,
             # one startup evaluation, then six per attempted step (FSAL)
             "rhs_evals": 1 + 6 * (accepted + rejected),
         },

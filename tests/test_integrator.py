@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from plap import (
+    CoefficientFunction,
+    Nonlinearity,
     Overflow,
+    SystemParams,
     StepSizeUnderflow,
     flux_consistency,
     flux_rhs,
@@ -19,6 +25,7 @@ from plap import (
     integrate_radial,
     startup_state,
     system_from_config,
+    validate_system,
 )
 from plap import integrator
 from plap.integrator import _DP_A, _DP_C, _DP_ERR, _propagate, dormand_prince_step
@@ -181,6 +188,14 @@ def test_fixed_grid_self_convergence_order(poisson_system):
     assert np.all(orders >= 4.0), f"observed orders {orders}"
 
 
+def test_fixed_grid_on_one_component_problem():
+    """y' = y on [0, 1]: the stepper generated for one component."""
+    f = lambda r, y: (y[0],)
+    ys = integrate_fixed_grid(f, np.linspace(0.0, 1.0, 21), [1.0])
+    assert ys.shape == (21, 1)
+    assert abs(ys[-1, 0] - math.e) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # Adaptive integration on the reference systems
 # ---------------------------------------------------------------------------
@@ -307,6 +322,41 @@ def test_meta_counts_rhs_evaluations(monkeypatch, p3_system):
     assert rejected > 0
 
 
+def test_meta_records_rejections_by_cause(p3_system):
+    meta = integrate_radial(p3_system, 1.0, 1.0, 1e-6, r_max=1e4, points_per_decade=1).meta
+    causes = meta["rejections"]
+    assert set(causes) == {"error", "positivity", "nonfinite"}
+    assert sum(causes.values()) == meta["steps_rejected"] > 0
+    assert causes["error"] > 0
+
+
+def _seventh_power_drop(r, y):
+    """y' = -7 r^6, so y = 1 - r^7 from y(0) = 1."""
+    r3 = r * r * r
+    return [-7.0 * r3 * r3]
+
+
+def _seventh_power_drop_nan_below_zero(r, y):
+    """The same rate, NaN once a stage state goes negative."""
+    return [_seventh_power_drop(r, y)[0] + 0.0 * np.sqrt(y[0])]
+
+
+@pytest.mark.parametrize(
+    "f, cause",
+    [
+        (_seventh_power_drop, "positivity"),
+        (_seventh_power_drop_nan_below_zero, "nonfinite"),
+    ],
+    ids=["positivity", "nonfinite"],
+)
+def test_rejection_causes_on_overshooting_first_step(f, cause):
+    """One step of h = 1 - 1e-6 overshoots the root of 1 - r^7; a huge
+    absolute floor keeps the error estimate out of the decision."""
+    _, accepted, rejections = _propagate(f, np.array([0.0, 1.0 - 1e-6]), [1.0], 1e-9, [1e6])
+    expected = {"error": 0, "positivity": 0, "nonfinite": 0, cause: 1}
+    assert (accepted, rejections) == (2, expected)
+
+
 def test_benchmark_hooks_accept_numpy_states(monkeypatch, p3_system):
     """The benchmark calls the public stepper pieces on ndarray states and
     counts evaluations by patching ``plap.integrator.flux_rhs``."""
@@ -324,6 +374,110 @@ def test_benchmark_hooks_accept_numpy_states(monkeypatch, p3_system):
 # ---------------------------------------------------------------------------
 # Bit identity with the step loop as it ran on numpy arrays
 # ---------------------------------------------------------------------------
+
+
+def _reference_rhs(system):
+    """``flux_rhs`` as written by hand, calling the system's power sums."""
+    prm = system.params
+    p, n, alpha, delta = prm.p, prm.n, prm.alpha, system.delta
+    inv_grad = 1.0 / (p - 1.0 - alpha)
+    inv_p1 = 1.0 / (p - 1.0)
+    coef = (p - 1.0 - alpha) / (p - 1.0)
+    n1 = float(n - 1)
+
+    def rhs(r, y):
+        u, v, P, S = y.tolist() if isinstance(y, np.ndarray) else y
+        if v < 0.0:
+            v = 0.0
+        rd = r**delta
+        rn = r**n1
+        du = (P / rd) ** inv_grad if P > 0.0 else 0.0
+        dv = (S / rn) ** inv_p1 if S > 0.0 else 0.0
+        return (
+            du,
+            dv,
+            coef * rd * prm.f1(r) * system.g1(v),
+            rn * prm.f2(r) * system.g2(v) * system.g3(du),
+        )
+
+    return rhs
+
+
+def _bits(values):
+    """The IEEE bits of a float sequence: -0.0 differs from 0.0, and NaN equals NaN."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+_COEFFS = st.just(1.0) | st.floats(min_value=1e-3, max_value=1e100)
+
+
+@st.composite
+def _admissible_systems(draw):
+    """Systems with 1-3 terms per law, constant laws and coefficients up to 1e100."""
+    p = draw(st.floats(min_value=1.2, max_value=4.0))
+    alpha = (p - 1.0) * draw(st.floats(min_value=0.0, max_value=0.95))
+    k2 = (p - 1.0) * draw(st.just(0.0) | st.floats(min_value=0.01, max_value=0.9))
+    k1, k3 = (draw(st.just(0.0) | st.floats(min_value=0.01, max_value=3.0)) for _ in range(2))
+    budget = (p - 1.0 - alpha) * (p - 1.0 - k2)
+    if k1 * k3 >= budget:
+        k3 = 0.9 * budget / k1
+
+    def law(degree):
+        if degree == 0.0:
+            return Nonlinearity.pure_power(0.0)
+        lower = draw(st.lists(st.tuples(_COEFFS, st.floats(min_value=0.0, max_value=0.95)), max_size=2))
+        return Nonlinearity(tuple((c, degree * frac) for c, frac in lower) + ((1.0, degree),))
+
+    weight = st.lists(st.tuples(_COEFFS, st.floats(min_value=0.0, max_value=3.0)), min_size=1, max_size=3)
+    params = SystemParams(
+        p=p,
+        n=draw(st.integers(min_value=2, max_value=5)),
+        alpha=alpha,
+        f1=CoefficientFunction(tuple(draw(weight))),
+        f2=CoefficientFunction(tuple(draw(weight))),
+        r_max=1.0,
+    )
+    return validate_system(params, law(k1), law(k2), law(k3))
+
+
+def _outcome(f, r, y):
+    try:
+        return _bits(f(r, y))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+_SIGNED = st.floats(min_value=-1e3, max_value=1e3) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    system=_admissible_systems(),
+    r=st.floats(min_value=1e-6, max_value=1e4),
+    u=st.floats(min_value=0.0, max_value=1e6),
+    v=st.floats(min_value=-10.0, max_value=1e6) | st.sampled_from([0.0, -0.0]),
+    P=_SIGNED,
+    S=_SIGNED,
+)
+def test_generated_rhs_matches_power_sum_rhs_bit_for_bit(system, r, u, v, P, S):
+    """States include v < 0 (clamped), P <= 0 and S <= 0 (zero gradients)."""
+    expected = _outcome(_reference_rhs(system), r, [u, v, P, S])
+    f = flux_rhs(system)
+    assert _outcome(f, r, [u, v, P, S]) == expected
+    assert _outcome(f, r, np.array([u, v, P, S])) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+def test_stepper_matches_numpy_reference_in_any_dimension(dim):
+    def f(r, y):
+        return [r * y[(m + 1) % dim] - 0.3 * y[m] * y[m] + 0.1 * m for m in range(dim)]
+
+    y = np.linspace(0.5, 1.5, dim)
+    for h in (1e-3, 0.25):
+        expected = _reference_step(f, 0.7, y, h, np.asarray(f(0.7, y)))
+        for k1 in (None, f(0.7, y.tolist())):
+            got = dormand_prince_step(f, 0.7, y, h, k1)
+            assert [_bits(part) for part in got] == [_bits(part) for part in expected]
 
 
 def _reference_step(f, r, y, h, k1):
@@ -388,7 +542,7 @@ def _reference_trajectory(system, tol, r_max, points_per_decade):
     start = startup_state(system, 1.0, 1.0, float(grid[0]))
     y0 = np.array([start.u, start.v, start.P, start.S])
     atol = (tol * 1e-3) * np.maximum(np.abs(y0), 1e-300)
-    f = flux_rhs(system)
+    f = _reference_rhs(system)
     ys, accepted, rejected = _reference_propagate(lambda r, y: np.array(f(r, y)), grid, y0, tol, atol)
     prm = system.params
     u, v, P, S = ys.T
@@ -404,8 +558,9 @@ def _reference_trajectory(system, tol, r_max, points_per_decade):
         (P3_CONFIG, 1e-9, 1e4, 64),
         (MULTI_TERM_CONFIG, 1e-9, 10.0, 64),
         (P3_CONFIG, 1e-6, 1e4, 1),  # rejects steps
+        (dict(P3_CONFIG, g2=[[1.0, -0.0]]), 1e-9, 100.0, 64),
     ],
-    ids=["poisson", "coupled_p3", "multi_term", "rejections"],
+    ids=["poisson", "coupled_p3", "multi_term", "rejections", "negative_zero_exponent"],
 )
 def test_step_loop_matches_numpy_reference_bit_for_bit(config, tol, r_max, points_per_decade):
     system = system_from_config(config)
@@ -428,6 +583,24 @@ def test_step_loop_matches_numpy_reference_on_underflow():
     with pytest.raises(StepSizeUnderflow) as info:
         integrate_radial(system, 1.0, 1.0, 1e-9, r_max=1e4)
     assert info.value.radius == expected.value.radius
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        dict(f1=[[math.inf, 0.0]]),
+        dict(g1=[[math.nan, 0.5], [1.0, 1.0]]),
+        dict(f2=[[1e300, 0.0]]),
+    ],
+    ids=["infinite_weight", "nan_growth_term", "huge_weight"],
+)
+def test_nonfinite_and_extreme_parameters_overflow_at_startup(override):
+    system = system_from_config(dict(P3_CONFIG, r_max=100.0, **override))
+    with pytest.raises(Overflow) as expected:
+        _reference_trajectory(system, 1e-9, 100.0, 64)
+    with pytest.raises(Overflow) as info:
+        integrate_radial(system, 1.0, 1.0, 1e-9, r_max=100.0)
+    assert info.value.radius == expected.value.radius == 1e-6
 
 
 # ---------------------------------------------------------------------------

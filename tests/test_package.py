@@ -19,13 +19,28 @@ def test_submodule_public_names_are_exported(module):
     assert all(getattr(plap, name) is getattr(module, name) for name in module.__all__)
 
 
-def test_import_loads_only_numpy_machinery():
-    """numpy is the only runtime dependency and the CLI starts no worker pool."""
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's plap."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(plap.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return res.stdout
+
+
+def test_import_loads_only_numpy_machinery():
+    """numpy is the only runtime dependency and the CLI starts no worker pool."""
+    out = _fresh_interpreter(
         "import plap.cli, sys; "
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent'))))"
     )
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == ""
+    assert out.strip() == ""
+
+
+def test_import_generates_no_code():
+    """The stepper and the right-hand sides are generated on first use, so
+    importing the CLI compiles nothing and the import time cannot grow."""
+    out = _fresh_interpreter(
+        "import plap.cli; from plap import integrator; "
+        "print(integrator._dp_stepper.cache_info().currsize, integrator._compile_factory.cache_info().misses)"
+    )
+    assert out.split() == ["0", "0"]
