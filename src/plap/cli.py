@@ -6,9 +6,10 @@ growth laws are lists of ``[coefficient, exponent]`` pairs.  The document may
 also carry ``a``, ``b``, ``tol`` defaults and, for ``sweep``, a ``sweep``
 object mapping parameter names to value lists.
 
-Exit codes: 0 success, 1 validation/config failure, 2 numerical failure
-(step underflow, state overflow, or an ``ArithmeticError`` such as an
-``OverflowError`` of the profile amplitudes), 3 verification failure.
+Exit codes: 0 success, 1 validation/config failure or an output path that
+cannot be written, 2 numerical failure (step underflow, state overflow, or an
+``ArithmeticError`` such as an ``OverflowError`` of the profile amplitudes),
+3 verification failure.
 Artifacts are deterministic: the same config produces byte-identical output.
 """
 
@@ -56,10 +57,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -139,8 +144,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report, _, qs = run_verification(system, a, b, tol, r_max=r_max)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
     if args.series_out:
-        with open(args.series_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_series_csv(qs))
+        _write(args.series_out, _series_csv(qs))
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
@@ -300,6 +304,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         # covers ConfigError and every validation error class
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        # configs are read through ConfigError, so this is an output path
+        # that cannot be written
+        print(f"cannot write output: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -26,12 +26,13 @@ control, relative tolerance ``tol`` and a per-component absolute floor scaled
 to the startup magnitudes (a flat absolute floor would licence arbitrarily
 large relative drift in the fluxes near the origin, where P can be 1e-18).
 The step loop runs on plain Python floats: for a 4-component state, numpy's
-per-call overhead would cost several times the arithmetic itself.  The two
-hot functions are generated from their single sources: ``flux_rhs`` writes
-each system's power-sum terms out inline, and the stepper is unrolled over
-the components from the Butcher tableau, once per dimension.  Both keep the
-order of every floating-point operation, so they compute what the generic
-power sums and the tableau loops compute, bit for bit.
+per-call overhead would cost several times the arithmetic itself.  The hot
+path is generated from its single sources: ``flux_rhs`` writes each
+system's power-sum terms out inline, and the whole adaptive loop, stages
+from the Butcher tableau, error norm, tests and step-size controller, is
+unrolled over the components once per dimension.  The generated code keeps
+the order of every floating-point operation, so it computes what the
+generic power sums and the generic step loop compute, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,20 +61,41 @@ __all__ = [
 ]
 
 
-class StepSizeUnderflow(RuntimeError):
+class _IntegrationFailure(RuntimeError):
+    """A failed integration: ``radius`` is where it stopped, ``state`` the last
+    accepted state as a tuple of floats and ``h`` the last attempted step."""
+
+    _what = ""
+
+    def __init__(
+        self,
+        radius: float,
+        message: str | None = None,
+        *,
+        state: tuple | None = None,
+        h: float | None = None,
+    ):
+        self.radius = radius
+        self.state = state
+        self.h = h
+        super().__init__(message or f"{self._what} at r={radius!r}")
+
+    def __reduce__(self):
+        # the default rebuilds from ``args``, which would pass the message
+        # as the radius
+        return type(self), (self.radius, str(self)), {"state": self.state, "h": self.h}
+
+
+class StepSizeUnderflow(_IntegrationFailure):
     """Accepted step would fall below 1e-14 * r: stiffness or blow-up suspected."""
 
-    def __init__(self, radius: float, message: str | None = None):
-        self.radius = radius
-        super().__init__(message or f"step size underflow at r={radius!r}")
+    _what = "step size underflow"
 
 
-class Overflow(RuntimeError):
+class Overflow(_IntegrationFailure):
     """A state component left the representable range before r_max."""
 
-    def __init__(self, radius: float, message: str | None = None):
-        self.radius = radius
-        super().__init__(message or f"state overflow at r={radius!r}")
+    _what = "state overflow"
 
 
 @dataclass(frozen=True)
@@ -277,40 +299,57 @@ def _weighted_sum(prefix: str, weights: Sequence[float], m: int, constants: dict
     return " + ".join(terms)
 
 
-@functools.lru_cache(maxsize=16)
-def _dp_stepper(dim: int) -> Callable:
-    """The Dormand-Prince step for ``dim`` components, generated from the tableau.
+def _unpack(name: str, dim: int) -> str:
+    """``name0, name1, ...,``: the trailing comma makes one component a tuple too."""
+    return "".join(f"{name}{m}, " for m in range(dim)).rstrip()
 
-    Every stage is written out per component: its weights are summed left to
-    right with the zero ones skipped, then scaled by h and added to y.  The
-    last stage is evaluated at the 5th-order solution (FSAL).
+
+def _each(template: str, dim: int, sep: str) -> str:
+    """``template`` once per component ``m``, joined by ``sep``."""
+    return sep.join(template.format(m=m) for m in range(dim))
+
+
+def _dp_stage_lines(dim: int, h: str, constants: dict) -> list[str]:
+    """Stages 2 to 7 of one Dormand-Prince step and its error estimate, as source lines.
+
+    This is the only place the tableau becomes code.  The lines read ``f``,
+    ``r``, the step named ``h``, the state ``y0, y1, ...`` and the first stage
+    ``k1_0, k1_1, ...``.  Every stage is written out per component: its
+    weights are summed left to right with the zero ones skipped, then scaled
+    by h and added to y, and the stage state goes to ``f`` as a list.  The
+    lines leave the 5th-order solution in the list ``s7``, ``f`` at it in
+    ``k7`` and ``k7_0, ...`` (FSAL), and the error estimate in
+    ``err_0, err_1, ...``.
     """
-    comps = range(dim)
-    constants: dict = {}
-
-    def unpack(name: str) -> str:
-        return "".join(f"{name}{m}, " for m in comps).rstrip()
-
-    lines = [
-        "def step(f, r, y, h, k1):",
-        f"    {unpack('y')} = y",
-        "    if k1 is None:",
-        "        k1 = f(r, y)",
-        f"    {unpack('k1_')} = k1",
-    ]
+    lines = []
     for i in range(1, len(_DP_A)):
         stage = i + 1
         constants[f"c{stage}"] = _DP_C[i]
-        sums = [_weighted_sum(f"a{stage}", _DP_A[i], m, constants) for m in comps]
-        values = ", ".join(f"y{m} + h * ({total})" for m, total in enumerate(sums))
+        values = ", ".join(
+            f"y{m} + {h} * ({_weighted_sum(f'a{stage}', _DP_A[i], m, constants)})" for m in range(dim)
+        )
         lines += [
-            f"    s{stage} = [{values}]",
-            f"    k{stage} = f(r + c{stage} * h, s{stage})",
-            f"    {unpack(f'k{stage}_')} = k{stage}",
+            f"s{stage} = [{values}]",
+            f"k{stage} = f(r + c{stage} * {h}, s{stage})",
+            f"{_unpack(f'k{stage}_', dim)} = k{stage}",
         ]
-    last = len(_DP_A)
-    errs = ", ".join(f"h * ({_weighted_sum('e', _DP_ERR, m, constants)})" for m in comps)
-    lines.append(f"    return s{last}, [{errs}], k{last}")
+    lines += [f"err_{m} = {h} * ({_weighted_sum('e', _DP_ERR, m, constants)})" for m in range(dim)]
+    return lines
+
+
+@functools.lru_cache(maxsize=16)
+def _dp_stepper(dim: int) -> Callable:
+    """The Dormand-Prince step for ``dim`` components, from ``_dp_stage_lines``."""
+    constants: dict = {}
+    lines = [
+        "def step(f, r, y, h, k1):",
+        f"    {_unpack('y', dim)} = y",
+        "    if k1 is None:",
+        "        k1 = f(r, y)",
+        f"    {_unpack('k1_', dim)} = k1",
+        *(f"    {line}" for line in _dp_stage_lines(dim, "h", constants)),
+        f"    return s7, [{_unpack('err_', dim)}], k7",
+    ]
     return _generate("\n".join(lines), "step", constants)
 
 
@@ -356,6 +395,145 @@ _OVERFLOW_LIMIT = 1e250
 _UNDERFLOW_SCALE = 1e-14
 _MAX_STEPS = 2_000_000
 
+# The adaptive loop, written out per component by ``_dp_loop``.  ``ya{m}``
+# holds abs(y{m}) of the accepted state and ``b{m}`` abs(n{m}) of the new
+# one.  Where ``isfinite``, ``min`` or ``max`` would run per step, comparisons
+# give the same result on every input: ``abs(x) < inf`` is ``isfinite(x)``,
+# ``b if b > a else a`` is ``max(a, b)``, ``x if x < 5.0 else 5.0`` is
+# ``min(5.0, x)``, and on finite states ``min``/``max`` over the components
+# become a chain of comparisons.  The squares q*q of the RMS error norm are
+# added left to right in the source, never by ``sum()``, which compensates
+# rounding from Python 3.12 on and would move step decisions between
+# interpreter versions; they are never -0.0, so leaving out the leading
+# ``0.0 +`` gives the same sum.
+_LOOP_SOURCE = """\
+def loop(f, radii, y, rtol, atol, out):
+    {y} = y
+    {abs_y}
+    {atol} = atol
+    r = radii[0]
+    k1 = f(r, y)
+    {k1} = k1
+    h = radii[1] - radii[0]
+    accepted = rejected = 0
+    rejections = {{"error": 0, "positivity": 0, "nonfinite": 0}}
+    h_min, h_max, r_at_h_min = inf, 0.0, nan
+    out[0] = y
+    for i, target in enumerate(radii[1:], 1):
+        while True:
+            remaining = target - r
+            if remaining <= abs(r) * 1e-15:
+                break
+            h_try = remaining if remaining < h else h
+{stages}
+            {n} = s7
+            {abs_n}
+            finite = {finite}
+            enorm = inf
+            if finite:
+                {scaled}
+                enorm = sqrt(({squares}) / {dim})
+            if finite and enorm <= 1.0 and {positive}:
+                if h_try < h_min:
+                    h_min, r_at_h_min = h_try, r
+                if h_try > h_max:
+                    h_max = h_try
+                r = target if h_try == remaining else r + h_try
+                y = s7
+                {y_is_n}
+                {ya_is_b}
+                {k1_is_k7}
+                accepted += 1
+                if {overflow}:
+                    raise Overflow(r, state=tuple(y), h=h_try)
+                if enorm == 0.0:
+                    grow = 5.0
+                else:
+                    grow = 0.9 * enorm**-0.2
+                    grow = grow if grow < 5.0 else 5.0
+                h = h_try * (grow if grow > 0.2 else 0.2)
+            else:
+                rejected += 1
+                if not isfinite(enorm):
+                    cause, shrink = "nonfinite", 0.2
+                elif enorm <= 1.0:
+                    # rejected on positivity alone; the error estimate is
+                    # uninformative, so just halve
+                    cause, shrink = "positivity", 0.5
+                else:
+                    cause, shrink = "error", max(0.1, min(0.9, 0.9 * enorm**-0.2))
+                rejections[cause] += 1
+                h = h_try * shrink
+                if h < underflow_scale * max(abs(r), 1e-300):
+                    if not finite or max(map(abs, y)) > 1e200:
+                        raise Overflow(r, state=tuple(y), h=h_try)
+                    raise StepSizeUnderflow(r, state=tuple(y), h=h_try)
+            if accepted + rejected > max_steps:
+                raise StepSizeUnderflow(r, f"step budget exhausted at r={{r!r}}", state=tuple(y), h=h_try)
+        out[i] = y
+    return accepted, rejections, h_min, h_max, r_at_h_min
+"""
+
+
+@functools.lru_cache(maxsize=16)
+def _dp_loop(dim: int) -> Callable:
+    """The whole adaptive loop for ``dim`` components, generated once per dimension.
+
+    The stages come from ``_dp_stage_lines``; the finiteness test, the RMS
+    error norm, the positivity and overflow tests and the step-size
+    controller are unrolled over the components in ``_LOOP_SOURCE``, each
+    with the operations and order of the generic loop it replaced.
+    """
+    constants = dict(
+        inf=math.inf,
+        nan=math.nan,
+        sqrt=math.sqrt,
+        isfinite=math.isfinite,
+        Overflow=Overflow,
+        StepSizeUnderflow=StepSizeUnderflow,
+        limit=_OVERFLOW_LIMIT,
+        underflow_scale=_UNDERFLOW_SCALE,
+        max_steps=_MAX_STEPS,
+    )
+    stages = _dp_stage_lines(dim, "h_try", constants)
+    source = _LOOP_SOURCE.format(
+        dim=dim,
+        y=_unpack("y", dim),
+        k1=_unpack("k1_", dim),
+        atol=_unpack("atol", dim),
+        n=_unpack("n", dim),
+        stages="\n".join(f"            {line}" for line in stages),
+        abs_y=_each("ya{m} = abs(y{m})", dim, "; "),
+        abs_n=_each("b{m} = abs(n{m})", dim, "; "),
+        finite=_each("b{m} < inf", dim, " and "),
+        scaled=_each("q{m} = err_{m} / (atol{m} + rtol * (b{m} if b{m} > ya{m} else ya{m}))", dim, "; "),
+        squares=_each("q{m} * q{m}", dim, " + "),
+        positive=_each("n{m} > 0.0", dim, " and "),
+        y_is_n=_each("y{m} = n{m}", dim, "; "),
+        ya_is_b=_each("ya{m} = b{m}", dim, "; "),
+        k1_is_k7=_each("k1_{m} = k7_{m}", dim, "; "),
+        overflow=_each("b{m} > limit", dim, " or "),
+    )
+    return _generate(source, "loop", constants)
+
+
+def _step_loop(
+    f: Callable[[float, Sequence[float]], Sequence[float]],
+    grid: np.ndarray,
+    y0: Sequence[float],
+    rtol: float,
+    atol: Sequence[float],
+) -> tuple[np.ndarray, int, dict, float, float, float]:
+    """``_propagate`` plus the step-size record: the smallest and the largest
+    accepted step and the radius the smallest one started from (``inf``,
+    ``0.0`` and ``nan`` when no step was accepted)."""
+    y = np.asarray(y0, dtype=float).tolist()
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), (len(y),)).tolist()
+    radii = np.asarray(grid, dtype=float).tolist()
+    out = np.empty((len(radii), len(y)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return (out, *_dp_loop(len(y))(f, radii, y, rtol, atol, out))
+
 
 def _propagate(
     f: Callable[[float, Sequence[float]], Sequence[float]],
@@ -371,68 +549,9 @@ def _propagate(
     steps by cause: ``error`` (the estimate exceeded the tolerance),
     ``positivity`` (the estimate was within tolerance but a component was not
     positive) and ``nonfinite`` (the new state or its estimate was not finite).
+    The loop is generated once per state dimension (``_dp_loop``).
     """
-    y = np.asarray(y0, dtype=float).tolist()
-    dim = len(y)
-    step = _dp_stepper(dim)
-    atol = np.broadcast_to(np.asarray(atol, dtype=float), (dim,)).tolist()
-    radii = np.asarray(grid, dtype=float).tolist()
-    out = np.empty((len(radii), dim))
-    out[0] = y
-    r = radii[0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k1 = f(r, y)
-        h = radii[1] - radii[0]
-        accepted = rejected = 0
-        rejections = {"error": 0, "positivity": 0, "nonfinite": 0}
-        for i, target in enumerate(radii[1:], 1):
-            while True:
-                remaining = target - r
-                if remaining <= abs(r) * 1e-15:
-                    break
-                h_try = min(h, remaining)
-                y_new, err, k_last = step(f, r, y, h_try, k1)
-                finite = all(map(math.isfinite, y_new))
-                enorm = math.inf
-                if finite:
-                    # RMS of the scaled error, summed left to right: sum()
-                    # compensates rounding from Python 3.12 on, which would
-                    # move step decisions between interpreter versions
-                    total = 0.0
-                    for e, floor, y_old, y_cur in zip(err, atol, y, y_new):
-                        q = e / (floor + rtol * max(abs(y_old), abs(y_cur)))
-                        total += q * q
-                    enorm = math.sqrt(total / dim)
-                ok = finite and enorm <= 1.0 and min(y_new) > 0.0
-                if ok:
-                    r = target if h_try == remaining else r + h_try
-                    y = y_new
-                    k1 = k_last
-                    accepted += 1
-                    if max(map(abs, y)) > _OVERFLOW_LIMIT:
-                        raise Overflow(r)
-                    grow = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm**-0.2)
-                    h = h_try * max(0.2, grow)
-                else:
-                    rejected += 1
-                    if not math.isfinite(enorm):
-                        cause, shrink = "nonfinite", 0.2
-                    elif enorm <= 1.0:
-                        # Rejected on positivity alone; the error estimate is
-                        # uninformative, so just halve.
-                        cause, shrink = "positivity", 0.5
-                    else:
-                        cause, shrink = "error", max(0.1, min(0.9, 0.9 * enorm**-0.2))
-                    rejections[cause] += 1
-                    h = h_try * shrink
-                    if h < _UNDERFLOW_SCALE * max(abs(r), 1e-300):
-                        if not finite or max(map(abs, y)) > 1e200:
-                            raise Overflow(r)
-                        raise StepSizeUnderflow(r)
-                if accepted + rejected > _MAX_STEPS:
-                    raise StepSizeUnderflow(r, f"step budget exhausted at r={r!r}")
-            out[i] = y
-    return out, accepted, rejections
+    return _step_loop(f, grid, y0, rtol, atol)[:3]
 
 
 def integrate_radial(
@@ -452,8 +571,9 @@ def integrate_radial(
     1e-3); the absolute floor is ``tol * 1e-3`` scaled per component by the
     startup magnitudes.  Default grids come from ``geometric_grid`` and are
     shared, read-only arrays.  Raises ``StepSizeUnderflow`` when the controller
-    drives the step below 1e-14 * r and ``Overflow`` (with the radius reached)
-    when a component leaves the representable range.
+    drives the step below 1e-14 * r and ``Overflow`` when a component leaves
+    the representable range; both carry the radius reached, the last accepted
+    state and the last attempted step.
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
@@ -471,7 +591,7 @@ def integrate_radial(
     start = startup_state(system, a, b, r_start)
     y0 = [start.u, start.v, start.P, start.S]
     atol = [(tol * 1e-3) * max(abs(x), 1e-300) for x in y0]
-    ys, accepted, rejections = _propagate(flux_rhs(system), grid, y0, tol, atol)
+    ys, accepted, rejections, h_min, h_max, r_at_h_min = _step_loop(flux_rhs(system), grid, y0, tol, atol)
     rejected = sum(rejections.values())
 
     prm = system.params
@@ -499,6 +619,9 @@ def integrate_radial(
             "steps_accepted": accepted,
             "steps_rejected": rejected,
             "rejections": rejections,
+            "h_min": h_min,
+            "h_max": h_max,
+            "r_at_h_min": r_at_h_min,
             # one startup evaluation, then six per attempted step (FSAL)
             "rhs_evals": 1 + 6 * (accepted + rejected),
         },

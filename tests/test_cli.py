@@ -267,26 +267,52 @@ def test_exit_2_on_numerical_blowup(write_config, capsys):
     assert "Overflow" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, failure",
-    [("profile", "OverflowError"), ("verify", "OverflowError"), ("integrate", "StepSizeUnderflow")],
-)
-def test_exit_2_on_arithmetic_error(write_config, command, failure):
-    """Admissible by a margin of 2e-4: the profile amplitudes overflow.
-
-    Run as a fresh process, so an escaping exception would show as a
-    traceback and exit code 1.
-    """
-    cfg = write_config("amplitude.json", P3_CONFIG, f1=[[1e100, 0.0]], g1=[[1.0, 2.0]], g3=[[1.0, 1.9999]])
+def _fresh_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m plap.cli *args`` in a new process, so an escaping exception
+    would show as a traceback and exit code 1."""
     src = os.path.dirname(os.path.dirname(plap.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "plap.cli", command, "--config", cfg],
+    return subprocess.run(
+        [sys.executable, "-m", "plap.cli", *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "command, failure",
+    [("profile", "OverflowError"), ("verify", "OverflowError"), ("integrate", "StepSizeUnderflow")],
+)
+def test_exit_2_on_arithmetic_error(write_config, command, failure):
+    """Admissible by a margin of 2e-4: the profile amplitudes overflow."""
+    cfg = write_config("amplitude.json", P3_CONFIG, f1=[[1e100, 0.0]], g1=[[1.0, 2.0]], g3=[[1.0, 1.9999]])
+    proc = _fresh_cli(command, "--config", cfg)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"numerical failure: {failure}: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("profile", "--out"), ("verify", "--out"), ("verify", "--series-out")],
+)
+def test_exit_1_on_unwritable_output(write_config, tmp_path, command, flag):
+    cfg = write_config("p3.json", P3_CONFIG, r_max=10.0)
+    target = str(tmp_path / "missing" / "artifact")
+    proc = _fresh_cli(command, "--config", cfg, flag, target)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("cannot write output: FileNotFoundError: ")
+    assert proc.stderr.count("\n") == 1 and target in proc.stderr
+
+
+def test_no_artifact_carries_the_step_record(write_config, tmp_path, capsys):
+    """``meta`` gained ``h_min``, ``h_max`` and ``r_at_h_min``; no output changes."""
+    cfg = write_config("p3.json", P3_CONFIG, r_max=100.0, sweep={"k1": [0.5, 1.0]})
+    report, series = tmp_path / "report.json", tmp_path / "series.csv"
+    assert main(["verify", "--config", cfg, "--out", str(report), "--series-out", str(series)]) == 0
+    assert main(["integrate", "--config", cfg]) == 0
+    assert main(["sweep", "--config", cfg]) == 0
+    artifacts = report.read_text() + series.read_text() + capsys.readouterr().out
+    assert "h_min" not in artifacts and "h_max" not in artifacts

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -28,7 +29,7 @@ from plap import (
     validate_system,
 )
 from plap import integrator
-from plap.integrator import _DP_A, _DP_C, _DP_ERR, _propagate, dormand_prince_step
+from plap.integrator import _DP_A, _DP_C, _DP_ERR, _propagate, _step_loop, dormand_prince_step
 from conftest import P3_CONFIG, POISSON_CONFIG, sample_integration_system
 
 
@@ -573,16 +574,95 @@ def test_step_loop_matches_numpy_reference_bit_for_bit(config, tol, r_max, point
         assert rejected > 0
 
 
+# p - 1 - alpha = 0.02: the startup gradient underflows at r0 = 1e-6
+NEAR_ALPHA_CONFIG = dict(P3_CONFIG, alpha=1.98, r_max=1e4, g1=[[1.0, 0.001]], g3=[[1.0, 0.001]])
+
+
 def test_step_loop_matches_numpy_reference_on_underflow():
-    """p - 1 - alpha = 0.02: the startup gradient underflows at r0 = 1e-6."""
-    system = system_from_config(
-        dict(P3_CONFIG, alpha=1.98, r_max=1e4, g1=[[1.0, 0.001]], g3=[[1.0, 0.001]])
-    )
+    system = system_from_config(NEAR_ALPHA_CONFIG)
     with pytest.raises(StepSizeUnderflow) as expected:
         _reference_trajectory(system, 1e-9, 1e4, 64)
     with pytest.raises(StepSizeUnderflow) as info:
         integrate_radial(system, 1.0, 1.0, 1e-9, r_max=1e4)
     assert info.value.radius == expected.value.radius
+
+
+def _toy_rates(dim, drift=False):
+    """A coupled toy system; ``drift`` drives the last component through zero."""
+
+    def f(r, y):
+        rates = [0.5 * y[(m + 1) % dim] - 0.05 * y[m] * y[m] + 0.1 * m * r for m in range(dim)]
+        if drift:
+            rates[-1] = -1.0
+        return rates
+
+    return f
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+def test_step_loop_matches_numpy_reference_in_any_dimension(dim):
+    """The loop is generated per dimension; each one is the reference loop."""
+    y0 = np.linspace(0.5, 1.5, dim)
+    f = _toy_rates(dim)
+    # the coarse grid's first steps are too long and rejected on the error
+    for grid, tol in ((np.linspace(0.0, 4.0, 41), 1e-10), (np.array([0.0, 2.0, 6.0]), 1e-7)):
+        atol = 1e-3 * tol * y0
+        expected, accepted, rejected = _reference_propagate(f, grid, y0, tol, atol)
+        ys, got_accepted, rejections = _propagate(f, grid, y0, tol, atol)
+        assert np.array_equal(ys, expected)
+        assert (got_accepted, sum(rejections.values())) == (accepted, rejected)
+        assert rejected > 0
+    # rejections on positivity until the step underflows
+    drift, grid, atol = _toy_rates(dim, drift=True), np.array([0.0, 2.0]), 1e-13 * y0
+    with pytest.raises(StepSizeUnderflow) as expected_failure:
+        _reference_propagate(drift, grid, y0, 1e-10, atol)
+    with pytest.raises(StepSizeUnderflow) as failure:
+        _propagate(drift, grid, y0, 1e-10, atol)
+    assert failure.value.radius == expected_failure.value.radius
+
+
+def test_step_size_record_on_known_steps():
+    """y' = 1 has an error estimate at rounding level, so each step is five
+    times the last unless it lands on the grid: 1, 0.5 (lands), 2.5 and 6."""
+    grid = np.array([0.0, 1.0, 1.5, 10.0])
+    _, accepted, _, h_min, h_max, r_at_h_min = _step_loop(lambda r, y: [1.0], grid, [1.0], 1e-9, [1e-12])
+    assert (accepted, h_min, h_max, r_at_h_min) == (4, 0.5, 6.0, 1.0)
+
+
+def test_step_size_record_in_meta(p3_system):
+    for ppd in (64, 1):  # the second run rejects steps
+        traj = integrate_radial(p3_system, 1.0, 1.0, 1e-6, r_max=1e4, points_per_decade=ppd)
+        meta = traj.meta
+        assert 0.0 < meta["h_min"] <= meta["h_max"] < traj.r[-1]
+        assert traj.r[0] <= meta["r_at_h_min"] < traj.r[-1]
+
+
+@pytest.mark.parametrize(
+    "config, failure",
+    [
+        (NEAR_ALPHA_CONFIG, StepSizeUnderflow),
+        (dict(P3_CONFIG, r_max=100.0, f2=[[1e300, 0.0]]), Overflow),
+    ],
+    ids=["underflow", "huge_weight"],
+)
+def test_failures_carry_last_state_and_step(config, failure):
+    """Both fail before any step is accepted, so the state is the startup state."""
+    system = system_from_config(config)
+    r0 = 1e-6 * min(1.0, config["r_max"])
+    with pytest.raises(failure) as info:
+        integrate_radial(system, 1.0, 1.0, 1e-9, r_max=config["r_max"])
+    exc = info.value
+    start = startup_state(system, 1.0, 1.0, r0)
+    assert exc.radius == r0
+    assert exc.state == (start.u, start.v, start.P, start.S)
+    assert all(type(x) is float for x in exc.state)
+    # the last attempted step, which the controller then shrank below 1e-14 * r
+    assert 0.1 * exc.h < 1e-14 * exc.radius <= exc.h
+    what = "step size underflow" if failure is StepSizeUnderflow else "state overflow"
+    assert str(exc) == f"{what} at r={exc.radius!r}"
+    assert exc.args == (str(exc),)
+    copy = pickle.loads(pickle.dumps(exc))
+    assert (type(copy), copy.radius, copy.state, copy.h, str(copy)) == (failure, r0, exc.state, exc.h, str(exc))
 
 
 @pytest.mark.parametrize(
@@ -627,6 +707,11 @@ def test_overflow_reports_radius():
     # u ~ r^32/1056 crosses the overflow guard around r ~ 4e7
     assert 1e6 < info.value.radius < 1e9
     assert isinstance(info.value, RuntimeError)
+    # raised on accepting the state that crossed it
+    state = info.value.state
+    assert len(state) == 4 and all(map(math.isfinite, state))
+    assert max(map(abs, state)) > 1e250
+    assert 0.0 < info.value.h < info.value.radius
 
 
 def test_underflow_when_positivity_cannot_be_maintained():

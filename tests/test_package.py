@@ -37,10 +37,12 @@ def test_import_loads_only_numpy_machinery():
 
 
 def test_import_generates_no_code():
-    """The stepper and the right-hand sides are generated on first use, so
-    importing the CLI compiles nothing and the import time cannot grow."""
+    """The step loop, the stepper and the right-hand sides are generated on
+    first use, so importing the CLI compiles nothing and the import time
+    cannot grow."""
     out = _fresh_interpreter(
         "import plap.cli; from plap import integrator; "
-        "print(integrator._dp_stepper.cache_info().currsize, integrator._compile_factory.cache_info().misses)"
+        "print(integrator._dp_loop.cache_info().currsize, integrator._dp_stepper.cache_info().currsize, "
+        "integrator._compile_factory.cache_info().misses)"
     )
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0", "0", "0"]
