@@ -1,11 +1,11 @@
 """Positive radial solutions of coupled p-Laplace systems with gradient terms.
 
 The package solves the far-field power profile in closed form, integrates
-positive radial solutions from the origin in a conserved flux formulation,
-and verifies at desk scale the comparison and monotone-convergence structure
-those solutions obey: quotients against the profile decrease to 1, ordered
-initial data give ordered solutions, and the flux derivatives sit inside
-explicit convexity sandwiches.
+positive radial solutions from the origin in a conserved flux formulation
+stepped in log variables, and verifies at desk scale the comparison and
+monotone-convergence structure those solutions obey: quotients against the
+profile decrease to 1, ordered initial data give ordered solutions, and the
+flux derivatives sit inside explicit convexity sandwiches.
 """
 
 from .model import (

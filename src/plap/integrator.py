@@ -1,7 +1,7 @@
-"""Adaptive integration of the radial system in conserved flux form.
+"""Adaptive integration of the radial system in log variables.
 
-Positive increasing radial solutions are integrated through the state
-``y = (u, v, P, S)`` where the two fluxes
+Positive increasing radial solutions are described by ``y = (u, v, P, S)``,
+where the two fluxes
 
     P(r) = r^delta   * u'(r)^(p-1-alpha),      delta = (n-1)(p-1-alpha)/(p-1)
     S(r) = r^(n-1)   * v'(r)^(p-1)
@@ -13,26 +13,25 @@ turn both equations into plain quadratures of positive integrands:
 
 with the gradients recovered algebraically,
 ``u' = (P / r^delta)^(1/(p-1-alpha))`` and ``v' = (S / r^(n-1))^(1/(p-1))``.
-This formulation stays smooth through the degenerate origin (where both
-gradients vanish) and makes the fluxes monotone quadrature targets, which the
-independent consistency check exploits.
+This flux form (``flux_rhs``) stays smooth through the degenerate origin, and
+the independent consistency check integrates the fluxes as quadratures.
 
-The initial value problem is singular at r = 0, so integration starts from a
-small radius r0 with a leading-order startup state obtained by freezing the
-growth-law arguments at their origin values inside the flux integrals.
+The adaptive loop steps ``Y = log y`` against ``t = log r``, with the rates
+``dY_m/dt = r f_m(r, y) / y_m`` from the flux form.  The far-field profile
+(C_lam r^lam, C_mu r^mu) is a straight line in these variables, and
+Dormand-Prince is exact on straight lines.  No state can leave (0, inf), and
+an absolute tolerance on Y is a relative one on y, down to the 1e-18 fluxes
+near the origin.  The singular initial value problem starts at a small
+radius r0 from a leading-order state that freezes the growth-law arguments
+at their origin values inside the flux integrals.
 
-Stepping uses an embedded Dormand-Prince 5(4) pair with PI-free standard step
-control, relative tolerance ``tol`` and a per-component absolute floor scaled
-to the startup magnitudes (a flat absolute floor would licence arbitrarily
-large relative drift in the fluxes near the origin, where P can be 1e-18).
 The step loop runs on plain Python floats: for a 4-component state, numpy's
 per-call overhead would cost several times the arithmetic itself.  The hot
 path is generated from its single sources: ``flux_rhs`` writes each
-system's power-sum terms out inline, and the whole adaptive loop, stages
-from the Butcher tableau, error norm, tests and step-size controller, is
-unrolled over the components once per dimension.  The generated code keeps
-the order of every floating-point operation, so it computes what the
-generic power sums and the generic step loop compute, bit for bit.
+system's power-sum terms out inline, and the Dormand-Prince 5(4) stages come
+from the Butcher tableau through one emitter, unrolled over the components
+once per dimension, both for the public step and for the whole adaptive
+loop with its change of variables, error norm and step-size controller.
 """
 
 from __future__ import annotations
@@ -239,10 +238,9 @@ def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tupl
 
     ``y`` is any sequence ``(u, v, P, S)`` of floats (an ndarray is read
     through ``tolist``); the derivatives come back as a tuple of floats.
-    Transient stage values of the explicit stepper may momentarily push a
-    component below zero; those are clamped (the converged solution is
-    strictly positive, and the error estimate rejects any step for which the
-    clamp mattered).
+    Stage values of an explicit stepper in these variables may momentarily
+    push a component below zero; those are clamped (the converged solution
+    is strictly positive).
 
     The callable is generated per system with the five power sums written
     out term by term; it computes exactly what ``f1(r) * g1(v)`` and
@@ -309,30 +307,25 @@ def _each(template: str, dim: int, sep: str) -> str:
     return sep.join(template.format(m=m) for m in range(dim))
 
 
-def _dp_stage_lines(dim: int, h: str, constants: dict) -> list[str]:
+def _dp_stage_lines(dim: int, t: str, h: str, constants: dict, evaluate: Callable) -> list[str]:
     """Stages 2 to 7 of one Dormand-Prince step and its error estimate, as source lines.
 
-    This is the only place the tableau becomes code.  The lines read ``f``,
-    ``r``, the step named ``h``, the state ``y0, y1, ...`` and the first stage
-    ``k1_0, k1_1, ...``.  Every stage is written out per component: its
-    weights are summed left to right with the zero ones skipped, then scaled
-    by h and added to y, and the stage state goes to ``f`` as a list.  The
-    lines leave the 5th-order solution in the list ``s7``, ``f`` at it in
-    ``k7`` and ``k7_0, ...`` (FSAL), and the error estimate in
-    ``err_0, err_1, ...``.
+    This is the only place the tableau becomes code.  The lines read the
+    independent variable named ``t``, the step named ``h``, the state
+    ``y0, y1, ...`` and the first stage ``k1_0, k1_1, ...``.  Each stage state
+    ``s2_0, s2_1, ...`` sums its weights left to right with the zero ones
+    skipped, then scales by h and adds y; ``evaluate(stage, at, "s2_")`` gives
+    the lines that turn it into ``k2_0, k2_1, ...``.  The lines leave the
+    5th-order solution in ``s7_0, ...``, the stage there in ``k7_0, ...``
+    (FSAL) and the error estimate in ``err_0, err_1, ...``.
     """
     lines = []
     for i in range(1, len(_DP_A)):
         stage = i + 1
         constants[f"c{stage}"] = _DP_C[i]
-        values = ", ".join(
-            f"y{m} + {h} * ({_weighted_sum(f'a{stage}', _DP_A[i], m, constants)})" for m in range(dim)
-        )
-        lines += [
-            f"s{stage} = [{values}]",
-            f"k{stage} = f(r + c{stage} * {h}, s{stage})",
-            f"{_unpack(f'k{stage}_', dim)} = k{stage}",
-        ]
+        for m in range(dim):
+            lines.append(f"s{stage}_{m} = y{m} + {h} * ({_weighted_sum(f'a{stage}', _DP_A[i], m, constants)})")
+        lines += evaluate(stage, f"{t} + c{stage} * {h}", f"s{stage}_")
     lines += [f"err_{m} = {h} * ({_weighted_sum('e', _DP_ERR, m, constants)})" for m in range(dim)]
     return lines
 
@@ -340,6 +333,10 @@ def _dp_stage_lines(dim: int, h: str, constants: dict) -> list[str]:
 @functools.lru_cache(maxsize=16)
 def _dp_stepper(dim: int) -> Callable:
     """The Dormand-Prince step for ``dim`` components, from ``_dp_stage_lines``."""
+
+    def evaluate(stage: int, at: str, state: str) -> list:
+        return [f"k{stage} = f({at}, [{_unpack(state, dim)}])", f"{_unpack(f'k{stage}_', dim)} = k{stage}"]
+
     constants: dict = {}
     lines = [
         "def step(f, r, y, h, k1):",
@@ -347,8 +344,8 @@ def _dp_stepper(dim: int) -> Callable:
         "    if k1 is None:",
         "        k1 = f(r, y)",
         f"    {_unpack('k1_', dim)} = k1",
-        *(f"    {line}" for line in _dp_stage_lines(dim, "h", constants)),
-        f"    return s7, [{_unpack('err_', dim)}], k7",
+        *(f"    {line}" for line in _dp_stage_lines(dim, "r", "h", constants, evaluate)),
+        f"    return [{_unpack('s7_', dim)}], [{_unpack('err_', dim)}], k7",
     ]
     return _generate("\n".join(lines), "step", constants)
 
@@ -391,61 +388,83 @@ def integrate_fixed_grid(
     return out
 
 
-_OVERFLOW_LIMIT = 1e250
-_UNDERFLOW_SCALE = 1e-14
+def _log_rate_lines(dim: int, stage: int, at: str, logs: str) -> list[str]:
+    """Lines for the stage ``k{stage}_m = r f_m(r, x) / x_m`` at r = exp(at), x_m = exp(logs{m}).
+
+    They leave r in ``r{stage}`` and x in ``x{stage}_0, ...`` and call ``f``
+    exactly once.  A stage out of the range of floats (``exp`` overflows, or
+    a state that underflowed to 0 is divided by) gets NaN rates, which the
+    loop rejects as non-finite.
+    """
+    xs = [f"x{stage}_{m}" for m in range(dim)]
+    ks = [f"k{stage}_{m}" for m in range(dim)]
+    return [
+        f"r{stage} = exp({at})",
+        "try:",
+        *(f"    {xs[m]} = exp({logs}{m})" for m in range(dim)),
+        "except OverflowError:",
+        f"    {' = '.join(xs)} = nan",
+        "try:",
+        f"    {_unpack('d', dim)} = f(r{stage}, [{', '.join(xs)}])",
+        *(f"    {ks[m]} = r{stage} * d{m} / {xs[m]}" for m in range(dim)),
+        "except (OverflowError, ZeroDivisionError):",
+        f"    {' = '.join(ks)} = nan",
+    ]
+
+
+_OVERFLOW_LOG = math.log(1e250)
+_HUGE_LOG = math.log(1e200)
+_UNDERFLOW_STEP = 1e-14
 _MAX_STEPS = 2_000_000
 
-# The adaptive loop, written out per component by ``_dp_loop``.  ``ya{m}``
-# holds abs(y{m}) of the accepted state and ``b{m}`` abs(n{m}) of the new
-# one.  Where ``isfinite``, ``min`` or ``max`` would run per step, comparisons
-# give the same result on every input: ``abs(x) < inf`` is ``isfinite(x)``,
-# ``b if b > a else a`` is ``max(a, b)``, ``x if x < 5.0 else 5.0`` is
-# ``min(5.0, x)``, and on finite states ``min``/``max`` over the components
-# become a chain of comparisons.  The squares q*q of the RMS error norm are
-# added left to right in the source, never by ``sum()``, which compensates
-# rounding from Python 3.12 on and would move step decisions between
-# interpreter versions; they are never -0.0, so leaving out the leading
-# ``0.0 +`` gives the same sum.
+# The adaptive loop, written out per component by ``_dp_loop``.  It steps
+# ``y{m}`` = log x_m against t = log r and keeps the radius ``r`` and the
+# state ``x{m}`` beside them, as the last stage computed them (FSAL), so the
+# output and failures need no further ``exp`` and give the first radius and
+# state exactly.  A zero component starts at -inf and makes every stage NaN,
+# so the step shrinks to StepSizeUnderflow there.  ``abs(x) < inf`` is
+# ``isfinite(x)``; ``x <= huge`` is false for NaN too.  The squares of the
+# error norm are added left to right, never by ``sum()``, which compensates
+# rounding from Python 3.12 on and would move step decisions.
 _LOOP_SOURCE = """\
-def loop(f, radii, y, rtol, atol, out):
-    {y} = y
-    {abs_y}
-    {atol} = atol
-    r = radii[0]
-    k1 = f(r, y)
-    {k1} = k1
-    h = radii[1] - radii[0]
+def loop(f, radii, times, x, tol, out):
+    {x} = x
+    {y} = [log(v) if v != 0.0 else -inf for v in x]
+    r, t = radii[0], times[0]
+{k1}
+    h = times[1] - t
     accepted = rejected = 0
     rejections = {{"error": 0, "positivity": 0, "nonfinite": 0}}
     h_min, h_max, r_at_h_min = inf, 0.0, nan
-    out[0] = y
-    for i, target in enumerate(radii[1:], 1):
+    out[0] = x
+    for i in range(1, len(times)):
+        target = times[i]
         while True:
-            remaining = target - r
-            if remaining <= abs(r) * 1e-15:
+            remaining = target - t
+            if remaining <= abs(t) * 1e-15:
                 break
             h_try = remaining if remaining < h else h
 {stages}
-            {n} = s7
-            {abs_n}
-            finite = {finite}
             enorm = inf
-            if finite:
-                {scaled}
-                enorm = sqrt(({squares}) / {dim})
-            if finite and enorm <= 1.0 and {positive}:
-                if h_try < h_min:
-                    h_min, r_at_h_min = h_try, r
-                if h_try > h_max:
-                    h_max = h_try
-                r = target if h_try == remaining else r + h_try
-                y = s7
-                {y_is_n}
-                {ya_is_b}
+            if {finite}:
+                enorm = sqrt(({squares}) / {dim}) / tol
+            if enorm <= 1.0:
+                if h_try == remaining:
+                    r_new, t = radii[i], target
+                else:
+                    r_new, t = r7, t + h_try
+                h_r = r_new - r
+                if h_r < h_min:
+                    h_min, r_at_h_min = h_r, r
+                if h_r > h_max:
+                    h_max = h_r
+                r = r_new
+                {y_is_s7}
+                {x_is_x7}
                 {k1_is_k7}
                 accepted += 1
                 if {overflow}:
-                    raise Overflow(r, state=tuple(y), h=h_try)
+                    raise Overflow(r, state=({x}), h=h_r)
                 if enorm == 0.0:
                     grow = 5.0
                 else:
@@ -454,23 +473,18 @@ def loop(f, radii, y, rtol, atol, out):
                 h = h_try * (grow if grow > 0.2 else 0.2)
             else:
                 rejected += 1
-                if not isfinite(enorm):
-                    cause, shrink = "nonfinite", 0.2
-                elif enorm <= 1.0:
-                    # rejected on positivity alone; the error estimate is
-                    # uninformative, so just halve
-                    cause, shrink = "positivity", 0.5
-                else:
+                if enorm < inf:
                     cause, shrink = "error", max(0.1, min(0.9, 0.9 * enorm**-0.2))
+                else:
+                    cause, shrink = "nonfinite", 0.2
                 rejections[cause] += 1
                 h = h_try * shrink
-                if h < underflow_scale * max(abs(r), 1e-300):
-                    if not finite or max(map(abs, y)) > 1e200:
-                        raise Overflow(r, state=tuple(y), h=h_try)
-                    raise StepSizeUnderflow(r, state=tuple(y), h=h_try)
+                if h < underflow_step:
+                    failure = StepSizeUnderflow if {moderate} else Overflow
+                    raise failure(r, state=({x}), h=r * expm1(h_try))
             if accepted + rejected > max_steps:
-                raise StepSizeUnderflow(r, f"step budget exhausted at r={{r!r}}", state=tuple(y), h=h_try)
-        out[i] = y
+                raise StepSizeUnderflow(r, f"step budget exhausted at r={{r!r}}", state=({x}), h=r * expm1(h_try))
+        out[i] = ({x})
     return accepted, rejections, h_min, h_max, r_at_h_min
 """
 
@@ -479,40 +493,38 @@ def loop(f, radii, y, rtol, atol, out):
 def _dp_loop(dim: int) -> Callable:
     """The whole adaptive loop for ``dim`` components, generated once per dimension.
 
-    The stages come from ``_dp_stage_lines``; the finiteness test, the RMS
-    error norm, the positivity and overflow tests and the step-size
-    controller are unrolled over the components in ``_LOOP_SOURCE``, each
-    with the operations and order of the generic loop it replaced.
+    The stages come from ``_dp_stage_lines``, evaluated by ``_log_rate_lines``;
+    the finiteness test, the RMS error norm, the overflow tests and the
+    step-size controller are unrolled over the components in ``_LOOP_SOURCE``.
     """
     constants = dict(
         inf=math.inf,
         nan=math.nan,
+        exp=math.exp,
+        expm1=math.expm1,
+        log=math.log,
         sqrt=math.sqrt,
-        isfinite=math.isfinite,
         Overflow=Overflow,
         StepSizeUnderflow=StepSizeUnderflow,
-        limit=_OVERFLOW_LIMIT,
-        underflow_scale=_UNDERFLOW_SCALE,
+        limit=_OVERFLOW_LOG,
+        huge=_HUGE_LOG,
+        underflow_step=_UNDERFLOW_STEP,
         max_steps=_MAX_STEPS,
     )
-    stages = _dp_stage_lines(dim, "h_try", constants)
+    stages = _dp_stage_lines(dim, "t", "h_try", constants, functools.partial(_log_rate_lines, dim))
     source = _LOOP_SOURCE.format(
         dim=dim,
+        x=_unpack("x", dim),
         y=_unpack("y", dim),
-        k1=_unpack("k1_", dim),
-        atol=_unpack("atol", dim),
-        n=_unpack("n", dim),
+        k1="\n".join(f"    {line}" for line in _log_rate_lines(dim, 1, "t", "y")),
         stages="\n".join(f"            {line}" for line in stages),
-        abs_y=_each("ya{m} = abs(y{m})", dim, "; "),
-        abs_n=_each("b{m} = abs(n{m})", dim, "; "),
-        finite=_each("b{m} < inf", dim, " and "),
-        scaled=_each("q{m} = err_{m} / (atol{m} + rtol * (b{m} if b{m} > ya{m} else ya{m}))", dim, "; "),
-        squares=_each("q{m} * q{m}", dim, " + "),
-        positive=_each("n{m} > 0.0", dim, " and "),
-        y_is_n=_each("y{m} = n{m}", dim, "; "),
-        ya_is_b=_each("ya{m} = b{m}", dim, "; "),
+        finite=_each("abs(s7_{m}) < inf", dim, " and "),
+        squares=_each("err_{m} * err_{m}", dim, " + "),
+        y_is_s7=_each("y{m} = s7_{m}", dim, "; "),
+        x_is_x7=_each("x{m} = x7_{m}", dim, "; "),
         k1_is_k7=_each("k1_{m} = k7_{m}", dim, "; "),
-        overflow=_each("b{m} > limit", dim, " or "),
+        overflow=_each("y{m} > limit", dim, " or "),
+        moderate=_each("y{m} <= huge", dim, " and "),
     )
     return _generate(source, "loop", constants)
 
@@ -521,37 +533,26 @@ def _step_loop(
     f: Callable[[float, Sequence[float]], Sequence[float]],
     grid: np.ndarray,
     y0: Sequence[float],
-    rtol: float,
-    atol: Sequence[float],
+    tol: float,
 ) -> tuple[np.ndarray, int, dict, float, float, float]:
-    """``_propagate`` plus the step-size record: the smallest and the largest
-    accepted step and the radius the smallest one started from (``inf``,
-    ``0.0`` and ``nan`` when no step was accepted)."""
-    y = np.asarray(y0, dtype=float).tolist()
-    atol = np.broadcast_to(np.asarray(atol, dtype=float), (len(y),)).tolist()
-    radii = np.asarray(grid, dtype=float).tolist()
-    out = np.empty((len(radii), len(y)))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (out, *_dp_loop(len(y))(f, radii, y, rtol, atol, out))
+    """Adaptive stepping of y' = f(r, y) in log variables, landing on every grid radius.
 
-
-def _propagate(
-    f: Callable[[float, Sequence[float]], Sequence[float]],
-    grid: np.ndarray,
-    y0: Sequence[float],
-    rtol: float,
-    atol: Sequence[float],
-) -> tuple[np.ndarray, int, dict]:
-    """Adaptive stepping that lands exactly on every output grid point.
-
-    ``atol`` holds positive per-component floors (a scalar is broadcast).
-    Returns the states on the grid, the accepted step count and the rejected
-    steps by cause: ``error`` (the estimate exceeded the tolerance),
-    ``positivity`` (the estimate was within tolerance but a component was not
-    positive) and ``nonfinite`` (the new state or its estimate was not finite).
-    The loop is generated once per state dimension (``_dp_loop``).
+    ``_dp_loop`` steps log y against log r and holds the RMS norm of the
+    error estimate of log y to ``tol``, a relative tolerance on y.  A zero
+    component of ``y0`` fails as ``StepSizeUnderflow`` at the first radius.
+    Returns the states on the grid, the accepted step count, the rejected
+    steps by cause, and the smallest and largest accepted step in r with the
+    radius the smallest one started from (``inf``, ``0.0``, ``nan`` when none
+    was accepted).  The causes are ``error`` (the estimate exceeded the
+    tolerance) and ``nonfinite`` (a stage left the range of floats, or the
+    new state or its estimate was not finite); ``positivity`` stays in the
+    record for its readers and is always 0.
     """
-    return _step_loop(f, grid, y0, rtol, atol)[:3]
+    radii = np.asarray(grid, dtype=float)
+    x = np.asarray(y0, dtype=float).tolist()
+    out = np.empty((len(radii), len(x)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return (out, *_dp_loop(len(x))(f, radii.tolist(), np.log(radii).tolist(), x, tol, out))
 
 
 def integrate_radial(
@@ -567,13 +568,13 @@ def integrate_radial(
 ) -> Trajectory:
     """Integrate from the origin startup out to r_max on a geometric output grid.
 
-    ``tol`` is the relative local-error tolerance (allowed range 1e-13 to
-    1e-3); the absolute floor is ``tol * 1e-3`` scaled per component by the
-    startup magnitudes.  Default grids come from ``geometric_grid`` and are
-    shared, read-only arrays.  Raises ``StepSizeUnderflow`` when the controller
-    drives the step below 1e-14 * r and ``Overflow`` when a component leaves
-    the representable range; both carry the radius reached, the last accepted
-    state and the last attempted step.
+    ``(log u, log v, log P, log S)`` is stepped against log r, and ``tol``
+    (1e-13 to 1e-3) is an absolute tolerance on those logs, so a relative one
+    on u, v, P and S.  Default grids come from ``geometric_grid`` and are
+    shared, read-only arrays.  Raises ``StepSizeUnderflow`` when the step
+    falls below 1e-14 in log r (1e-14 * r) or a startup component is 0, and
+    ``Overflow`` when a component passes 1e250; both carry the radius, the
+    last accepted (u, v, P, S) and the last attempted step in r.
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
@@ -590,8 +591,7 @@ def integrate_radial(
         grid = geometric_grid(r_start, r_end, points_per_decade)
     start = startup_state(system, a, b, r_start)
     y0 = [start.u, start.v, start.P, start.S]
-    atol = [(tol * 1e-3) * max(abs(x), 1e-300) for x in y0]
-    ys, accepted, rejections, h_min, h_max, r_at_h_min = _step_loop(flux_rhs(system), grid, y0, tol, atol)
+    ys, accepted, rejections, h_min, h_max, r_at_h_min = _step_loop(flux_rhs(system), grid, y0, tol)
     rejected = sum(rejections.values())
 
     prm = system.params
@@ -615,7 +615,6 @@ def integrate_radial(
             "b": b,
             "r0": r_start,
             "rtol": tol,
-            "atol_floor": tol * 1e-3,
             "steps_accepted": accepted,
             "steps_rejected": rejected,
             "rejections": rejections,
