@@ -345,8 +345,9 @@ def _burst(r, y):
 @pytest.mark.parametrize(
     "f, grid, y0, expected",
     [
-        # one step of log r = log(1 - 1e-6) - log(0.5) overshoots the root of
-        # 1 - r^7 in flux form; in log variables it lands on a positive state
+        # positivity without a reject branch: one step of log r =
+        # log(1 - 1e-6) - log(0.5) overshoots the root of 1 - r^7 in flux
+        # form; in log variables it lands on a positive state, unrejected
         (_seventh_power_drop, [0.5, 1.0 - 1e-6], 1.0 - 0.5**7, (1, 0)),
         # a whole unit of log r puts stage 5 at log y = 886, past the range of
         # floats: one non-finite rejection, then two steps
@@ -538,8 +539,8 @@ def _reference_propagate(f, grid, y0, tol):
                 h_try = min(h, remaining)
                 y_new, err, k_last = _reference_step(rates, t, y, h_try, k1)
                 enorm = math.inf
-                if np.all(np.isfinite(y_new)):
-                    enorm = float(np.sqrt(np.mean(err**2))) / tol
+                if np.all(np.isfinite(y_new)) and np.all(np.isfinite(err)):
+                    enorm = float(np.max(np.abs(err))) / tol
                 if enorm <= 1.0:
                     if h_try == remaining:
                         r, t = float(grid[i]), target
@@ -549,10 +550,10 @@ def _reference_propagate(f, grid, y0, tol):
                     accepted += 1
                     if np.any(y > math.log(1e250)):
                         raise Overflow(r)
-                    h = h_try * max(0.2, 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm**-0.2))
+                    h = h_try * max(0.2, 5.0 if enorm == 0.0 else min(5.0, 0.8 * enorm**-0.2))
                 else:
                     rejected += 1
-                    h = h_try * (max(0.1, min(0.9, 0.9 * enorm**-0.2)) if math.isfinite(enorm) else 0.2)
+                    h = h_try * (max(0.1, 0.8 * enorm**-0.2) if math.isfinite(enorm) else 0.2)
                     if h < 1e-14:
                         raise (StepSizeUnderflow if np.all(y <= math.log(1e200)) else Overflow)(r)
             out[i] = x
@@ -580,16 +581,20 @@ def _dop853_states(system, grid):
 @pytest.mark.parametrize(
     "config, tol, r_max, points_per_decade, limit",
     [
+        # the flux form integrated Poisson's polynomial fluxes exactly (8.7e-15);
+        # in log variables the 64-per-decade grid sets the step, and the error
+        # falls as h^5 (1.2e-12 at 128 per decade), whatever the tolerance
         (POISSON_CONFIG, 1e-9, 100.0, 64, 4e-11),
-        (P3_CONFIG, 1e-9, 1e4, 64, 3.6e-10),
-        (MULTI_TERM_CONFIG, 1e-9, 10.0, 64, 5e-10),
-        (P3_CONFIG, 1e-6, 1e4, 1, 1.1e-6),  # rejects steps
-        (dict(P3_CONFIG, g2=[[1.0, -0.0]]), 1e-9, 100.0, 64, 3.6e-10),
+        (P3_CONFIG, 1e-9, 1e4, 64, 3.4e-10),
+        (MULTI_TERM_CONFIG, 1e-9, 10.0, 64, 6e-10),
+        (P3_CONFIG, 1e-6, 1e4, 1, 7.8e-7),  # rejects steps
+        (dict(P3_CONFIG, g2=[[1.0, -0.0]]), 1e-9, 100.0, 64, 3.3e-10),
     ],
     ids=["poisson", "coupled_p3", "multi_term", "rejections", "negative_zero_exponent"],
 )
 def test_step_loop_accuracy_against_dop853(config, tol, r_max, points_per_decade, limit):
-    """Largest relative error of u, v, P and S on the output grid."""
+    """Largest relative error of u, v, P and S on the output grid, no larger
+    than the flux-form loop's on the same case, except on Poisson."""
     system = system_from_config(config)
     traj = integrate_radial(system, 1.0, 1.0, tol, r_max=r_max, points_per_decade=points_per_decade)
     ours = np.vstack([traj.u, traj.v, traj.P, traj.S])
