@@ -26,7 +26,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .integrator import Overflow, StepSizeUnderflow, integrate_radial
-from .model import ExistenceConditionViolated, GradientExponentTooLarge, system_from_config
+from .model import (
+    ExistenceConditionViolated,
+    GradientExponentTooLarge,
+    _config_float,
+    system_from_config,
+)
 from .profile import profile_residual, solve_profile
 from .verify import run_verification
 
@@ -74,9 +79,9 @@ def _fmt(x: float) -> str:
 
 
 def _run_options(cfg: dict, args: argparse.Namespace) -> tuple[float, float, float, Optional[float]]:
-    a = args.a if args.a is not None else float(cfg.get("a", 1.0))
-    b = args.b if args.b is not None else float(cfg.get("b", 1.0))
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-9))
+    a = args.a if args.a is not None else _config_float(cfg.get("a", 1.0), "a")
+    b = args.b if args.b is not None else _config_float(cfg.get("b", 1.0), "b")
+    tol = args.tol if args.tol is not None else _config_float(cfg.get("tol", 1e-9), "tol")
     r_max = args.rmax  # None means: use the system's own r_max
     return a, b, tol, r_max
 
@@ -101,17 +106,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trajectory_csv(traj) -> str:
-    buf = io.StringIO()
-    buf.write("r,u,v,du,dv,P,S\n")
-    for i in range(len(traj.r)):
-        buf.write(
-            ",".join(
-                _fmt(col[i]) for col in (traj.r, traj.u, traj.v, traj.du, traj.dv, traj.P, traj.S)
-            )
-            + "\n"
-        )
-    return buf.getvalue()
+def _csv(header: str, columns: Sequence[np.ndarray]) -> str:
+    """``header`` and one line per row of ``columns``, each value at full precision."""
+    lines = [header] + [",".join(map(_fmt, row)) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
@@ -119,22 +117,9 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     system = system_from_config(cfg)
     a, b, tol, r_max = _run_options(cfg, args)
     traj = integrate_radial(system, a, b, tol, r_max=r_max)
-    _emit(_trajectory_csv(traj), args.out)
+    columns = (traj.r, traj.u, traj.v, traj.du, traj.dv, traj.P, traj.S)
+    _emit(_csv("r,u,v,du,dv,P,S", columns), args.out)
     return EXIT_OK
-
-
-def _series_csv(qs) -> str:
-    buf = io.StringIO()
-    buf.write("r,U,V,W,Y\n")
-    for i in range(len(qs.r)):
-        buf.write(
-            ",".join(
-                _fmt(col[i])
-                for col in (qs.r, qs.u_ratio, qs.v_ratio, qs.du_ratio, qs.dv_ratio)
-            )
-            + "\n"
-        )
-    return buf.getvalue()
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -144,7 +129,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report, _, qs = run_verification(system, a, b, tol, r_max=r_max)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
     if args.series_out:
-        _write(args.series_out, _series_csv(qs))
+        columns = (qs.r, qs.u_ratio, qs.v_ratio, qs.du_ratio, qs.dv_ratio)
+        _write(args.series_out, _csv("r,U,V,W,Y", columns))
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
@@ -196,9 +182,9 @@ def _sweep_row(point_cfg: dict) -> list[str]:
     try:
         system = system_from_config(point_cfg)
         prof = solve_profile(system)
-        a = float(point_cfg.get("a", 1.0))
-        b = float(point_cfg.get("b", 1.0))
-        tol = float(point_cfg.get("tol", 1e-9))
+        a = _config_float(point_cfg.get("a", 1.0), "a")
+        b = _config_float(point_cfg.get("b", 1.0), "b")
+        tol = _config_float(point_cfg.get("tol", 1e-9), "tol")
         report, _, _ = run_verification(system, a, b, tol)
     except (GradientExponentTooLarge, ExistenceConditionViolated) as exc:
         return ["", "", "", "", "", "rejected", type(exc).__name__]
@@ -229,7 +215,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         vals = sweep[key]
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"sweep parameter '{key}' must map to a non-empty list")
-        value_lists.append([float(v) for v in vals])
+        value_lists.append([_config_float(v, f"sweep.{key}") for v in vals])
     points = [dict(zip(keys, combo)) for combo in product(*value_lists)]
     # every override is applied before any point runs, so a config error
     # aborts the sweep before it has done any work

@@ -161,8 +161,12 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
         P(r0) = (p-1-alpha)/(p-1) * g1(b) * sum_i c_i r0^(delta+m_i+1)/(delta+m_i+1)
         S(r0) = g2(b) * g3(u'(r0)) *        sum_i c_i r0^(n+m_i)/(n+m_i)
 
-    The neglected variation of u, v over [0, r0] is O(r0^(1+eps)), far below
-    integration tolerance for the default r0 = 1e-6 * min(1, r_max).
+    The neglected variation of u, v over [0, r0] is O(r0^(1+eps)).  Freezing
+    g3 is not as small: u' grows like a power of r on [0, r0], so S(r0) is
+    too large by a constant factor, 7/6 on ``coupled_p3`` (1.9245e-22 against
+    1.6496e-22 from the unfrozen quadrature at r0 = 1e-6).  The excess stays
+    while S grows, so relative to S it decays like a power of r, to about
+    5e-5 by r = 1e-5.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"initial data must be positive, got a={a}, b={b}")
@@ -562,7 +566,6 @@ def integrate_radial(
     r0: Optional[float] = None,
     r_max: Optional[float] = None,
     points_per_decade: int = 64,
-    grid: Optional[Sequence[float]] = None,
 ) -> Trajectory:
     """Integrate from the origin startup out to r_max on a geometric output grid.
 
@@ -576,17 +579,9 @@ def integrate_radial(
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2:
-            raise ValueError("explicit grid needs at least two radii")
-        if grid[0] <= 0.0 or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("explicit grid must be positive and strictly increasing")
-        r_start = float(grid[0])
-    else:
-        r_end = float(r_max if r_max is not None else system.params.r_max)
-        r_start = float(r0 if r0 is not None else 1e-6 * min(1.0, r_end))
-        grid = geometric_grid(r_start, r_end, points_per_decade)
+    r_end = float(r_max if r_max is not None else system.params.r_max)
+    r_start = float(r0 if r0 is not None else 1e-6 * min(1.0, r_end))
+    grid = geometric_grid(r_start, r_end, points_per_decade)
     start = startup_state(system, a, b, r_start)
     y0 = [start.u, start.v, start.P, start.S]
     ys, accepted, rejections, h_min, h_max, r_at_h_min = _step_loop(flux_rhs(system), grid, y0, tol)

@@ -296,6 +296,14 @@ def limiting_system(system: ValidatedSystem) -> ValidatedSystem:
     )
 
 
+def _config_float(value: object, field: str) -> float:
+    """``float(value)``, or a ``ValueError`` naming the config field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config field '{field}' must be a number, got {value!r}") from None
+
+
 def _terms_from_config(raw: object, field: str) -> tuple[tuple[float, float], ...]:
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ValueError(f"config field '{field}' must be a non-empty list of [coeff, expo] pairs")
@@ -303,7 +311,7 @@ def _terms_from_config(raw: object, field: str) -> tuple[tuple[float, float], ..
     for item in raw:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ValueError(f"config field '{field}' entries must be [coeff, expo] pairs")
-        pairs.append((float(item[0]), float(item[1])))
+        pairs.append((_config_float(item[0], field), _config_float(item[1], field)))
     return tuple(pairs)
 
 
@@ -319,12 +327,12 @@ def system_from_config(cfg: Mapping) -> ValidatedSystem:
         if field not in cfg:
             raise ValueError(f"config field '{field}' is missing")
     params = SystemParams(
-        p=float(cfg["p"]),
+        p=_config_float(cfg["p"], "p"),
         n=cfg["n"],
-        alpha=float(cfg["alpha"]),
+        alpha=_config_float(cfg["alpha"], "alpha"),
         f1=CoefficientFunction(_terms_from_config(cfg["f1"], "f1")),
         f2=CoefficientFunction(_terms_from_config(cfg["f2"], "f2")),
-        r_max=float(cfg["r_max"]),
+        r_max=_config_float(cfg["r_max"], "r_max"),
     )
     return validate_system(
         params,

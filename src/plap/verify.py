@@ -23,7 +23,7 @@ estimated by finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,6 +50,13 @@ __all__ = [
 ]
 
 _SERIES_KEYS = ("u", "v", "du", "dv")
+
+# Pinned acceptance thresholds: the multiplicative slack of the monotonicity,
+# ordering and convexity checks, and the limit and identity thresholds that
+# runs reaching radius 1e4 must meet.
+_SLACK = 1e-8
+_LIMIT_THRESHOLD = 1e-2
+_IDENTITY_THRESHOLD = 3e-2
 
 
 class GridMismatch(ValueError):
@@ -93,7 +100,6 @@ def quotient_series(traj: Trajectory, profile: PowerProfile) -> QuotientSeries:
 
 @dataclass
 class SeriesMonotonicity:
-    name: str
     passed: bool
     worst_increase: float  # largest forward increase, relative to the local value
     r_at: float
@@ -102,11 +108,11 @@ class SeriesMonotonicity:
 @dataclass
 class MonotonicityReport:
     series: dict[str, SeriesMonotonicity]
-    tol: float
+    slack: float
     passed: bool
 
 
-def check_monotone_quotients(qs: QuotientSeries, tol: float = 1e-8) -> MonotonicityReport:
+def check_monotone_quotients(qs: QuotientSeries, tol: float = _SLACK) -> MonotonicityReport:
     """Verify each quotient is non-increasing up to a multiplicative slack.
 
     A forward difference counts as a violation when it exceeds ``tol`` times
@@ -120,12 +126,11 @@ def check_monotone_quotients(qs: QuotientSeries, tol: float = 1e-8) -> Monotonic
         idx = int(np.argmax(rel_inc))
         worst = float(rel_inc[idx])
         out[key] = SeriesMonotonicity(
-            name=key,
             passed=bool(worst <= tol),
             worst_increase=worst,
             r_at=float(qs.r[idx + 1]),
         )
-    return MonotonicityReport(series=out, tol=tol, passed=all(s.passed for s in out.values()))
+    return MonotonicityReport(series=out, slack=tol, passed=all(s.passed for s in out.values()))
 
 
 @dataclass
@@ -134,12 +139,12 @@ class QuotientOrdering:
 
     passed: bool
     slack: float
-    min_excess: dict[str, float]  # min of (quotient - 1) per series
+    min_excess_above_one: dict[str, float]  # min of (quotient - 1) per series
     min_gap_u: float  # min of (U - W) / U
     min_gap_v: float  # min of (V - Y) / V
 
 
-def check_quotient_ordering(qs: QuotientSeries, slack: float = 1e-8) -> QuotientOrdering:
+def check_quotient_ordering(qs: QuotientSeries, slack: float = _SLACK) -> QuotientOrdering:
     """All quotients >= 1 and gradient ratios <= value ratios, up to slack.
 
     For non-degenerate couplings the inequalities are strict; degenerate
@@ -152,7 +157,7 @@ def check_quotient_ordering(qs: QuotientSeries, slack: float = 1e-8) -> Quotient
     gap_v = float(np.min((qs.v_ratio - qs.dv_ratio) / qs.v_ratio))
     ok = all(v >= -slack for v in excess.values()) and gap_u >= -slack and gap_v >= -slack
     return QuotientOrdering(
-        passed=bool(ok), slack=slack, min_excess=excess, min_gap_u=gap_u, min_gap_v=gap_v
+        passed=bool(ok), slack=slack, min_excess_above_one=excess, min_gap_u=gap_u, min_gap_v=gap_v
     )
 
 
@@ -260,11 +265,11 @@ class EquationBounds:
 class BoundsReport:
     first_equation: EquationBounds
     second_equation: EquationBounds
-    tol: float
+    slack: float
     passed: bool
 
 
-def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float = 1e-8) -> BoundsReport:
+def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float = _SLACK) -> BoundsReport:
     """Check the two-sided sandwiches on the flux derivatives.
 
     With w1 = f1(r) g1(v) and w2 = f2(r) g2(v) g3(u'), the exact relations
@@ -319,7 +324,7 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
             second.worst_upper_margin,
         )
     )
-    return BoundsReport(first_equation=first, second_equation=second, tol=tol, passed=bool(passed))
+    return BoundsReport(first_equation=first, second_equation=second, slack=tol, passed=bool(passed))
 
 
 @dataclass
@@ -428,12 +433,13 @@ _LIMIT_ASSERT_RADIUS = 9999.0  # limits are thresholded only for runs reaching 1
 
 @dataclass
 class VerificationReport:
-    """Aggregated verification outcome; JSON-friendly via ``to_dict``.
+    """Aggregated verification outcome; ``to_dict`` gives the JSON report.
 
+    Every field, nested ones included, is named after its report key.
     Monotonicity, quotient ordering and the convexity sandwiches always gate
-    ``passed``.  Limit closeness (threshold 1e-2) and the power-balance
-    identity residuals (threshold 3e-2) are thresholded only when the run
-    reaches radius 1e4, where those thresholds are calibrated; on shorter
+    ``passed``.  Limit closeness (``_LIMIT_THRESHOLD``) and the power-balance
+    identity residuals (``_IDENTITY_THRESHOLD``) are thresholded only when the
+    run reaches radius 1e4, where those thresholds are calibrated; on shorter
     runs they are reported as diagnostics.
     """
 
@@ -449,60 +455,7 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        mono = {
-            "passed": self.monotonicity.passed,
-            "slack": self.monotonicity.tol,
-            "series": {
-                k: {
-                    "passed": s.passed,
-                    "worst_increase": s.worst_increase,
-                    "r_at": s.r_at,
-                }
-                for k, s in self.monotonicity.series.items()
-            },
-        }
-        ordering = {
-            "passed": self.ordering.passed,
-            "slack": self.ordering.slack,
-            "min_excess_above_one": self.ordering.min_excess,
-            "min_gap_u": self.ordering.min_gap_u,
-            "min_gap_v": self.ordering.min_gap_v,
-        }
-        bounds = {
-            "passed": self.convexity_bounds.passed,
-            "slack": self.convexity_bounds.tol,
-            "first_equation": vars(self.convexity_bounds.first_equation),
-            "second_equation": vars(self.convexity_bounds.second_equation),
-        }
-        limits = None
-        if self.limits is not None:
-            limits = {
-                k: {
-                    "value": est.value,
-                    "rate": est.rate,
-                    "fit_quality": est.fit_quality,
-                    "r_last": est.r_last,
-                }
-                for k, est in self.limits.items()
-            }
-        identities = None
-        if self.limit_identities is not None:
-            identities = {
-                "first": self.limit_identities.first,
-                "second": self.limit_identities.second,
-            }
-        return {
-            "monotonicity": mono,
-            "ordering": ordering,
-            "convexity_bounds": bounds,
-            "limits": limits,
-            "limit_identities": identities,
-            "limits_asserted": self.limits_asserted,
-            "limits_passed": self.limits_passed,
-            "identities_passed": self.identities_passed,
-            "tolerances": self.tolerances,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def run_verification(
@@ -511,29 +464,22 @@ def run_verification(
     b: float = 1.0,
     tol: float = 1e-9,
     *,
-    r0: Optional[float] = None,
     r_max: Optional[float] = None,
     points_per_decade: int = 64,
-    mono_tol: float = 1e-8,
-    ordering_slack: float = 1e-8,
-    bounds_tol: float = 1e-8,
-    limit_threshold: float = 1e-2,
-    identity_threshold: float = 3e-2,
 ) -> tuple[VerificationReport, Trajectory, QuotientSeries]:
     """Integrate one instance and run the whole verification battery.
 
     Requires pure-power radial weights (the comparison profile must exist).
-    Returns the report together with the trajectory and quotient series so
-    callers can export the underlying data.
+    The checks use the pinned thresholds, which the report lists under
+    ``tolerances``.  Returns the report together with the trajectory and
+    quotient series so callers can export the underlying data.
     """
     profile = solve_profile(system)
-    traj = integrate_radial(
-        system, a, b, tol, r0=r0, r_max=r_max, points_per_decade=points_per_decade
-    )
+    traj = integrate_radial(system, a, b, tol, r_max=r_max, points_per_decade=points_per_decade)
     qs = quotient_series(traj, profile)
-    mono = check_monotone_quotients(qs, mono_tol)
-    ordering = check_quotient_ordering(qs, ordering_slack)
-    bounds = check_convexity_bounds(traj, system, bounds_tol)
+    mono = check_monotone_quotients(qs)
+    ordering = check_quotient_ordering(qs)
+    bounds = check_convexity_bounds(traj, system)
 
     limits: Optional[dict[str, LimitEstimate]] = None
     identities: Optional[IdentityResiduals] = None
@@ -547,9 +493,9 @@ def run_verification(
     limits_passed: Optional[bool] = None
     identities_passed: Optional[bool] = None
     if limits is not None:
-        limits_passed = all(abs(est.value - 1.0) <= limit_threshold for est in limits.values())
+        limits_passed = all(abs(est.value - 1.0) <= _LIMIT_THRESHOLD for est in limits.values())
         identities_passed = (
-            identities.first <= identity_threshold and identities.second <= identity_threshold
+            identities.first <= _IDENTITY_THRESHOLD and identities.second <= _IDENTITY_THRESHOLD
         )
     passed = mono.passed and ordering.passed and bounds.passed
     if limits_asserted:
@@ -567,11 +513,11 @@ def run_verification(
         tolerances={
             "integration_rtol": tol,
             "integration_atol_floor": tol * 1e-3,
-            "monotonicity_slack": mono_tol,
-            "ordering_slack": ordering_slack,
-            "bounds_slack": bounds_tol,
-            "limit_threshold": limit_threshold,
-            "identity_threshold": identity_threshold,
+            "monotonicity_slack": _SLACK,
+            "ordering_slack": _SLACK,
+            "bounds_slack": _SLACK,
+            "limit_threshold": _LIMIT_THRESHOLD,
+            "identity_threshold": _IDENTITY_THRESHOLD,
             "limit_window_decades": 2.0,
         },
         passed=bool(passed),

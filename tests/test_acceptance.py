@@ -149,7 +149,7 @@ def test_criterion_4_quotients_decrease_and_order():
         worst_increase = max(
             worst_increase, max(s.worst_increase for s in mono.series.values())
         )
-        min_excess = min(min_excess, min(ordering.min_excess.values()))
+        min_excess = min(min_excess, min(ordering.min_excess_above_one.values()))
         min_gap = min(min_gap, ordering.min_gap_u, ordering.min_gap_v)
     elapsed = time.perf_counter() - started
     ok = (

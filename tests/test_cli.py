@@ -188,6 +188,8 @@ def test_sweep_deterministic(write_config, tmp_path):
         ({"tol": 1e-20}, "ValueError"),
         # admissible by a margin of 2e-4: the profile amplitude overflows
         ({"f1": [[1e100, 0.0]], "sweep": {"k1": [2.0], "k3": [1.9999]}}, "OverflowError"),
+        # a config field of the wrong JSON type
+        ({"a": {}}, "ValueError"),
     ],
 )
 def test_sweep_point_failures_are_errors(write_config, tmp_path, overrides, reason):
@@ -213,6 +215,12 @@ def test_sweep_override_errors_exit_1(write_config, tmp_path, capsys, overrides,
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
     assert "ConfigError" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_value_of_wrong_type_exits_1(write_config, capsys):
+    cfg = write_config("sweep.json", P3_CONFIG, sweep={"k1": [0.5, None]})
+    assert main(["sweep", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "ValueError: config field 'sweep.k1' must be a number, got None\n"
 
 
 def test_sweep_requires_nonempty_grid(write_config, capsys):
@@ -292,6 +300,20 @@ def test_exit_2_on_arithmetic_error(write_config, command, failure):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"numerical failure: {failure}: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", None), ("alpha", [0]), ("tol", [1e-9]), ("a", {}), ("f1", [[None, 0]])],
+    ids=["p-null", "alpha-list", "tol-list", "a-object", "f1-null-coefficient"],
+)
+def test_exit_1_on_config_field_of_wrong_type(write_config, field, value):
+    """A field of the wrong JSON type fails like a wrong string: one line, exit 1."""
+    cfg = write_config("wrong_type.json", P3_CONFIG, r_max=10.0, **{field: value})
+    proc = _fresh_cli("verify", "--config", cfg)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"ValueError: config field '{field}' must be a number, got ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

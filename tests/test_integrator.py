@@ -66,10 +66,6 @@ def test_default_grids_are_shared_and_read_only(poisson_system):
     assert not first.r.flags.writeable
     with pytest.raises(ValueError):
         first.r[0] = 0.5
-    # an explicit grid is used as given
-    grid = np.geomspace(1e-3, 10.0, 40)
-    own = integrate_radial(poisson_system, 1.0, 1.0, grid=grid)
-    assert own.r.flags.writeable and np.array_equal(own.r, grid)
 
 
 def test_geometric_grid_rejects_bad_ranges():

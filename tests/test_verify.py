@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from plap import (
     sample_profile_trajectory,
     system_from_config,
 )
-from plap.verify import _monotone_cubic
+from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK, _monotone_cubic
 from conftest import P3_CONFIG, sample_integration_system
 
 
@@ -63,11 +64,11 @@ def test_quotients_decrease_and_order(p3_quotients):
     assert mono.passed
     assert set(mono.series) == {"u", "v", "du", "dv"}
     for key, entry in mono.series.items():
-        assert entry.worst_increase <= mono.tol, key
+        assert entry.worst_increase <= mono.slack, key
 
     ordering = check_quotient_ordering(p3_quotients)
     assert ordering.passed
-    assert min(ordering.min_excess.values()) > 0.0
+    assert min(ordering.min_excess_above_one.values()) > 0.0
     assert ordering.min_gap_u > 0.0 and ordering.min_gap_v > 0.0
 
 
@@ -163,8 +164,8 @@ def test_convexity_bounds_hold_on_reference_runs(
         report = check_convexity_bounds(traj, system)
         assert report.passed
         for eq in (report.first_equation, report.second_equation):
-            assert eq.worst_lower_margin >= -report.tol
-            assert eq.worst_upper_margin >= -report.tol
+            assert eq.worst_lower_margin >= -report.slack
+            assert eq.worst_upper_margin >= -report.slack
 
 
 def test_poisson_attains_first_lower_bound_exactly(poisson_traj, poisson_system):
@@ -267,6 +268,65 @@ def test_run_verification_long_range_asserts_limits(p3_system):
         assert abs(report.limits[key].value - 1.0) < 1e-2
     assert report.limit_identities.first < 3e-2
     assert report.limit_identities.second < 3e-2
+
+
+def _key_tree(node):
+    return {k: _key_tree(v) for k, v in node.items()} if isinstance(node, dict) else None
+
+
+def test_verification_report_shape_is_pinned(p3_system):
+    """Every key of the JSON report, nested ones included, and the pinned thresholds."""
+    report, _, _ = run_verification(p3_system, r_max=1e4)
+    payload = report.to_dict()
+    tolerances = {
+        "integration_rtol": 1e-9,
+        "integration_atol_floor": 1e-9 * 1e-3,
+        "monotonicity_slack": _SLACK,
+        "ordering_slack": _SLACK,
+        "bounds_slack": _SLACK,
+        "limit_threshold": _LIMIT_THRESHOLD,
+        "identity_threshold": _IDENTITY_THRESHOLD,
+        "limit_window_decades": 2.0,
+    }
+    series = ("u", "v", "du", "dv")
+    equation = dict.fromkeys(("worst_lower_margin", "worst_upper_margin", "r_at_lower", "r_at_upper"))
+    assert _key_tree(payload) == {
+        "monotonicity": {
+            "passed": None,
+            "slack": None,
+            "series": dict.fromkeys(series, dict.fromkeys(("passed", "worst_increase", "r_at"))),
+        },
+        "ordering": {
+            "passed": None,
+            "slack": None,
+            "min_excess_above_one": dict.fromkeys(series),
+            "min_gap_u": None,
+            "min_gap_v": None,
+        },
+        "convexity_bounds": {
+            "passed": None,
+            "slack": None,
+            "first_equation": equation,
+            "second_equation": equation,
+        },
+        "limits": dict.fromkeys(series, dict.fromkeys(("value", "rate", "fit_quality", "r_last"))),
+        "limit_identities": {"first": None, "second": None},
+        "limits_asserted": None,
+        "limits_passed": None,
+        "identities_passed": None,
+        "tolerances": dict.fromkeys(tolerances),
+        "passed": None,
+    }
+    assert (_SLACK, _LIMIT_THRESHOLD, _IDENTITY_THRESHOLD) == (1e-8, 1e-2, 3e-2)
+    defaults = (
+        inspect.signature(check_monotone_quotients).parameters["tol"].default,
+        inspect.signature(check_quotient_ordering).parameters["slack"].default,
+        inspect.signature(check_convexity_bounds).parameters["tol"].default,
+    )
+    assert defaults == (_SLACK, _SLACK, _SLACK)
+    assert payload["tolerances"] == tolerances
+    assert payload["monotonicity"]["slack"] == payload["ordering"]["slack"] == _SLACK
+    assert payload["convexity_bounds"]["slack"] == _SLACK
 
 
 def test_run_verification_far_data_fails_limits_only(p3_system):
