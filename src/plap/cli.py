@@ -16,12 +16,10 @@ Artifacts are deterministic: the same config produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from .model import (
     ExistenceConditionViolated,
     GradientExponentTooLarge,
     _config_float,
+    _terms_from_config,
     system_from_config,
 )
 from .profile import profile_residual, solve_profile
@@ -50,9 +49,12 @@ class ConfigError(ValueError):
 
 
 def _load_config(path: str) -> dict:
+    def reject_constant(name: str) -> float:
+        raise ConfigError(f"config {path} holds the JSON constant {name}, not a finite number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -74,22 +76,31 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x: object) -> str:
+    """A number at full precision; a string as it is."""
+    return x if isinstance(x, str) else format(float(x), ".17g")
 
 
-def _run_options(cfg: dict, args: argparse.Namespace) -> tuple[float, float, float, Optional[float]]:
-    a = args.a if args.a is not None else _config_float(cfg.get("a", 1.0), "a")
-    b = args.b if args.b is not None else _config_float(cfg.get("b", 1.0), "b")
-    tol = args.tol if args.tol is not None else _config_float(cfg.get("tol", 1e-9), "tol")
-    r_max = args.rmax  # None means: use the system's own r_max
-    return a, b, tol, r_max
+def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """``header`` and one comma-separated line of ``_fmt`` cells per row."""
+    return header + "\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
-def _profile_payload(cfg: dict) -> dict:
-    system = system_from_config(cfg)
+def _run_options(
+    cfg: dict, a: Optional[float] = None, b: Optional[float] = None, tol: Optional[float] = None
+) -> tuple[float, float, float]:
+    """Initial values and tolerance: the given flag, else the config's field, else the default."""
+    return (
+        a if a is not None else _config_float(cfg.get("a", 1.0), "a"),
+        b if b is not None else _config_float(cfg.get("b", 1.0), "b"),
+        tol if tol is not None else _config_float(cfg.get("tol", 1e-9), "tol"),
+    )
+
+
+def _cmd_profile(args: argparse.Namespace) -> int:
+    system = system_from_config(_load_config(args.config))
     prof = solve_profile(system)
-    return {
+    payload = {
         "lambda": prof.lam,
         "mu": prof.mu,
         "C_lambda": prof.c_lam,
@@ -98,39 +109,29 @@ def _profile_payload(cfg: dict) -> dict:
         "B_mu": prof.b_mu,
         "residual": profile_residual(prof, system, _RESIDUAL_GRID),
     }
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    payload = _profile_payload(_load_config(args.config))
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
-
-
-def _csv(header: str, columns: Sequence[np.ndarray]) -> str:
-    """``header`` and one line per row of ``columns``, each value at full precision."""
-    lines = [header] + [",".join(map(_fmt, row)) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     system = system_from_config(cfg)
-    a, b, tol, r_max = _run_options(cfg, args)
-    traj = integrate_radial(system, a, b, tol, r_max=r_max)
+    a, b, tol = _run_options(cfg, args.a, args.b, args.tol)
+    traj = integrate_radial(system, a, b, tol, r_max=args.rmax)
     columns = (traj.r, traj.u, traj.v, traj.du, traj.dv, traj.P, traj.S)
-    _emit(_csv("r,u,v,du,dv,P,S", columns), args.out)
+    _emit(_csv("r,u,v,du,dv,P,S", zip(*columns)), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     system = system_from_config(cfg)
-    a, b, tol, r_max = _run_options(cfg, args)
-    report, _, qs = run_verification(system, a, b, tol, r_max=r_max)
+    a, b, tol = _run_options(cfg, args.a, args.b, args.tol)
+    report, _, qs = run_verification(system, a, b, tol, r_max=args.rmax)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
     if args.series_out:
         columns = (qs.r, qs.u_ratio, qs.v_ratio, qs.du_ratio, qs.dv_ratio)
-        _write(args.series_out, _csv("r,U,V,W,Y", columns))
+        _write(args.series_out, _csv("r,U,V,W,Y", zip(*columns)))
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
@@ -140,8 +141,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 _SCALAR_OVERRIDES = {"p", "n", "alpha", "r_max", "a", "b"}
 _POWER_OVERRIDES = {"k1": "g1", "k2": "g2", "k3": "g3"}
-_WEIGHT_COEFF = {"c1": "f1", "c2": "f2"}
-_WEIGHT_EXPO = {"m1": "f1", "m2": "f2"}
+# name -> (radial weight, slot of its single [coeff, expo] term)
+_WEIGHT_OVERRIDES = {"c1": ("f1", 0), "m1": ("f1", 1), "c2": ("f2", 0), "m2": ("f2", 1)}
 
 
 def _apply_overrides(cfg: dict, point: dict) -> dict:
@@ -157,22 +158,22 @@ def _apply_overrides(cfg: dict, point: dict) -> dict:
             out[name] = value
         elif name in _POWER_OVERRIDES:
             out[_POWER_OVERRIDES[name]] = [[1.0, value]]
-        elif name in _WEIGHT_COEFF or name in _WEIGHT_EXPO:
-            coeff_mode = name in _WEIGHT_COEFF
-            target = _WEIGHT_COEFF.get(name) or _WEIGHT_EXPO.get(name)
-            base = out.get(target)
-            if not isinstance(base, list) or len(base) != 1:
+        elif name in _WEIGHT_OVERRIDES:
+            target, slot = _WEIGHT_OVERRIDES[name]
+            terms = _terms_from_config(out.get(target), target)
+            if len(terms) != 1:
                 raise ConfigError(
                     f"sweep override '{name}' needs a single-term '{target}' in the base config"
                 )
-            c, m = float(base[0][0]), float(base[0][1])
-            out[target] = [[value, m]] if coeff_mode else [[c, value]]
+            term = list(terms[0])
+            term[slot] = value
+            out[target] = [term]
         else:
             raise ConfigError(f"unknown sweep parameter '{name}'")
     return out
 
 
-def _sweep_row(point_cfg: dict) -> list[str]:
+def _sweep_row(point_cfg: dict) -> list[object]:
     """Summary cells of one sweep point, after its parameter cells.
 
     A point that fails an admissibility gate is ``rejected``; any other
@@ -182,10 +183,7 @@ def _sweep_row(point_cfg: dict) -> list[str]:
     try:
         system = system_from_config(point_cfg)
         prof = solve_profile(system)
-        a = _config_float(point_cfg.get("a", 1.0), "a")
-        b = _config_float(point_cfg.get("b", 1.0), "b")
-        tol = _config_float(point_cfg.get("tol", 1e-9), "tol")
-        report, _, _ = run_verification(system, a, b, tol)
+        report, _, _ = run_verification(system, *_run_options(point_cfg))
     except (GradientExponentTooLarge, ExistenceConditionViolated) as exc:
         return ["", "", "", "", "", "rejected", type(exc).__name__]
     except (ValueError, ArithmeticError, StepSizeUnderflow, Overflow) as exc:
@@ -194,11 +192,11 @@ def _sweep_row(point_cfg: dict) -> list[str]:
     lim_u = limits.get("u")
     lim_v = limits.get("v")
     return [
-        _fmt(prof.lam),
-        _fmt(prof.mu),
+        prof.lam,
+        prof.mu,
         "true" if report.monotonicity.passed else "false",
-        _fmt(lim_u.value) if lim_u else "",
-        _fmt(lim_v.value) if lim_v else "",
+        lim_u.value if lim_u else "",
+        lim_v.value if lim_v else "",
         "ok" if report.passed else "verify_failed",
         "",
     ]
@@ -221,15 +219,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # aborts the sweep before it has done any work
     point_cfgs = [_apply_overrides(cfg, point) for point in points]
 
+    header = keys + ["lambda", "mu", "monotone_pass", "limit_U", "limit_V", "status", "reason"]
     rows = [
-        [_fmt(point[k]) for k in keys] + _sweep_row(point_cfg)
+        [point[k] for k in keys] + _sweep_row(point_cfg)
         for point, point_cfg in zip(points, point_cfgs)
     ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(keys + ["lambda", "mu", "monotone_pass", "limit_U", "limit_V", "status", "reason"])
-    writer.writerows(rows)
-    _emit(buf.getvalue(), args.out)
+    _emit(_csv(",".join(header), rows), args.out)
     return EXIT_OK
 
 

@@ -30,6 +30,7 @@ two gates; the degenerate but useful case of constant ``g1`` or ``g2``
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
@@ -80,7 +81,8 @@ class _PowerSum:
     """``x -> sum_i c_i * x^(e_i)`` with ``c_i >= 0``, ``e_i >= 0`` and a nonzero term.
 
     Construction normalises the terms (``_normalise_terms``) and raises
-    ``_error`` on an empty or negative term list.
+    ``_error`` on an empty term list, a negative coefficient or an exponent
+    that is not a finite number ``>= 0``.
     """
 
     terms: tuple[tuple[float, float], ...]
@@ -96,8 +98,8 @@ class _PowerSum:
         for coeff, expo in merged:
             if coeff < 0.0:
                 raise self._error(f"negative coefficient {coeff} in {self._noun}")
-            if expo < 0.0:
-                raise self._error(f"negative exponent {expo} in {self._noun}")
+            if not 0.0 <= expo < math.inf:
+                raise self._error(f"exponent {expo} in {self._noun} must be a finite number >= 0")
         object.__setattr__(self, "terms", merged)
 
     def __call__(self, x: Scalar) -> Scalar:
@@ -193,18 +195,18 @@ class SystemParams:
     r_max: float
 
     def __post_init__(self) -> None:
-        if not self.p > 1.0:
-            raise ValueError(f"diffusion exponent p must exceed 1, got {self.p}")
-        if isinstance(self.n, numbers.Real) and float(self.n) == int(self.n):
-            object.__setattr__(self, "n", int(self.n))
-        else:
-            raise ValueError(f"dimension n must be an integer, got {self.n}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"diffusion exponent p must be a finite number > 1, got {self.p}")
+        n = self.n
+        if isinstance(n, bool) or not (isinstance(n, numbers.Real) and float(n).is_integer()):
+            raise ValueError(f"dimension n must be an integer, got {n}")
+        object.__setattr__(self, "n", int(n))
         if self.n < 2:
             raise ValueError(f"dimension n must be at least 2, got {self.n}")
-        if self.alpha < 0.0:
-            raise ValueError(f"gradient exponent alpha must be >= 0, got {self.alpha}")
-        if not self.r_max > 0.0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"gradient exponent alpha must be a finite number >= 0, got {self.alpha}")
+        if not 0.0 < self.r_max < math.inf:
+            raise ValueError(f"r_max must be a finite number > 0, got {self.r_max}")
 
 
 def delta_constant(p: float, n: int, alpha: float) -> float:
@@ -267,19 +269,14 @@ def validate_system(
             f"gradient exponent alpha={alpha} >= p-1={p - 1.0}: in this regime no "
             "non-constant positive increasing radial solution exists"
         )
-    margin = (p - 1.0 - alpha) * (p - 1.0 - g2.degree) - g1.degree * g3.degree
+    system = ValidatedSystem(params, g1, g2, g3, delta_constant(p, params.n, alpha))
+    margin = system.existence_margin
     if margin <= 0.0:
         raise ExistenceConditionViolated(
             f"(p-1-alpha)*(p-1-k2) - k1*k3 = {margin} must be strictly positive "
             f"(p={p}, alpha={alpha}, k1={g1.degree}, k2={g2.degree}, k3={g3.degree})"
         )
-    return ValidatedSystem(
-        params=params,
-        g1=g1,
-        g2=g2,
-        g3=g3,
-        delta=delta_constant(p, params.n, alpha),
-    )
+    return system
 
 
 def limiting_system(system: ValidatedSystem) -> ValidatedSystem:
@@ -297,11 +294,13 @@ def limiting_system(system: ValidatedSystem) -> ValidatedSystem:
 
 
 def _config_float(value: object, field: str) -> float:
-    """``float(value)``, or a ``ValueError`` naming the config field."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config field '{field}' must be a number, got {value!r}") from None
+    """``float(value)``, or a ``ValueError`` naming the config field; booleans are not numbers."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"config field '{field}' must be a number, got {value!r}")
 
 
 def _terms_from_config(raw: object, field: str) -> tuple[tuple[float, float], ...]:

@@ -88,8 +88,6 @@ def _pure_power_weights(system: ValidatedSystem) -> tuple[float, float, float, f
         )
     (c1, m1), = f1.terms
     (c2, m2), = f2.terms
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise NotPurePowerCoefficients("pure-power weights must have positive coefficients")
     return c1, m1, c2, m2
 
 
@@ -107,7 +105,7 @@ def solve_exponents(system: ValidatedSystem) -> tuple[float, float]:
     c1, m1, c2, m2 = _pure_power_weights(system)
     p, alpha = system.params.p, system.params.alpha
     k1, k2, k3 = system.k1, system.k2, system.k3
-    det = (p - 1.0 - alpha) * (p - 1.0 - k2) - k1 * k3
+    det = system.existence_margin
     lam = ((p - alpha + m1) * (p - 1.0 - k2) + k1 * (p - k3 + m2)) / det
     mu = ((p - 1.0 - alpha) * (p + m2) + k3 * (1.0 + m1)) / det
     if not (lam > 1.0 and mu > 1.0):  # guaranteed algebraically; guard anyway
@@ -135,7 +133,7 @@ def solve_amplitudes(system: ValidatedSystem, lam: float, mu: float) -> tuple[fl
     b_mu = mu * (p - 1.0) + n - p
     e1 = math.log(c1) - k1 * math.log(mu) - math.log(b_lam)
     e2 = math.log(c2) - k2 * math.log(mu) - math.log(b_mu)
-    det = (p - 1.0 - alpha) * (p - 1.0 - k2) - k1 * k3
+    det = system.existence_margin
     log_lc = ((p - 1.0 - k2) * e1 + k1 * e2) / det
     log_mc = ((p - 1.0 - alpha) * e2 + k3 * e1) / det
     return math.exp(log_lc) / lam, math.exp(log_mc) / mu

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ import plap
 from plap import geometric_grid, solve_profile, system_from_config
 from plap.cli import main
 from conftest import P3_CONFIG, POISSON_CONFIG
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture()
@@ -221,6 +225,36 @@ def test_sweep_value_of_wrong_type_exits_1(write_config, capsys):
     cfg = write_config("sweep.json", P3_CONFIG, sweep={"k1": [0.5, None]})
     assert main(["sweep", "--config", cfg]) == 1
     assert capsys.readouterr().err == "ValueError: config field 'sweep.k1' must be a number, got None\n"
+    cfg = write_config("sweep.json", P3_CONFIG, sweep={"k1": [0.5, True]})
+    assert main(["sweep", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "ValueError: config field 'sweep.k1' must be a number, got True\n"
+
+
+def test_sweep_weight_overrides_match_hand_written_weights(write_config, tmp_path):
+    """Each c1 x m2 point gives the cells a one-point run of its written-out weights gives."""
+    base = json.loads((CONFIGS / "coupled_p3.json").read_text())
+    cfg = write_config("sweep.json", base, sweep={"c1": [0.5, 2.0], "m2": [0.0, 0.5]})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0][:2] == ["c1", "m2"] and len(rows) == 5
+    for row in rows[1:]:
+        c1, m2 = float(row[0]), float(row[1])
+        point = write_config(
+            "point.json", base, f1=[[c1, 0.0]], f2=[[1.0, m2]], sweep={"a": [1.0]}
+        )
+        single = tmp_path / "point.csv"
+        assert main(["sweep", "--config", point, "--out", str(single)]) == 0
+        _, expected = csv.reader(single.read_text().splitlines())
+        assert row[2:] == expected[1:] and row[-2] == "ok"
+
+
+@pytest.mark.parametrize("base_f1", [[5], [[1.0]], [[None, 0]]], ids=["scalar", "one-entry", "null"])
+def test_sweep_weight_override_on_malformed_base_exits_1(write_config, capsys, base_f1):
+    cfg = write_config("sweep.json", P3_CONFIG, f1=base_f1, sweep={"c1": [0.5]})
+    assert main(["sweep", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'f1'" in err
 
 
 def test_sweep_requires_nonempty_grid(write_config, capsys):
@@ -304,16 +338,61 @@ def test_exit_2_on_arithmetic_error(write_config, command, failure):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("p", None), ("alpha", [0]), ("tol", [1e-9]), ("a", {}), ("f1", [[None, 0]])],
-    ids=["p-null", "alpha-list", "tol-list", "a-object", "f1-null-coefficient"],
+    [
+        ("p", None),
+        ("alpha", [0]),
+        ("tol", [1e-9]),
+        ("a", {}),
+        ("f1", [[None, 0]]),
+        ("alpha", True),
+        ("r_max", True),
+        ("f1", [[True, 0]]),
+        ("n", True),
+    ],
+    ids=[
+        "p-null",
+        "alpha-list",
+        "tol-list",
+        "a-object",
+        "f1-null-coefficient",
+        "alpha-true",
+        "r_max-true",
+        "f1-true-coefficient",
+        "n-true",
+    ],
 )
 def test_exit_1_on_config_field_of_wrong_type(write_config, field, value):
-    """A field of the wrong JSON type fails like a wrong string: one line, exit 1."""
-    cfg = write_config("wrong_type.json", P3_CONFIG, r_max=10.0, **{field: value})
+    """A field of the wrong JSON type fails like a wrong string: one line, exit 1.
+
+    A boolean is not a number, although Python's ``float(True)`` is 1.0.
+    """
+    cfg = write_config("wrong_type.json", P3_CONFIG, **{"r_max": 10.0, field: value})
     proc = _fresh_cli("verify", "--config", cfg)
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith(f"ValueError: config field '{field}' must be a number, got ")
+    expected = f"config field '{field}' must be a number"
+    if field == "n":
+        expected = "dimension n must be an integer"
+    assert proc.stderr.startswith(f"ValueError: {expected}, got ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", math.nan),
+        ("g1", [[1.0, math.nan]]),
+        ("f1", [[1.0, math.nan]]),
+        ("r_max", math.inf),
+        ("p", -math.inf),
+    ],
+    ids=["alpha-NaN", "g1-NaN-exponent", "f1-NaN-exponent", "r_max-Infinity", "p-minus-Infinity"],
+)
+def test_exit_1_on_nonstandard_json_constant(write_config, capsys, field, value):
+    """Python's json reads NaN and Infinity; a config holding one is malformed."""
+    cfg = write_config("nonfinite.json", P3_CONFIG, **{field: value})
+    assert main(["profile", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and "not a finite number" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,8 @@ def test_params_validation_rejects_bad_scalars():
         SystemParams(p=2.0, n=1, alpha=0.0, f1=f, f2=f, r_max=1.0)
     with pytest.raises(ValueError):
         SystemParams(p=2.0, n=2.5, alpha=0.0, f1=f, f2=f, r_max=1.0)
+    with pytest.raises(ValueError, match="dimension n must be an integer, got True"):
+        SystemParams(p=2.0, n=True, alpha=0.0, f1=f, f2=f, r_max=1.0)
     with pytest.raises(ValueError):
         SystemParams(p=2.0, n=3, alpha=-0.1, f1=f, f2=f, r_max=1.0)
     with pytest.raises(ValueError):
@@ -262,3 +264,25 @@ def test_system_from_config_reports_missing_and_malformed_fields():
         system_from_config(make_config(f2=[[1.0]]))
     with pytest.raises(ValueError):
         system_from_config(make_config(n="three"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", math.inf), ("p", math.nan), ("alpha", math.nan), ("alpha", math.inf), ("r_max", math.inf)],
+)
+def test_params_reject_nonfinite_scalars(field, value):
+    """Every comparison with NaN is false, so each range check is written to fail on it."""
+    scalars = dict(p=3.0, n=3, alpha=0.0, r_max=1.0)
+    scalars[field] = value
+    f = CoefficientFunction.pure_power()
+    with pytest.raises(ValueError, match="must be a finite number"):
+        SystemParams(f1=f, f2=f, **scalars)
+
+
+@pytest.mark.parametrize("expo", [math.nan, math.inf])
+def test_power_sums_reject_nonfinite_exponents(expo):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        CoefficientFunction(((1.0, expo),))
+    with pytest.raises(MalformedNonlinearity, match="must be a finite number"):
+        Nonlinearity(((1.0, expo),))
+
