@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import product
 from typing import Iterable, Optional, Sequence
@@ -97,6 +98,13 @@ def _run_options(
     )
 
 
+def _rmax_option(r_max: Optional[float]) -> Optional[float]:
+    """The ``--rmax`` flag, held to the rule ``SystemParams`` holds the config's ``r_max`` to."""
+    if r_max is not None and not 0.0 < r_max < math.inf:
+        raise ValueError(f"--rmax must be a finite number > 0, got {r_max}")
+    return r_max
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     system = system_from_config(_load_config(args.config))
     prof = solve_profile(system)
@@ -117,7 +125,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     system = system_from_config(cfg)
     a, b, tol = _run_options(cfg, args.a, args.b, args.tol)
-    traj = integrate_radial(system, a, b, tol, r_max=args.rmax)
+    traj = integrate_radial(system, a, b, tol, r_max=_rmax_option(args.rmax))
     columns = (traj.r, traj.u, traj.v, traj.du, traj.dv, traj.P, traj.S)
     _emit(_csv("r,u,v,du,dv,P,S", zip(*columns)), args.out)
     return EXIT_OK
@@ -127,7 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     system = system_from_config(cfg)
     a, b, tol = _run_options(cfg, args.a, args.b, args.tol)
-    report, _, qs = run_verification(system, a, b, tol, r_max=args.rmax)
+    report, _, qs = run_verification(system, a, b, tol, r_max=_rmax_option(args.rmax))
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
     if args.series_out:
         columns = (qs.r, qs.u_ratio, qs.v_ratio, qs.du_ratio, qs.dv_ratio)

@@ -22,8 +22,8 @@ The adaptive loop steps ``Y = log y`` against ``t = log r``, with the rates
 Dormand-Prince is exact on straight lines.  No state can leave (0, inf), and
 an absolute tolerance on Y is a relative one on y, down to the 1e-18 fluxes
 near the origin.  The singular initial value problem starts at a small
-radius r0 from a leading-order state that freezes the growth-law arguments
-at their origin values inside the flux integrals.
+radius r0 from its leading-order state: v held at its origin value and u'
+following its local power law inside the flux integrals.
 
 The step loop runs on plain Python floats: for a 4-component state, numpy's
 per-call overhead would cost several times the arithmetic itself.  The hot
@@ -154,19 +154,26 @@ def geometric_grid(r0: float, r_max: float, points_per_decade: int = 64) -> np.n
 def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> State:
     """Leading-order state at the startup radius r0.
 
-    Freezing the growth-law arguments at their origin values (``v = b`` and,
-    for g3, the gradient implied by the first flux) makes both flux integrals
-    elementary:
+    Holding ``v = b`` over [0, r0] makes the first flux integral elementary:
 
         P(r0) = (p-1-alpha)/(p-1) * g1(b) * sum_i c_i r0^(delta+m_i+1)/(delta+m_i+1)
-        S(r0) = g2(b) * g3(u'(r0)) *        sum_i c_i r0^(n+m_i)/(n+m_i)
 
-    The neglected variation of u, v over [0, r0] is O(r0^(1+eps)).  Freezing
-    g3 is not as small: u' grows like a power of r on [0, r0], so S(r0) is
-    too large by a constant factor, 7/6 on ``coupled_p3`` (1.9245e-22 against
-    1.6496e-22 from the unfrozen quadrature at r0 = 1e-6).  The excess stays
-    while S grows, so relative to S it decays like a power of r, to about
-    5e-5 by r = 1e-5.
+    and gives u'(r0) = (P / r0^delta)^(1/(p-1-alpha)).  Near the origin u'
+    follows a power law, u'(s) ~ u'(r0) (s/r0)^gamma, with gamma the local
+    exponent of u' at r0,
+
+        gamma = (d log P / d log r - delta) / (p-1-alpha)
+        d log P / d log r = sum_i c_i r0^(delta+m_i+1) / sum_i c_i r0^(delta+m_i+1)/(delta+m_i+1)
+
+    which is (m1+1)/(p-1-alpha) for a pure-power f1.  Putting that law into
+    g3 makes the second flux integral elementary too:
+
+        S(r0) = g2(b) * sum_i sum_j c_i a_j u'(r0)^(e_j) r0^(n+m_i) / (n+m_i+e_j gamma)
+
+    over the terms c_i r^m_i of f2 and a_j s^e_j of g3.  For a pure-power f1
+    this is the integral of the leading-order integrand to rounding; the
+    neglected variation of u, v over [0, r0] is O(r0^(1+eps)).  A u'(r0)
+    that underflows to 0 leaves only the constant terms of g3.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"initial data must be positive, got a={a}, b={b}")
@@ -174,15 +181,19 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
         raise ValueError(f"startup radius must be positive, got {r0}")
     prm = system.params
     p, n, alpha, delta = prm.p, prm.n, prm.alpha, system.delta
-    P = 0.0
+    P = rate = 0.0
     for c, m in prm.f1.terms:
-        P += c * r0 ** (delta + m + 1.0) / (delta + m + 1.0)
+        term = c * r0 ** (delta + m + 1.0)
+        P += term / (delta + m + 1.0)
+        rate += term
+    gamma = (rate / P - delta) / (p - 1.0 - alpha) if P > 0.0 else 0.0
     P *= (p - 1.0 - alpha) / (p - 1.0) * system.g1(b)
     du = (P / r0**delta) ** (1.0 / (p - 1.0 - alpha))
     S = 0.0
     for c, m in prm.f2.terms:
-        S += c * r0 ** (n + m) / (n + m)
-    S *= system.g2(b) * system.g3(du)
+        for c3, e in system.g3.terms:
+            S += c * c3 * du**e * r0 ** (n + m) / (n + m + e * gamma)
+    S *= system.g2(b)
     dv = (S / r0 ** (n - 1)) ** (1.0 / (p - 1.0))
     return State(r=r0, u=a, v=b, P=P, S=S, du=du, dv=dv)
 

@@ -294,12 +294,13 @@ def limiting_system(system: ValidatedSystem) -> ValidatedSystem:
 
 
 def _config_float(value: object, field: str) -> float:
-    """``float(value)``, or a ``ValueError`` naming the config field; booleans are not numbers."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
+    """``float(value)`` of a real number, or a ``ValueError`` naming the config field.
+
+    Booleans and strings are not numbers, although ``float`` reads ``true``
+    as 1.0 and ``"0.5"``, ``"inf"`` or ``"nan"`` as floats.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
     raise ValueError(f"config field '{field}' must be a number, got {value!r}")
 
 

@@ -348,6 +348,9 @@ def test_exit_2_on_arithmetic_error(write_config, command, failure):
         ("r_max", True),
         ("f1", [[True, 0]]),
         ("n", True),
+        ("alpha", "0.5"),
+        ("r_max", "inf"),
+        ("f1", [[1.0, "nan"]]),
     ],
     ids=[
         "p-null",
@@ -359,12 +362,16 @@ def test_exit_2_on_arithmetic_error(write_config, command, failure):
         "r_max-true",
         "f1-true-coefficient",
         "n-true",
+        "alpha-numeric-string",
+        "r_max-inf-string",
+        "f1-nan-string-exponent",
     ],
 )
 def test_exit_1_on_config_field_of_wrong_type(write_config, field, value):
     """A field of the wrong JSON type fails like a wrong string: one line, exit 1.
 
-    A boolean is not a number, although Python's ``float(True)`` is 1.0.
+    Neither a boolean nor a string is a number, although Python's
+    ``float(True)`` is 1.0 and ``float("inf")`` is infinite.
     """
     cfg = write_config("wrong_type.json", P3_CONFIG, **{"r_max": 10.0, field: value})
     proc = _fresh_cli("verify", "--config", cfg)
@@ -374,6 +381,15 @@ def test_exit_1_on_config_field_of_wrong_type(write_config, field, value):
         expected = "dimension n must be an integer"
     assert proc.stderr.startswith(f"ValueError: {expected}, got ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["integrate", "verify"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+def test_exit_1_on_rmax_flag_out_of_range(command, value):
+    """``--rmax`` obeys the config's ``r_max`` rule, in one line that names the flag."""
+    proc = _fresh_cli(command, "--config", str(CONFIGS / "coupled_p3.json"), "--rmax", value)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"ValueError: --rmax must be a finite number > 0, got {float(value)}\n"
 
 
 @pytest.mark.parametrize(
