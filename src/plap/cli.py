@@ -241,19 +241,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------------
 
 
+# each command's handler and help text: the parser's subcommands and main's dispatch
+_COMMANDS = {
+    "profile": (_cmd_profile, "solve the far-field power profile and print it as JSON"),
+    "integrate": (_cmd_integrate, "integrate one instance and emit the trajectory as CSV"),
+    "verify": (_cmd_verify, "integrate and run the verification battery, report as JSON"),
+    "sweep": (_cmd_sweep, "run verification over a parameter grid, summary as CSV"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plap",
         description="Radial p-Laplace systems: far-field profiles, integration, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "profile": "solve the far-field power profile and print it as JSON",
-        "integrate": "integrate one instance and emit the trajectory as CSV",
-        "verify": "integrate and run the verification battery, report as JSON",
-        "sweep": "run verification over a parameter grid, summary as CSV",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON system description")
         p.add_argument("--out", default=None, help="write the artifact here instead of stdout")
@@ -269,14 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "profile": _cmd_profile,
-    "integrate": _cmd_integrate,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -286,7 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return EXIT_OK if code == 0 else EXIT_VALIDATION
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (StepSizeUnderflow, Overflow, ArithmeticError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -172,8 +172,9 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
 
     over the terms c_i r^m_i of f2 and a_j s^e_j of g3.  For a pure-power f1
     this is the integral of the leading-order integrand to rounding; the
-    neglected variation of u, v over [0, r0] is O(r0^(1+eps)).  A u'(r0)
-    that underflows to 0 leaves only the constant terms of g3.
+    neglected variation of u, v over [0, r0] is O(r0^(1+eps)).  A flux that
+    underflows to 0 gives a zero gradient, as in ``flux_rhs``, so the step
+    loop fails typed; a zero u'(r0) leaves only the constant terms of g3.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"initial data must be positive, got a={a}, b={b}")
@@ -188,13 +189,13 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
         rate += term
     gamma = (rate / P - delta) / (p - 1.0 - alpha) if P > 0.0 else 0.0
     P *= (p - 1.0 - alpha) / (p - 1.0) * system.g1(b)
-    du = (P / r0**delta) ** (1.0 / (p - 1.0 - alpha))
+    du = (P / r0**delta) ** (1.0 / (p - 1.0 - alpha)) if P > 0.0 else 0.0
     S = 0.0
     for c, m in prm.f2.terms:
         for c3, e in system.g3.terms:
             S += c * c3 * du**e * r0 ** (n + m) / (n + m + e * gamma)
     S *= system.g2(b)
-    dv = (S / r0 ** (n - 1)) ** (1.0 / (p - 1.0))
+    dv = (S / r0 ** (n - 1)) ** (1.0 / (p - 1.0)) if S > 0.0 else 0.0
     return State(r=r0, u=a, v=b, P=P, S=S, du=du, dv=dv)
 
 

@@ -23,6 +23,7 @@ estimated by finite differences.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -387,7 +388,8 @@ class IdentityResiduals:
 
     The limits L_u of U and L_v of V satisfy ``L_u^(p-1-alpha) = L_v^k1`` and
     ``L_v^(p-1) = L_v^k2 * L_u^k3`` exactly; the residuals are the absolute
-    mismatches with the estimated limits substituted.
+    mismatches with the estimated limits substituted, ``inf`` where a side
+    overflows.
     """
 
     first: float
@@ -400,8 +402,11 @@ def check_limit_identities(
     p, alpha = system.params.p, system.params.alpha
     lu = limits["u"].value
     lv = limits["v"].value
-    first = abs(lu ** (p - 1.0 - alpha) - lv**system.k1)
-    second = abs(lv ** (p - 1.0) - lv**system.k2 * lu**system.k3)
+    first = second = math.inf  # what a side that overflows leaves
+    with suppress(OverflowError):
+        first = abs(lu ** (p - 1.0 - alpha) - lv**system.k1)
+    with suppress(OverflowError):
+        second = abs(lv ** (p - 1.0) - lv**system.k2 * lu**system.k3)
     return IdentityResiduals(first=float(first), second=float(second))
 
 

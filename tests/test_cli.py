@@ -298,6 +298,20 @@ def test_exit_1_on_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_help_lists_the_four_commands(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "{profile,integrate,verify,sweep}" in out
+    listed = " ".join(out.split("positional arguments:")[1].split("options:")[0].split())
+    assert listed == (
+        "{profile,integrate,verify,sweep} "
+        "profile solve the far-field power profile and print it as JSON "
+        "integrate integrate one instance and emit the trajectory as CSV "
+        "verify integrate and run the verification battery, report as JSON "
+        "sweep run verification over a parameter grid, summary as CSV"
+    )
+
+
 def test_exit_2_on_numerical_blowup(write_config, capsys):
     cfg = write_config(
         "blowup.json",
@@ -334,6 +348,34 @@ def test_exit_2_on_arithmetic_error(write_config, command, failure):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"numerical failure: {failure}: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "overrides, flags, radius",
+    [({"n": 60}, [], "1e-06"), ({}, ["--rmax", "1e-200"], "9.999999999999999e-207")],
+    ids=["n-60", "rmax-1e-200"],
+)
+def test_exit_2_when_the_startup_powers_of_r0_underflow(write_config, overrides, flags, radius):
+    """r0^(n-1) and the flux integrals underflow to 0 at r0: a typed failure
+    at r0, not a ZeroDivisionError."""
+    cfg = write_config("underflow.json", P3_CONFIG, **overrides)
+    proc = _fresh_cli("verify", "--config", cfg, *flags)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"numerical failure: StepSizeUnderflow: step size underflow at r={radius}\n"
+
+
+def test_exit_3_when_a_limit_identity_overflows(write_config, tmp_path):
+    """A tiny second weight makes the limit of V about 7e191, whose square
+    overflows: the identity fails with an infinite residual, not an OverflowError."""
+    cfg = write_config("tiny_f2.json", P3_CONFIG, f2=[[1e-300, 0.0]])
+    out = tmp_path / "report.json"
+    proc = _fresh_cli("verify", "--config", cfg, "--rmax", "1e4", "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(out.read_text())
+    assert report["limits_asserted"] and report["identities_passed"] is False
+    assert report["limit_identities"]["second"] == math.inf
+    assert math.isfinite(report["limit_identities"]["first"])
 
 
 @pytest.mark.parametrize(

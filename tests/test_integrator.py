@@ -836,6 +836,18 @@ def test_underflow_on_vanishing_first_flux():
     assert info.value.radius == 1e-6
 
 
+def test_underflow_when_the_startup_powers_of_r0_underflow():
+    """In dimension 60 both r0^(n-1) and the flux integrals underflow to 0 at
+    r0 = 1e-6; the gradients are 0, as ``flux_rhs`` makes them, and the run
+    fails at r0 as StepSizeUnderflow, not with a ZeroDivisionError."""
+    system = system_from_config(dict(P3_CONFIG, n=60))
+    start = startup_state(system, 1.0, 1.0, 1e-6)
+    assert start.P == start.S == start.du == start.dv == 0.0
+    with pytest.raises(StepSizeUnderflow) as info:
+        integrate_radial(system, 1.0, 1.0, tol=1e-9)
+    assert info.value.radius == 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Flux consistency (independent quadrature cross-check)
 # ---------------------------------------------------------------------------

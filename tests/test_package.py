@@ -19,6 +19,12 @@ def test_submodule_public_names_are_exported(module):
     assert all(getattr(plap, name) is getattr(module, name) for name in module.__all__)
 
 
+def test_public_names_are_the_submodules_names_once():
+    assert len(plap.__all__) == len(set(plap.__all__))
+    submodules = [model, profile, integrator, verify]
+    assert set(plap.__all__) == {"__version__"}.union(*(m.__all__ for m in submodules))
+
+
 def _fresh_interpreter(code: str) -> str:
     """Run ``code`` in a new interpreter that imports this checkout's plap."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(plap.__file__)))

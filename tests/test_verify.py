@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -233,6 +234,15 @@ def test_identity_residual_arithmetic(p3_system):
     # p=3, alpha=0, k1=1: |1.01^2 - 1.02|; k2=0, k3=1: |1.02^2 - 1.01|
     assert res.first == pytest.approx(abs(1.01**2 - 1.02), rel=1e-12)
     assert res.second == pytest.approx(abs(1.02**2 - 1.01), rel=1e-12)
+
+    # a side that overflows a float leaves its residual infinite
+    limits["u"] = dataclasses.replace(limits["u"], value=1e200)
+    res = check_limit_identities(limits, p3_system)
+    assert res.first == math.inf and res.second == pytest.approx(1e200, rel=1e-15)
+    limits["u"] = dataclasses.replace(limits["u"], value=1.01)
+    limits["v"] = dataclasses.replace(limits["v"], value=1e200)
+    res = check_limit_identities(limits, p3_system)
+    assert res.first == pytest.approx(1e200, rel=1e-15) and res.second == math.inf
 
 
 # ---------------------------------------------------------------------------
