@@ -450,7 +450,7 @@ def loop(f, radii, times, x, tol, out):
 {k1}
     h = times[1] - t
     accepted = rejected = 0
-    rejections = {{"error": 0, "positivity": 0, "nonfinite": 0}}
+    rejections = {{"error": 0, "nonfinite": 0}}
     h_min, h_max, r_at_h_min = inf, 0.0, nan
     out[0] = x
     for i in range(1, len(times)):
@@ -559,8 +559,7 @@ def _step_loop(
     radius the smallest one started from (``inf``, ``0.0``, ``nan`` when none
     was accepted).  The causes are ``error`` (the estimate exceeded the
     tolerance) and ``nonfinite`` (a stage left the range of floats, or the
-    new state or its estimate was not finite); ``positivity`` stays in the
-    record for its readers and is always 0.
+    new state or its estimate was not finite).
     """
     radii = np.asarray(grid, dtype=float)
     x = np.asarray(y0, dtype=float).tolist()

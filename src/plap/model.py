@@ -164,19 +164,6 @@ class Nonlinearity(_PowerSum):
     def is_constant(self) -> bool:
         return self.degree == 0.0
 
-    def quotient(self, s: Scalar, t: Scalar) -> Scalar:
-        """Evaluate ``g(s*t) / t^degree`` without forming the large products.
-
-        Written as ``sum_i a_i * s^(e_i) * t^(e_i - k)`` every factor stays in
-        range even when ``t`` is enormous.  For fixed ``s >= 1`` the result is
-        non-increasing in ``t`` and tends to ``s^k`` as ``t -> inf``.
-        """
-        k = self.degree
-        total = 0.0
-        for coeff, expo in self.terms:
-            total = total + coeff * s**expo * t ** (expo - k)
-        return total
-
 
 @dataclass(frozen=True)
 class SystemParams:

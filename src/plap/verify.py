@@ -61,7 +61,7 @@ _IDENTITY_THRESHOLD = 3e-2
 
 
 class GridMismatch(ValueError):
-    """Two trajectories share no radial overlap to compare on."""
+    """Two trajectories share fewer than two radii to compare on."""
 
 
 class InsufficientRange(ValueError):
@@ -162,51 +162,9 @@ def check_quotient_ordering(qs: QuotientSeries, slack: float = _SLACK) -> Quotie
     )
 
 
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point end slope, clipped to preserve shape."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _monotone_cubic(x: np.ndarray, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Monotone (PCHIP, Fritsch-Carlson) cubic through ``(x, y)`` evaluated at ``xs``.
-
-    Node slopes are the weighted harmonic mean of the adjacent secants (zero
-    at a local extremum or next to a flat secant), with the shape-preserving
-    three-point rule at both ends (Moler, *Numerical Computing with MATLAB*,
-    3.6) and the secant when there are only two points.  The cubic is summed
-    in powers of ``xs - x[i]``, lowest first.  ``xs`` must lie in
-    ``[x[0], x[-1]]``.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if len(x) == 2:
-        d = np.array([m[0], m[0]])
-    else:
-        d = np.zeros_like(y)
-        inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        d[1:-1][inner] = 1.0 / whmean[inner]
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    c3, c2 = t / h, (m - d[:-1]) / h - t
-    i = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, len(x) - 2)
-    s = xs - x[i]
-    s2 = s * s
-    return y[i] + d[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
-
-
 @dataclass
 class OrderingReport:
-    """Strict pointwise comparison of two trajectories on a common grid."""
+    """Strict pointwise comparison of two trajectories on their shared radii."""
 
     passed: bool
     n_points: int
@@ -218,33 +176,21 @@ def check_ordering(traj_a: Trajectory, traj_b: Trajectory) -> OrderingReport:
     """Assert A dominates B strictly in u, v, u', v' pointwise.
 
     Intended for runs with strictly larger initial data in both components
-    (or against a sampled profile).  Trajectories are compared on the part of
-    A's grid covered by both; if the grids differ, B is resampled there with
-    monotone (shape-preserving) interpolation.  Raises ``GridMismatch`` when
-    the radial ranges do not overlap.
+    (or against a sampled profile).  Trajectories are compared only on the
+    radii both grids hold exactly; nothing is interpolated.  Geometric grids
+    over one range share every radius where their points per decade line
+    up (64 and 8 per decade share every eighth radius of the finer grid).
+    Raises ``GridMismatch`` when fewer than two radii are shared.
     """
-    lo = max(traj_a.r[0], traj_b.r[0])
-    hi = min(traj_a.r[-1], traj_b.r[-1])
-    if not lo < hi:
-        raise GridMismatch(
-            f"no radial overlap: [{traj_a.r[0]}, {traj_a.r[-1]}] vs [{traj_b.r[0]}, {traj_b.r[-1]}]"
-        )
-    mask = (traj_a.r >= lo) & (traj_a.r <= hi)
-    rs = traj_a.r[mask]
+    rs, ia, ib = np.intersect1d(traj_a.r, traj_b.r, assume_unique=True, return_indices=True)
     if len(rs) < 2:
-        raise GridMismatch("fewer than two common radii to compare on")
-    same_grid = len(traj_a.r) == len(traj_b.r) and bool(
-        np.allclose(traj_a.r, traj_b.r, rtol=1e-14, atol=0.0)
-    )
+        raise GridMismatch(f"{len(rs)} shared radii, need at least two to compare on")
     margins: dict[str, float] = {}
     r_at: dict[str, float] = {}
     passed = True
     for key in _SERIES_KEYS:
-        a_vals = getattr(traj_a, key)[mask]
-        if same_grid:
-            b_vals = getattr(traj_b, key)[mask]
-        else:
-            b_vals = _monotone_cubic(traj_b.r, getattr(traj_b, key), rs)
+        a_vals = getattr(traj_a, key)[ia]
+        b_vals = getattr(traj_b, key)[ib]
         gap = a_vals - b_vals
         rel = gap / np.maximum(np.abs(b_vals), 1e-300)
         idx = int(np.argmin(rel))

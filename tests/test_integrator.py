@@ -355,7 +355,7 @@ def test_meta_counts_rhs_evaluations(monkeypatch, p3_system):
 def test_meta_records_rejections_by_cause(p3_system):
     meta = integrate_radial(p3_system, 1.0, 1.0, 1e-6, r_max=1e4, points_per_decade=1).meta
     causes = meta["rejections"]
-    assert set(causes) == {"error", "positivity", "nonfinite"}
+    assert set(causes) == {"error", "nonfinite"}
     assert sum(causes.values()) == meta["steps_rejected"] > 0
     assert causes["error"] > 0
 
@@ -382,7 +382,7 @@ def _burst(r, y):
         # floats: one non-finite rejection, then two steps
         (_burst, [1.0, math.e], 1.0, (2, 1)),
     ],
-    ids=["positivity", "nonfinite"],
+    ids=["overshoot", "nonfinite"],
 )
 def test_rejection_causes_on_overshooting_first_step(f, grid, y0, expected):
     """A huge tolerance keeps the error estimate out of the decision.  No
@@ -390,7 +390,7 @@ def test_rejection_causes_on_overshooting_first_step(f, grid, y0, expected):
     positivity; a stage that leaves the range of floats is a non-finite
     rejection, never an exception."""
     ys, accepted, rejections, *_ = _step_loop(f, np.array(grid), [y0], 1e6)
-    assert (accepted, rejections) == (expected[0], {"error": 0, "positivity": 0, "nonfinite": expected[1]})
+    assert (accepted, rejections) == (expected[0], {"error": 0, "nonfinite": expected[1]})
     assert 0.0 < ys[-1, 0] < math.inf
 
 
@@ -644,13 +644,11 @@ def test_one_point_per_decade_keeps_stages_in_range():
     stage leaves the range of floats; a start with g3 frozen at u'(r0) sets
     off a transient that pushes one out on coupled_p3.  The non-finite
     rejection itself is covered by
-    ``test_rejection_causes_on_overshooting_first_step``.  No state leaves
-    (0, inf), so ``positivity`` stays in the record, always 0."""
+    ``test_rejection_causes_on_overshooting_first_step``."""
     for config in (P3_CONFIG, POISSON_CONFIG):
         system = system_from_config(config)
         meta = integrate_radial(system, 1.0, 1.0, 1e-9, r_max=1e4, points_per_decade=1).meta
         assert meta["rejections"]["nonfinite"] == 0
-        assert meta["rejections"]["positivity"] == 0
 
 
 # p - 1 - alpha = 0.02: the startup gradient underflows at r0 = 1e-6

@@ -86,22 +86,6 @@ def test_nonlinearity_rejects_empty_and_negative():
         Nonlinearity(((1.0, 2.0), (-0.1, 1.0)))
 
 
-def test_growth_quotient_matches_direct_division():
-    g = Nonlinearity(((0.4, 0.5), (1.0, 1.5)))
-    s, t = 3.0, 7.0
-    direct = g(s * t) / t**g.degree
-    assert g.quotient(s, t) == pytest.approx(direct, rel=1e-14)
-
-
-def test_growth_quotient_survives_huge_arguments():
-    """g(s*t)/t^k stays finite when t alone would overflow t^k."""
-    g = Nonlinearity(((0.4, 0.5), (1.0, 1.5)))
-    t = 1e250  # t^1.5 overflows a double
-    val = g.quotient(2.0, t)
-    assert math.isfinite(val)
-    assert val == pytest.approx(2.0**1.5, rel=1e-9)  # lower term decayed away
-
-
 @st.composite
 def nonlinearities(draw):
     k = draw(st.floats(min_value=0.1, max_value=3.0))

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from plap import (
     GridMismatch,
@@ -20,13 +19,14 @@ from plap import (
     check_ordering,
     check_quotient_ordering,
     estimate_limits,
+    geometric_grid,
     integrate_radial,
     quotient_series,
     run_verification,
     sample_profile_trajectory,
     system_from_config,
 )
-from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK, _monotone_cubic
+from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK
 from conftest import P3_CONFIG, sample_integration_system
 
 
@@ -115,35 +115,23 @@ def test_ordering_requires_strictness(p3_traj):
     assert all(margin == 0.0 for margin in report.min_margin.values())
 
 
-def test_ordering_resamples_different_grids(p3_system):
+def test_ordering_compares_on_shared_radii(p3_system):
+    """48 and 64 per decade over eight decades share the 16-per-decade radii."""
     big = integrate_radial(p3_system, 2.0, 2.0, tol=1e-9, r_max=100.0, points_per_decade=48)
     small = integrate_radial(p3_system, 1.0, 1.0, tol=1e-9, r_max=100.0)
     report = check_ordering(big, small)
-    assert report.passed and report.n_points > 0
+    assert report.passed and report.n_points == 129
 
 
-def _interpolation_cases():
-    rng = np.random.default_rng(20230702)
-    for n in (2, 3, 4, 7, 40):
-        x = np.cumsum(rng.uniform(0.1, 2.0, n))
-        yield pytest.param(x, rng.normal(size=n), id=f"random-{n}")
-        yield pytest.param(x, np.cumsum(rng.uniform(0.0, 1.0, n)), id=f"increasing-{n}")
-    x = np.arange(10.0)
-    yield pytest.param(x, np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 5.0, 5.0, 4.0, 4.0]), id="flat-segments")
-    yield pytest.param(x, np.array([1.0, -1.0, 2.0, -3.0, 0.5, 0.5, -0.5, 3.0, -2.0, 1.0]), id="sign-changes")
-    yield pytest.param(np.array([0.0, 1.0, 1.1]), np.array([0.0, 1.0, -5.0]), id="end-overshoot")
-    yield pytest.param(x, np.full(10, 3.0), id="constant")
-    grid = np.geomspace(1e-6, 1e2, 50)
-    yield pytest.param(grid, 1.0 + grid**2.5, id="trajectory-like")
-
-
-@pytest.mark.parametrize("x, y", list(_interpolation_cases()))
-def test_monotone_cubic_matches_pchip_reference(x, y):
-    rng = np.random.default_rng(7)
-    xs = np.concatenate([x, np.sort(rng.uniform(x[0], x[-1], 200))])
-    ours = _monotone_cubic(x, y, xs)
-    ref = PchipInterpolator(x, y)(xs)
-    np.testing.assert_allclose(ours, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(y)))
+@pytest.mark.parametrize("r_max, shared", [(1e3, 73), (1e4, 81)])
+def test_solution_lies_above_its_profile_on_a_coarser_grid(p3_system, p3_profile, r_max, shared):
+    """u/u0 and v/v0 decrease towards 1, so a solution lies strictly above
+    its profile; on the shared radii every margin shows it."""
+    traj = integrate_radial(p3_system, 1.0, 1.0, tol=1e-9, r_max=r_max, points_per_decade=64)
+    grid = geometric_grid(traj.r[0], traj.r[-1], 8)
+    report = check_ordering(traj, sample_profile_trajectory(p3_profile, p3_system, grid))
+    assert report.passed and report.n_points == shared
+    assert all(margin > 0.0 for margin in report.min_margin.values())
 
 
 def test_ordering_rejects_disjoint_grids(p3_system, p3_profile):
@@ -151,6 +139,13 @@ def test_ordering_rejects_disjoint_grids(p3_system, p3_profile):
     late = sample_profile_trajectory(p3_profile, p3_system, np.geomspace(10.0, 100.0, 30))
     with pytest.raises(GridMismatch):
         check_ordering(early, late)
+
+
+def test_ordering_rejects_overlapping_grids_without_common_radii(p3_system, p3_profile):
+    a = sample_profile_trajectory(p3_profile, p3_system, np.geomspace(1e-6, 100.0, 30))
+    b = sample_profile_trajectory(p3_profile, p3_system, np.geomspace(2e-6, 50.0, 30))
+    with pytest.raises(GridMismatch):
+        check_ordering(a, b)
 
 
 # ---------------------------------------------------------------------------
