@@ -53,9 +53,18 @@ def _load_config(path: str) -> dict:
     def reject_constant(name: str) -> float:
         raise ConfigError(f"config {path} holds the JSON constant {name}, not a finite number")
 
+    def finite(parse):  # a number literal that overflows a float is refused
+        def hook(text: str):
+            if not math.isfinite(float(text)):
+                raise ConfigError(f"config {path} holds the number {text}, not a finite number")
+            return parse(text)
+        return hook
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_constant=reject_constant)
+            cfg = json.load(
+                fh, parse_constant=reject_constant, parse_float=finite(float), parse_int=finite(int)
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -99,7 +108,7 @@ def _run_options(
 
 
 def _rmax_option(r_max: Optional[float]) -> Optional[float]:
-    """The ``--rmax`` flag, held to the rule ``SystemParams`` holds the config's ``r_max`` to."""
+    """The ``--rmax`` flag, held to the rule ``ValidatedSystem`` holds the config's ``r_max`` to."""
     if r_max is not None and not 0.0 < r_max < math.inf:
         raise ValueError(f"--rmax must be a finite number > 0, got {r_max}")
     return r_max

@@ -178,12 +178,13 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"initial data must be positive, got a={a}, b={b}")
+    if not (a < math.inf and b < math.inf):
+        raise ValueError(f"initial data must be finite, got a={a}, b={b}")
     if not r0 > 0.0:
         raise ValueError(f"startup radius must be positive, got {r0}")
-    prm = system.params
-    p, n, alpha, delta = prm.p, prm.n, prm.alpha, system.delta
+    p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     P = rate = 0.0
-    for c, m in prm.f1.terms:
+    for c, m in system.f1.terms:
         term = c * r0 ** (delta + m + 1.0)
         P += term / (delta + m + 1.0)
         rate += term
@@ -191,7 +192,7 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
     P *= (p - 1.0 - alpha) / (p - 1.0) * system.g1(b)
     du = (P / r0**delta) ** (1.0 / (p - 1.0 - alpha)) if P > 0.0 else 0.0
     S = 0.0
-    for c, m in prm.f2.terms:
+    for c, m in system.f2.terms:
         for c3, e in system.g3.terms:
             S += c * c3 * du**e * r0 ** (n + m) / (n + m + e * gamma)
     S *= system.g2(b)
@@ -262,12 +263,11 @@ def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tupl
     out term by term; it computes exactly what ``f1(r) * g1(v)`` and
     ``f2(r) * g2(v) * g3(du)`` compute, bit for bit.
     """
-    prm = system.params
-    p, alpha = prm.p, prm.alpha
+    p, alpha = system.p, system.alpha
     constants = dict(
         ndarray=np.ndarray,
         delta=system.delta,
-        n1=float(prm.n - 1),
+        n1=float(system.n - 1),
         inv_grad=1.0 / (p - 1.0 - alpha),
         inv_p1=1.0 / (p - 1.0),
         coef=(p - 1.0 - alpha) / (p - 1.0),
@@ -275,9 +275,9 @@ def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tupl
     sums = {
         name: _power_sum_source(name, law, arg, constants)
         for name, law, arg in (
-            ("f1", prm.f1, "r"),
+            ("f1", system.f1, "r"),
             ("g1", system.g1, "v"),
-            ("f2", prm.f2, "r"),
+            ("f2", system.f2, "r"),
             ("g2", system.g2, "v"),
             ("g3", system.g3, "du"),
         )
@@ -590,7 +590,7 @@ def integrate_radial(
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
-    r_end = float(r_max if r_max is not None else system.params.r_max)
+    r_end = float(r_max if r_max is not None else system.r_max)
     r_start = float(r0 if r0 is not None else 1e-6 * min(1.0, r_end))
     grid = geometric_grid(r_start, r_end, points_per_decade)
     start = startup_state(system, a, b, r_start)
@@ -598,14 +598,13 @@ def integrate_radial(
     ys, accepted, rejections, h_min, h_max, r_at_h_min = _step_loop(flux_rhs(system), grid, y0, tol)
     rejected = sum(rejections.values())
 
-    prm = system.params
-    inv_grad = 1.0 / (prm.p - 1.0 - prm.alpha)
-    inv_p1 = 1.0 / (prm.p - 1.0)
+    inv_grad = 1.0 / (system.p - 1.0 - system.alpha)
+    inv_p1 = 1.0 / (system.p - 1.0)
     # the four state columns are rows of one contiguous block, so a kept
     # trajectory holds six arrays and nothing more
     u, v, P, S = ys.T.copy()
     du = (P / grid**system.delta) ** inv_grad
-    dv = (S / grid ** (prm.n - 1)) ** inv_p1
+    dv = (S / grid ** (system.n - 1)) ** inv_p1
     return Trajectory(
         r=grid,
         u=u,
@@ -672,12 +671,11 @@ def flux_consistency(traj: Trajectory, system: ValidatedSystem) -> float:
     quadrature.  Converged runs score well below 1e-6; corrupting a single
     state is immediately visible.
     """
-    prm = system.params
-    p, n, alpha, delta = prm.p, prm.n, prm.alpha, system.delta
+    p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     coef = (p - 1.0 - alpha) / (p - 1.0)
     r = traj.r
-    rhs_P = coef * r**delta * prm.f1(r) * system.g1(traj.v)
-    rhs_S = r ** (n - 1) * prm.f2(r) * system.g2(traj.v) * system.g3(traj.du)
+    rhs_P = coef * r**delta * system.f1(r) * system.g1(traj.v)
+    rhs_S = r ** (n - 1) * system.f2(r) * system.g2(traj.v) * system.g3(traj.du)
     worst = 0.0
     for flux, rhs in ((traj.P, rhs_P), (traj.S, rhs_S)):
         quad = _cumulative_power_quadrature(r, rhs)

@@ -23,9 +23,9 @@ An instance is *admissible* when
     0 <= alpha < p - 1      (increasing positive solutions can exist at all)
     (p-1-alpha)*(p-1-k2) > k1*k3    (the coupling is subcritical)
 
-with both inequalities strict.  ``validate_system`` enforces exactly these
-two gates; the degenerate but useful case of constant ``g1`` or ``g2``
-(degree zero) is accepted.
+with both inequalities strict.  Constructing a ``ValidatedSystem`` enforces
+exactly these two gates; the degenerate but useful case of constant ``g1``
+or ``g2`` (degree zero) is accepted.
 """
 
 from __future__ import annotations
@@ -41,12 +41,8 @@ __all__ = [
     "ExistenceConditionViolated",
     "CoefficientFunction",
     "Nonlinearity",
-    "SystemParams",
     "ValidatedSystem",
-    "validate_system",
-    "limiting_system",
     "system_from_config",
-    "delta_constant",
 ]
 
 Scalar = Union[float, "numpy.ndarray"]  # noqa: F821 - numpy only needed at call sites
@@ -160,18 +156,18 @@ class Nonlinearity(_PowerSum):
         """The largest exponent k; governs the far-field growth g(s) ~ s^k."""
         return self.terms[-1][1]
 
-    @property
-    def is_constant(self) -> bool:
-        return self.degree == 0.0
-
 
 @dataclass(frozen=True)
-class SystemParams:
-    """Scalar parameters and radial weights of one system instance.
+class ValidatedSystem:
+    """One admissible system instance; constructing it validates it.
 
     ``p > 1`` is the diffusion exponent, ``n >= 2`` the space dimension,
     ``alpha >= 0`` the gradient power on the first equation and ``r_max``
-    the target radius of integration.
+    the target radius of integration.  After these ranges come the two
+    gates: ``GradientExponentTooLarge`` when ``alpha >= p - 1`` (every
+    positive increasing radial solution is then constant) and
+    ``ExistenceConditionViolated`` when ``(p-1-alpha)*(p-1-k2) <= k1*k3``
+    (boundary included: the far-field profile degenerates there).
     """
 
     p: float
@@ -179,6 +175,9 @@ class SystemParams:
     alpha: float
     f1: CoefficientFunction
     f2: CoefficientFunction
+    g1: Nonlinearity
+    g2: Nonlinearity
+    g3: Nonlinearity
     r_max: float
 
     def __post_init__(self) -> None:
@@ -194,27 +193,18 @@ class SystemParams:
             raise ValueError(f"gradient exponent alpha must be a finite number >= 0, got {self.alpha}")
         if not 0.0 < self.r_max < math.inf:
             raise ValueError(f"r_max must be a finite number > 0, got {self.r_max}")
-
-
-def delta_constant(p: float, n: int, alpha: float) -> float:
-    """The weight exponent delta = (n-1)(p-1-alpha)/(p-1) of the first flux."""
-    return (n - 1) * (p - 1.0 - alpha) / (p - 1.0)
-
-
-@dataclass(frozen=True)
-class ValidatedSystem:
-    """A system instance that passed both admissibility gates.
-
-    Carries the derived constant ``delta`` so downstream code never has to
-    recompute it.  Degrees of the growth laws are exposed as ``k1, k2, k3``
-    and the (strictly positive) subcriticality margin as ``existence_margin``.
-    """
-
-    params: SystemParams
-    g1: Nonlinearity
-    g2: Nonlinearity
-    g3: Nonlinearity
-    delta: float
+        p, alpha = self.p, self.alpha
+        if alpha >= p - 1.0:
+            raise GradientExponentTooLarge(
+                f"gradient exponent alpha={alpha} >= p-1={p - 1.0}: in this regime no "
+                "non-constant positive increasing radial solution exists"
+            )
+        margin = self.existence_margin
+        if margin <= 0.0:
+            raise ExistenceConditionViolated(
+                f"(p-1-alpha)*(p-1-k2) - k1*k3 = {margin} must be strictly positive "
+                f"(p={p}, alpha={alpha}, k1={self.k1}, k2={self.k2}, k3={self.k3})"
+            )
 
     @property
     def k1(self) -> float:
@@ -230,65 +220,28 @@ class ValidatedSystem:
 
     @property
     def existence_margin(self) -> float:
-        p, alpha = self.params.p, self.params.alpha
+        p, alpha = self.p, self.alpha
         return (p - 1.0 - alpha) * (p - 1.0 - self.k2) - self.k1 * self.k3
 
-
-def validate_system(
-    params: SystemParams,
-    g1: Nonlinearity,
-    g2: Nonlinearity,
-    g3: Nonlinearity,
-) -> ValidatedSystem:
-    """Check the two admissibility gates and return the validated instance.
-
-    Raises ``GradientExponentTooLarge`` when ``alpha >= p - 1`` (beyond that
-    threshold every positive increasing radial solution is constant, so there
-    is nothing to integrate), and ``ExistenceConditionViolated`` when
-    ``(p-1-alpha)*(p-1-k2) <= k1*k3`` (boundary included: the far-field
-    profile degenerates there).  Structural defects of the growth laws are
-    caught at construction time; constant ``g1``/``g2`` (degree zero) are
-    legitimate degenerate couplings and are accepted.
-    """
-    p, alpha = params.p, params.alpha
-    if alpha >= p - 1.0:
-        raise GradientExponentTooLarge(
-            f"gradient exponent alpha={alpha} >= p-1={p - 1.0}: in this regime no "
-            "non-constant positive increasing radial solution exists"
-        )
-    system = ValidatedSystem(params, g1, g2, g3, delta_constant(p, params.n, alpha))
-    margin = system.existence_margin
-    if margin <= 0.0:
-        raise ExistenceConditionViolated(
-            f"(p-1-alpha)*(p-1-k2) - k1*k3 = {margin} must be strictly positive "
-            f"(p={p}, alpha={alpha}, k1={g1.degree}, k2={g2.degree}, k3={g3.degree})"
-        )
-    return system
-
-
-def limiting_system(system: ValidatedSystem) -> ValidatedSystem:
-    """The pure-power companion: each growth law replaced by ``s^k``.
-
-    Solutions of the original system converge to solutions of this companion
-    in ratio; it is the natural comparison partner for trajectory ordering.
-    """
-    return validate_system(
-        system.params,
-        Nonlinearity.pure_power(system.k1),
-        Nonlinearity.pure_power(system.k2),
-        Nonlinearity.pure_power(system.k3),
-    )
+    @property
+    def delta(self) -> float:
+        """The weight exponent delta = (n-1)(p-1-alpha)/(p-1) of the first flux."""
+        return (self.n - 1) * (self.p - 1.0 - self.alpha) / (self.p - 1.0)
 
 
 def _config_float(value: object, field: str) -> float:
     """``float(value)`` of a real number, or a ``ValueError`` naming the config field.
 
     Booleans and strings are not numbers, although ``float`` reads ``true``
-    as 1.0 and ``"0.5"``, ``"inf"`` or ``"nan"`` as floats.
+    as 1.0 and ``"0.5"``, ``"inf"`` or ``"nan"`` as floats.  An integer too
+    large for a float is refused here rather than as an ``OverflowError``.
     """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"config field '{field}' must be a number, got {value!r}")
+    try:
         return float(value)
-    raise ValueError(f"config field '{field}' must be a number, got {value!r}")
+    except OverflowError:
+        raise ValueError(f"config field '{field}' is an integer too large for a float") from None
 
 
 def _terms_from_config(raw: object, field: str) -> tuple[tuple[float, float], ...]:
@@ -307,23 +260,23 @@ def system_from_config(cfg: Mapping) -> ValidatedSystem:
 
     Expected fields: ``p``, ``n``, ``alpha``, ``r_max`` (numbers) and
     ``f1``, ``f2``, ``g1``, ``g2``, ``g3`` (lists of ``[coeff, expo]`` pairs).
-    Raises ``ValueError`` subclasses on missing or malformed fields and the
-    admissibility errors of ``validate_system`` on inadmissible parameters.
+    Raises ``ValueError`` subclasses on missing or malformed fields, on an
+    integer too large for a float, and the admissibility errors of
+    ``ValidatedSystem`` on inadmissible parameters.
     """
     for field in ("p", "n", "alpha", "r_max", "f1", "f2", "g1", "g2", "g3"):
         if field not in cfg:
             raise ValueError(f"config field '{field}' is missing")
-    params = SystemParams(
+    if type(cfg["n"]) is int:
+        _config_float(cfg["n"], "n")  # names the field of an int too large for a float
+    return ValidatedSystem(
         p=_config_float(cfg["p"], "p"),
         n=cfg["n"],
         alpha=_config_float(cfg["alpha"], "alpha"),
         f1=CoefficientFunction(_terms_from_config(cfg["f1"], "f1")),
         f2=CoefficientFunction(_terms_from_config(cfg["f2"], "f2")),
         r_max=_config_float(cfg["r_max"], "r_max"),
-    )
-    return validate_system(
-        params,
-        Nonlinearity(_terms_from_config(cfg["g1"], "g1")),
-        Nonlinearity(_terms_from_config(cfg["g2"], "g2")),
-        Nonlinearity(_terms_from_config(cfg["g3"], "g3")),
+        g1=Nonlinearity(_terms_from_config(cfg["g1"], "g1")),
+        g2=Nonlinearity(_terms_from_config(cfg["g2"], "g2")),
+        g3=Nonlinearity(_terms_from_config(cfg["g3"], "g3")),
     )

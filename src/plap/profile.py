@@ -33,8 +33,6 @@ __all__ = [
     "NotPurePowerCoefficients",
     "PowerProfile",
     "p_laplace_power",
-    "solve_exponents",
-    "solve_amplitudes",
     "solve_profile",
     "profile_eval",
     "profile_residual",
@@ -80,7 +78,7 @@ def p_laplace_power(coeff: float, lam: float, p: float, n: int) -> tuple[float, 
 
 
 def _pure_power_weights(system: ValidatedSystem) -> tuple[float, float, float, float]:
-    f1, f2 = system.params.f1, system.params.f2
+    f1, f2 = system.f1, system.f2
     if not (f1.is_pure_power and f2.is_pure_power):
         raise NotPurePowerCoefficients(
             "closed-form profile requires single-term radial weights; got "
@@ -91,66 +89,48 @@ def _pure_power_weights(system: ValidatedSystem) -> tuple[float, float, float, f
     return c1, m1, c2, m2
 
 
-def solve_exponents(system: ValidatedSystem) -> tuple[float, float]:
-    """Profile exponents (lam, mu) from the linear power-matching system.
+def solve_profile(system: ValidatedSystem) -> PowerProfile:
+    """Exponents, amplitudes and p-Laplace factors of the far-field profile.
 
-    Matching powers of r on both sides of the two equations gives
+    Matching powers of r on both sides of the two equations gives the
+    exponents from the linear system
 
         (p-1-alpha) lam - k1 mu = p - alpha + m1
         -k3 lam + (p-1-k2) mu   = p - k3 + m2
 
     whose determinant is the (positive) subcriticality margin.  Both solutions
     exceed 1 strictly for every admissible instance.
+
+    Matching the coefficients then couples the two amplitudes through
+
+        (lam C_lam)^(p-1-alpha) = c1 / (mu^k1 b_lam) * (mu C_mu)^k1
+        (mu  C_mu)^(p-1-k2)     = c2 / (mu^k2 b_mu)  * (lam C_lam)^k3
+
+    a linear 2x2 system in the logarithms of ``lam C_lam`` and ``mu C_mu``
+    with the same determinant.  Solving in log space avoids overflow when the
+    subcriticality margin is small and the amplitudes are extreme.
     """
     c1, m1, c2, m2 = _pure_power_weights(system)
-    p, alpha = system.params.p, system.params.alpha
+    p, n, alpha = system.p, system.n, system.alpha
     k1, k2, k3 = system.k1, system.k2, system.k3
     det = system.existence_margin
     lam = ((p - alpha + m1) * (p - 1.0 - k2) + k1 * (p - k3 + m2)) / det
     mu = ((p - 1.0 - alpha) * (p + m2) + k3 * (1.0 + m1)) / det
     if not (lam > 1.0 and mu > 1.0):  # guaranteed algebraically; guard anyway
         raise ArithmeticError(f"profile exponents out of range: lam={lam}, mu={mu}")
-    return lam, mu
-
-
-def solve_amplitudes(system: ValidatedSystem, lam: float, mu: float) -> tuple[float, float]:
-    """Profile amplitudes (C_lam, C_mu), computed in logarithmic form.
-
-    Substituting the powers into the companion system couples the two
-    amplitudes through
-
-        (lam C_lam)^(p-1-alpha) = c1 / (mu^k1 b_lam) * (mu C_mu)^k1
-        (mu  C_mu)^(p-1-k2)     = c2 / (mu^k2 b_mu)  * (lam C_lam)^k3
-
-    a linear 2x2 system in the logarithms of ``lam C_lam`` and ``mu C_mu``.
-    Solving in log space avoids overflow when the subcriticality margin is
-    small and the amplitudes are extreme.
-    """
-    c1, m1, c2, m2 = _pure_power_weights(system)
-    p, n, alpha = system.params.p, system.params.n, system.params.alpha
-    k1, k2, k3 = system.k1, system.k2, system.k3
     b_lam = lam * (p - 1.0) + n - p
     b_mu = mu * (p - 1.0) + n - p
     e1 = math.log(c1) - k1 * math.log(mu) - math.log(b_lam)
     e2 = math.log(c2) - k2 * math.log(mu) - math.log(b_mu)
-    det = system.existence_margin
     log_lc = ((p - 1.0 - k2) * e1 + k1 * e2) / det
     log_mc = ((p - 1.0 - alpha) * e2 + k3 * e1) / det
-    return math.exp(log_lc) / lam, math.exp(log_mc) / mu
-
-
-def solve_profile(system: ValidatedSystem) -> PowerProfile:
-    """Exponents, amplitudes and p-Laplace factors of the far-field profile."""
-    lam, mu = solve_exponents(system)
-    c_lam, c_mu = solve_amplitudes(system, lam, mu)
-    p, n = system.params.p, system.params.n
     return PowerProfile(
         lam=lam,
         mu=mu,
-        c_lam=c_lam,
-        c_mu=c_mu,
-        b_lam=lam * (p - 1.0) + n - p,
-        b_mu=mu * (p - 1.0) + n - p,
+        c_lam=math.exp(log_lc) / lam,
+        c_mu=math.exp(log_mc) / mu,
+        b_lam=b_lam,
+        b_mu=b_mu,
     )
 
 
@@ -185,7 +165,7 @@ def profile_residual(
     amplitude by epsilon moves the residual to O(epsilon).
     """
     c1, m1, c2, m2 = _pure_power_weights(system)
-    p, n, alpha = system.params.p, system.params.n, system.params.alpha
+    p, n, alpha = system.p, system.n, system.alpha
     k1, k2, k3 = system.k1, system.k2, system.k3
     lam, mu, c_lam, c_mu = profile.lam, profile.mu, profile.c_lam, profile.c_mu
 

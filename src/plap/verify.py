@@ -234,11 +234,10 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
     startup attains the lower bounds exactly when the radial weights are
     constants.
     """
-    prm = system.params
-    p, n, alpha, delta = prm.p, prm.n, prm.alpha, system.delta
+    p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     r = traj.r
-    w1 = prm.f1(r) * system.g1(traj.v)
-    w2 = prm.f2(r) * system.g2(traj.v) * system.g3(traj.du)
+    w1 = system.f1(r) * system.g1(traj.v)
+    w2 = system.f2(r) * system.g2(traj.v) * system.g3(traj.du)
     pma = p - 1.0 - alpha
 
     deriv1 = pma / (p - 1.0) * w1 - delta / r * traj.du**pma
@@ -345,7 +344,8 @@ class IdentityResiduals:
 def check_limit_identities(
     limits: dict[str, LimitEstimate], system: ValidatedSystem
 ) -> IdentityResiduals:
-    p, alpha = system.params.p, system.params.alpha
+    """Residuals of the two limit identities at the estimated limits of U and V."""
+    p, alpha = system.p, system.alpha
     lu = limits["u"].value
     lv = limits["v"].value
     first = second = math.inf  # what a side that overflows leaves
@@ -362,15 +362,14 @@ def sample_profile_trajectory(
     """The profile itself packaged as a trajectory (exact states, no stepping)."""
     grid = np.asarray(grid, dtype=float)
     u0, v0, du0, dv0 = profile_eval(profile, grid)
-    prm = system.params
     return Trajectory(
         r=grid,
         u=u0,
         v=v0,
         du=du0,
         dv=dv0,
-        P=grid**system.delta * du0 ** (prm.p - 1.0 - prm.alpha),
-        S=grid ** (prm.n - 1) * dv0 ** (prm.p - 1.0),
+        P=grid**system.delta * du0 ** (system.p - 1.0 - system.alpha),
+        S=grid ** (system.n - 1) * dv0 ** (system.p - 1.0),
         meta={"synthetic": "profile"},
     )
 

@@ -434,23 +434,58 @@ def test_exit_1_on_rmax_flag_out_of_range(command, value):
     assert proc.stderr == f"ValueError: --rmax must be a finite number > 0, got {float(value)}\n"
 
 
+_HUGE_INT = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
-    "field, value",
+    "field, raw",
     [
-        ("alpha", math.nan),
-        ("g1", [[1.0, math.nan]]),
-        ("f1", [[1.0, math.nan]]),
-        ("r_max", math.inf),
-        ("p", -math.inf),
+        ("alpha", "NaN"),
+        ("g1", "[[1.0, NaN]]"),
+        ("f1", "[[1.0, NaN]]"),
+        ("r_max", "Infinity"),
+        ("p", "-Infinity"),
+        ("a", "1e999"),
+        ("b", "1e999"),
+        ("f1", "[[1e999, 0]]"),
+        ("r_max", _HUGE_INT),
+        ("n", _HUGE_INT),
+        ("f1", f"[[{_HUGE_INT}, 0]]"),
+        ("sweep", '{"k1": [1e999]}'),
     ],
-    ids=["alpha-NaN", "g1-NaN-exponent", "f1-NaN-exponent", "r_max-Infinity", "p-minus-Infinity"],
+    ids=[
+        "alpha-NaN",
+        "g1-NaN-exponent",
+        "f1-NaN-exponent",
+        "r_max-Infinity",
+        "p-minus-Infinity",
+        "a-1e999",
+        "b-1e999",
+        "f1-1e999-coefficient",
+        "r_max-400-digits",
+        "n-400-digits",
+        "f1-400-digit-coefficient",
+        "sweep-1e999",
+    ],
 )
-def test_exit_1_on_nonstandard_json_constant(write_config, capsys, field, value):
-    """Python's json reads NaN and Infinity; a config holding one is malformed."""
-    cfg = write_config("nonfinite.json", P3_CONFIG, **{field: value})
-    assert main(["profile", "--config", cfg]) == 1
+def test_exit_1_on_nonstandard_json_constant(tmp_path, capsys, field, raw):
+    """Python's json reads NaN, Infinity and numbers that overflow a float;
+    a config holding one is malformed."""
+    cfg = dict(P3_CONFIG, **{field: "RAW"})
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(cfg).replace('"RAW"', raw))
+    command = "sweep" if field == "sweep" else "verify"
+    assert main([command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ConfigError: ") and "not a finite number" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+def test_exit_1_on_infinite_initial_data(flag):
+    proc = _fresh_cli("verify", "--config", str(CONFIGS / "coupled_p3.json"), flag, "inf")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("ValueError: initial data must be finite, got ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,8 @@ from plap import (
     CoefficientFunction,
     Nonlinearity,
     Overflow,
-    SystemParams,
     StepSizeUnderflow,
+    ValidatedSystem,
     flux_consistency,
     flux_rhs,
     geometric_grid,
@@ -26,7 +26,6 @@ from plap import (
     integrate_radial,
     startup_state,
     system_from_config,
-    validate_system,
 )
 from plap import integrator
 from plap.integrator import _DP_A, _DP_C, _DP_ERR, _step_loop, dormand_prince_step
@@ -88,18 +87,17 @@ def _leading_order_oracle(system, b, r0):
     u'(r0).  ``epsabs=0``: the fluxes lie far below quad's default absolute
     tolerance.
     """
-    prm = system.params
-    p, n, alpha, delta = prm.p, prm.n, prm.alpha, system.delta
+    p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     coef = (p - 1 - alpha) / (p - 1) * system.g1(b)
 
     def flux(s):
-        return coef * sum(c * s ** (delta + m + 1) / (delta + m + 1) for c, m in prm.f1.terms)
+        return coef * sum(c * s ** (delta + m + 1) / (delta + m + 1) for c, m in system.f1.terms)
 
     def gradient(s):
         return (flux(s) / s**delta) ** (1 / (p - 1 - alpha))
 
-    P_ref = coef * quad(lambda s: s**delta * prm.f1(s), 0.0, r0, epsabs=0, epsrel=1e-13)[0]
-    S_ref = quad(lambda s: s ** (n - 1) * prm.f2(s) * system.g3(gradient(s)), 0.0, r0, epsabs=0, epsrel=1e-13)[0]
+    P_ref = coef * quad(lambda s: s**delta * system.f1(s), 0.0, r0, epsabs=0, epsrel=1e-13)[0]
+    S_ref = quad(lambda s: s ** (n - 1) * system.f2(s) * system.g3(gradient(s)), 0.0, r0, epsabs=0, epsrel=1e-13)[0]
     return P_ref, system.g2(b) * S_ref
 
 
@@ -108,8 +106,7 @@ def test_startup_matches_quadrature_oracle():
     exponent taken at r0 leaves an error in S that grows with r0 (4.8e-11
     at 1e-6, 2.5e-7 at 3e-4); freezing g3 at u'(r0) is 11% off."""
     system = system_from_config(MULTI_TERM_CONFIG)
-    prm = system.params
-    p, n, alpha, delta = prm.p, prm.n, prm.alpha, system.delta
+    p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     b = 1.7
     for r0, S_limit in ((1e-6, 1e-10), (3e-4, 1e-6)):
         st = startup_state(system, 1.2, b, r0)
@@ -141,10 +138,10 @@ def test_startup_second_flux_is_the_leading_order_integral(config, r0):
 def test_startup_gradient_scaling_under_radius_halving():
     """u'(r0) ~ r0^((m_min+1)/(p-1-alpha)) near the origin."""
     system = system_from_config(MULTI_TERM_CONFIG)
-    p, alpha = system.params.p, system.params.alpha
+    p, alpha = system.p, system.alpha
     st1 = startup_state(system, 1.2, 1.7, 1e-6)
     st2 = startup_state(system, 1.2, 1.7, 5e-7)
-    m_min = system.params.f1.terms[0][1]
+    m_min = system.f1.terms[0][1]
     expected = 2.0 ** (-(m_min + 1.0) / (p - 1.0 - alpha))
     assert st2.du / st1.du == pytest.approx(expected, rel=1e-8)
 
@@ -163,6 +160,11 @@ def test_startup_rejects_nonpositive_inputs(poisson_system):
         startup_state(poisson_system, 1.0, -1.0, 1e-6)
     with pytest.raises(ValueError):
         startup_state(poisson_system, 1.0, 1.0, 0.0)
+    # infinite initial data is invalid input, not a state that overflows
+    with pytest.raises(ValueError, match="initial data must be finite"):
+        startup_state(poisson_system, math.inf, 1.0, 1e-6)
+    with pytest.raises(ValueError, match="initial data must be finite"):
+        startup_state(poisson_system, 1.0, math.inf, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +417,7 @@ def test_benchmark_hooks_accept_numpy_states(monkeypatch, p3_system):
 
 def _reference_rhs(system):
     """``flux_rhs`` as written by hand, calling the system's power sums."""
-    prm = system.params
-    p, n, alpha, delta = prm.p, prm.n, prm.alpha, system.delta
+    p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     inv_grad = 1.0 / (p - 1.0 - alpha)
     inv_p1 = 1.0 / (p - 1.0)
     coef = (p - 1.0 - alpha) / (p - 1.0)
@@ -433,8 +434,8 @@ def _reference_rhs(system):
         return (
             du,
             dv,
-            coef * rd * prm.f1(r) * system.g1(v),
-            rn * prm.f2(r) * system.g2(v) * system.g3(du),
+            coef * rd * system.f1(r) * system.g1(v),
+            rn * system.f2(r) * system.g2(v) * system.g3(du),
         )
 
     return rhs
@@ -466,15 +467,17 @@ def _admissible_systems(draw):
         return Nonlinearity(tuple((c, degree * frac) for c, frac in lower) + ((1.0, degree),))
 
     weight = st.lists(st.tuples(_COEFFS, st.floats(min_value=0.0, max_value=3.0)), min_size=1, max_size=3)
-    params = SystemParams(
+    return ValidatedSystem(
         p=p,
         n=draw(st.integers(min_value=2, max_value=5)),
         alpha=alpha,
         f1=CoefficientFunction(tuple(draw(weight))),
         f2=CoefficientFunction(tuple(draw(weight))),
+        g1=law(k1),
+        g2=law(k2),
+        g3=law(k3),
         r_max=1.0,
     )
-    return validate_system(params, law(k1), law(k2), law(k3))
 
 
 def _outcome(f, r, y):

@@ -14,12 +14,8 @@ from plap import (
     GradientExponentTooLarge,
     MalformedNonlinearity,
     Nonlinearity,
-    SystemParams,
     ValidatedSystem,
-    delta_constant,
-    limiting_system,
     system_from_config,
-    validate_system,
 )
 from conftest import P3_CONFIG, POISSON_CONFIG
 
@@ -71,8 +67,8 @@ def test_nonlinearity_requires_unit_leading_coefficient():
 def test_nonlinearity_degree_and_constants():
     g = Nonlinearity(((0.3, 0.0), (1.0, 2.0)))
     assert g.degree == 2.0
-    assert not g.is_constant
-    assert Nonlinearity.pure_power(0.0).is_constant
+    assert g.degree != 0.0
+    assert Nonlinearity.pure_power(0.0).degree == 0.0
     assert g(2.0) == pytest.approx(0.3 + 4.0, rel=1e-15)
     assert g(0.0) == pytest.approx(0.3)  # only the constant term survives
 
@@ -128,35 +124,46 @@ def test_growth_law_bounded_below_by_top_power(g, s):
 
 
 # ---------------------------------------------------------------------------
-# SystemParams and the admissibility gates
+# ValidatedSystem: scalar checks and the admissibility gates
 # ---------------------------------------------------------------------------
 
 
+def constant_system(p=2.0, n=3, alpha=0.0, r_max=1.0):
+    """``ValidatedSystem`` with unit weights and constant growth laws (k1 = k2 = k3 = 0)."""
+    f, g = CoefficientFunction.pure_power(), Nonlinearity.pure_power(0.0)
+    return ValidatedSystem(p=p, n=n, alpha=alpha, f1=f, f2=f, g1=g, g2=g, g3=g, r_max=r_max)
+
+
 def test_params_validation_rejects_bad_scalars():
-    f = CoefficientFunction.pure_power()
     with pytest.raises(ValueError):
-        SystemParams(p=1.0, n=3, alpha=0.0, f1=f, f2=f, r_max=1.0)
+        constant_system(p=1.0)
     with pytest.raises(ValueError):
-        SystemParams(p=2.0, n=1, alpha=0.0, f1=f, f2=f, r_max=1.0)
+        constant_system(n=1)
     with pytest.raises(ValueError):
-        SystemParams(p=2.0, n=2.5, alpha=0.0, f1=f, f2=f, r_max=1.0)
+        constant_system(n=2.5)
     with pytest.raises(ValueError, match="dimension n must be an integer, got True"):
-        SystemParams(p=2.0, n=True, alpha=0.0, f1=f, f2=f, r_max=1.0)
+        constant_system(n=True)
     with pytest.raises(ValueError):
-        SystemParams(p=2.0, n=3, alpha=-0.1, f1=f, f2=f, r_max=1.0)
+        constant_system(alpha=-0.1)
     with pytest.raises(ValueError):
-        SystemParams(p=2.0, n=3, alpha=0.0, f1=f, f2=f, r_max=0.0)
+        constant_system(r_max=0.0)
     # a float-valued integer dimension is coerced
-    prm = SystemParams(p=2.0, n=3.0, alpha=0.0, f1=f, f2=f, r_max=1.0)
-    assert prm.n == 3 and isinstance(prm.n, int)
+    system = constant_system(n=3.0)
+    assert system.n == 3 and isinstance(system.n, int)
 
 
-def test_delta_constant_values():
-    assert delta_constant(2.0, 3, 0.0) == 2.0
-    assert delta_constant(3.0, 3, 0.0) == 2.0
-    assert delta_constant(2.0, 2, 0.5) == 0.5
-    # direct evaluation: (n-1)(p-1-alpha)/(p-1)
-    assert delta_constant(2.5, 4, 0.3) == pytest.approx(3 * 1.2 / 1.5, rel=1e-15)
+@pytest.mark.parametrize(
+    "p, n, alpha, expected, rel",
+    [
+        (2.0, 3, 0.0, 2.0, 0.0),
+        (3.0, 3, 0.0, 2.0, 0.0),
+        (2.0, 2, 0.5, 0.5, 0.0),
+        # direct evaluation: (n-1)(p-1-alpha)/(p-1)
+        (2.5, 4, 0.3, 3 * 1.2 / 1.5, 1e-15),
+    ],
+)
+def test_delta_values(p, n, alpha, expected, rel):
+    assert constant_system(p=p, n=n, alpha=alpha).delta == pytest.approx(expected, rel=rel, abs=0.0)
 
 
 def test_validated_system_carries_delta_and_degrees(p3_system):
@@ -202,39 +209,26 @@ def test_existence_gate_grid_follows_strict_inequality():
 
 
 def test_constant_couplings_are_accepted(poisson_system):
-    assert poisson_system.g1.is_constant and poisson_system.g2.is_constant
+    assert poisson_system.g1.degree == 0.0 and poisson_system.g2.degree == 0.0
     assert poisson_system.existence_margin == 1.0
 
 
-def test_validate_system_equivalent_to_config_path(p3_system):
-    params = SystemParams(
+def test_direct_construction_equivalent_to_config_path(p3_system):
+    f = CoefficientFunction.pure_power()
+    direct = ValidatedSystem(
         p=3.0,
         n=3,
         alpha=0.0,
-        f1=CoefficientFunction.pure_power(),
-        f2=CoefficientFunction.pure_power(),
+        f1=f,
+        f2=f,
+        g1=Nonlinearity.pure_power(1.0),
+        g2=Nonlinearity.pure_power(0.0),
+        g3=Nonlinearity.pure_power(1.0),
         r_max=1000.0,
     )
-    direct = validate_system(
-        params,
-        Nonlinearity.pure_power(1.0),
-        Nonlinearity.pure_power(0.0),
-        Nonlinearity.pure_power(1.0),
-    )
-    assert isinstance(direct, ValidatedSystem)
+    assert direct == p3_system
     assert direct.delta == p3_system.delta
     assert direct.existence_margin == p3_system.existence_margin
-
-
-def test_limiting_system_strips_lower_order_terms():
-    cfg = make_config(g1=[[0.5, 0.2], [1.0, 1.0]])
-    system = system_from_config(cfg)
-    limit = limiting_system(system)
-    assert limit.g1.terms == ((1.0, 1.0),)
-    assert limit.k1 == system.k1
-    assert limit.g2.terms == ((1.0, 0.0),)
-    # the companion never becomes inadmissible: the margin only depends on degrees
-    assert limit.existence_margin == system.existence_margin
 
 
 def test_system_from_config_reports_missing_and_malformed_fields():
@@ -252,15 +246,24 @@ def test_system_from_config_reports_missing_and_malformed_fields():
 
 @pytest.mark.parametrize(
     "field, value",
+    [("r_max", 10**400), ("n", 10**400), ("f1", [[10**400, 0]]), ("g2", [[1, 10**400]])],
+    ids=["r_max", "n", "f1-coefficient", "g2-exponent"],
+)
+def test_system_from_config_names_an_int_too_large_for_a_float(field, value):
+    with pytest.raises(ValueError, match=f"config field '{field}' is an integer too large for a float"):
+        system_from_config(make_config(**{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field, value",
     [("p", math.inf), ("p", math.nan), ("alpha", math.nan), ("alpha", math.inf), ("r_max", math.inf)],
 )
 def test_params_reject_nonfinite_scalars(field, value):
     """Every comparison with NaN is false, so each range check is written to fail on it."""
     scalars = dict(p=3.0, n=3, alpha=0.0, r_max=1.0)
     scalars[field] = value
-    f = CoefficientFunction.pure_power()
     with pytest.raises(ValueError, match="must be a finite number"):
-        SystemParams(f1=f, f2=f, **scalars)
+        constant_system(**scalars)
 
 
 @pytest.mark.parametrize("expo", [math.nan, math.inf])

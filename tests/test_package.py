@@ -23,6 +23,48 @@ def test_public_names_are_the_submodules_names_once():
     assert len(plap.__all__) == len(set(plap.__all__))
     submodules = [model, profile, integrator, verify]
     assert set(plap.__all__) == {"__version__"}.union(*(m.__all__ for m in submodules))
+    # the public surface, pinned: adding or removing a name is a deliberate edit here
+    assert sorted(plap.__all__) == [
+        "CoefficientFunction",
+        "ExistenceConditionViolated",
+        "GradientExponentTooLarge",
+        "GridMismatch",
+        "InsufficientRange",
+        "LimitEstimate",
+        "MalformedNonlinearity",
+        "Nonlinearity",
+        "NotPurePowerCoefficients",
+        "Overflow",
+        "PowerProfile",
+        "QuotientSeries",
+        "State",
+        "StepSizeUnderflow",
+        "Trajectory",
+        "ValidatedSystem",
+        "VerificationReport",
+        "__version__",
+        "check_convexity_bounds",
+        "check_limit_identities",
+        "check_monotone_quotients",
+        "check_ordering",
+        "check_quotient_ordering",
+        "dormand_prince_step",
+        "estimate_limits",
+        "flux_consistency",
+        "flux_rhs",
+        "geometric_grid",
+        "integrate_fixed_grid",
+        "integrate_radial",
+        "p_laplace_power",
+        "profile_eval",
+        "profile_residual",
+        "quotient_series",
+        "run_verification",
+        "sample_profile_trajectory",
+        "solve_profile",
+        "startup_state",
+        "system_from_config",
+    ]
 
 
 def _fresh_interpreter(code: str) -> str:

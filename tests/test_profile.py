@@ -14,8 +14,6 @@ from plap import (
     p_laplace_power,
     profile_eval,
     profile_residual,
-    solve_amplitudes,
-    solve_exponents,
     solve_profile,
     system_from_config,
 )
@@ -82,10 +80,10 @@ def test_single_power_operator_signed_amplitudes():
 
 def exponent_oracle(system):
     """Solve the 2x2 power-matching system with a generic linear solver."""
-    p, alpha = system.params.p, system.params.alpha
+    p, alpha = system.p, system.alpha
     k1, k2, k3 = system.k1, system.k2, system.k3
-    (_, m1), = system.params.f1.terms
-    (_, m2), = system.params.f2.terms
+    (_, m1), = system.f1.terms
+    (_, m2), = system.f2.terms
     A = np.array([[p - 1.0 - alpha, -k1], [-k3, p - 1.0 - k2]])
     rhs = np.array([p - alpha + m1, p - k3 + m2])
     return np.linalg.solve(A, rhs)
@@ -94,17 +92,16 @@ def exponent_oracle(system):
 def test_exponents_match_linear_solver_on_random_systems():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        system, _ = sample_profile_system(rng)
-        lam, mu = solve_exponents(system)
+        system, profile = sample_profile_system(rng)
         lam_o, mu_o = exponent_oracle(system)
-        assert lam == pytest.approx(lam_o, rel=1e-12)
-        assert mu == pytest.approx(mu_o, rel=1e-12)
-        assert lam > 1.0 and mu > 1.0
+        assert profile.lam == pytest.approx(lam_o, rel=1e-12)
+        assert profile.mu == pytest.approx(mu_o, rel=1e-12)
+        assert profile.lam > 1.0 and profile.mu > 1.0
 
 
-def test_reference_exponents_exact(p3_system, poisson_system):
-    assert solve_exponents(p3_system) == (8.0 / 3.0, 7.0 / 3.0)
-    assert solve_exponents(poisson_system) == (2.0, 2.0)
+def test_reference_exponents_exact(p3_profile, poisson_profile):
+    assert (p3_profile.lam, p3_profile.mu) == (8.0 / 3.0, 7.0 / 3.0)
+    assert (poisson_profile.lam, poisson_profile.mu) == (2.0, 2.0)
 
 
 def test_profile_carries_operator_factors(p3_profile):
@@ -135,10 +132,10 @@ def test_amplitudes_satisfy_coupled_equations_on_random_systems():
     rng = np.random.default_rng(11)
     for _ in range(50):
         system, profile = sample_profile_system(rng)
-        p, alpha = system.params.p, system.params.alpha
+        p, alpha = system.p, system.alpha
         k1, k2, k3 = system.k1, system.k2, system.k3
-        (c1, _), = system.params.f1.terms
-        (c2, _), = system.params.f2.terms
+        (c1, _), = system.f1.terms
+        (c2, _), = system.f2.terms
         lc = profile.lam * profile.c_lam
         mc = profile.mu * profile.c_mu
         lhs1 = (p - 1.0 - alpha) * math.log(lc)
@@ -149,9 +146,8 @@ def test_amplitudes_satisfy_coupled_equations_on_random_systems():
         assert lhs2 == pytest.approx(rhs2, abs=1e-12)
 
 
-def test_solve_amplitudes_positive(p3_system):
-    c_lam, c_mu = solve_amplitudes(p3_system, 8.0 / 3.0, 7.0 / 3.0)
-    assert c_lam > 0 and c_mu > 0
+def test_amplitudes_positive(p3_profile):
+    assert p3_profile.c_lam > 0 and p3_profile.c_mu > 0
 
 
 # ---------------------------------------------------------------------------
