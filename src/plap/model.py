@@ -184,7 +184,11 @@ class ValidatedSystem:
         if not 1.0 < self.p < math.inf:
             raise ValueError(f"diffusion exponent p must be a finite number > 1, got {self.p}")
         n = self.n
-        if isinstance(n, bool) or not (isinstance(n, numbers.Real) and float(n).is_integer()):
+        try:
+            whole = not isinstance(n, bool) and isinstance(n, numbers.Real) and float(n).is_integer()
+        except OverflowError:
+            raise ValueError("dimension n is an integer too large for a float") from None
+        if not whole:
             raise ValueError(f"dimension n must be an integer, got {n}")
         object.__setattr__(self, "n", int(n))
         if self.n < 2:

@@ -202,8 +202,8 @@ def check_ordering(traj_a: Trajectory, traj_b: Trajectory) -> OrderingReport:
 
 @dataclass
 class EquationBounds:
-    worst_lower_margin: float  # min of (deriv - lower)/upper; negative = violation
-    worst_upper_margin: float  # min of (upper - deriv)/upper
+    worst_lower_margin: float  # min of 1 - c - sigma; negative = violation
+    worst_upper_margin: float  # min of sigma
     r_at_lower: float
     r_at_upper: float
 
@@ -224,51 +224,41 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
         d/dr[(u')^(p-1-alpha)] = (p-1-alpha)/(p-1) w1 - delta/r (u')^(p-1-alpha)
         d/dr[(v')^(p-1)]       = w2 - (n-1)/r (v')^(p-1)
 
-    are evaluated from the stored states (no finite differences) and must sit
-    inside
-
-        (p-1-alpha) / (n(p-1-alpha)+alpha) * w1 <= ... <= (p-1-alpha)/(p-1) * w1
-        (1/n) * w2 <= ... <= w2
-
-    Margins are normalised by the upper bound; a run integrated from exact
-    startup attains the lower bounds exactly when the radial weights are
-    constants.
+    lie between c1 = (p-1)/(n(p-1-alpha)+alpha) and c2 = 1/n times their
+    upper bounds (p-1-alpha)/(p-1) w1 and w2.  So the gradient term's share
+    of the upper bound, sigma1 = delta (p-1) (u')^(p-1-alpha) / ((p-1-alpha) r w1)
+    or sigma2 = (n-1) (v')^(p-1) / (r w2), lies in [0, 1 - c]: the lower
+    margin is 1 - c - sigma, the upper margin sigma.  sigma reads the stored
+    u' and v', not P and S: through P, sigma1 is delta / (r P'/P), and
+    neither P nor P' reads u', so a bent u' would pass.
+    A non-finite w (an overflowed growth law) gives NaN margins, which fail,
+    where sigma alone would read 0 and pass.  A run from exact startup
+    attains the first lower bound exactly when the weights are constants.
     """
     p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     r = traj.r
+    pma = p - 1.0 - alpha
     w1 = system.f1(r) * system.g1(traj.v)
     w2 = system.f2(r) * system.g2(traj.v) * system.g3(traj.du)
-    pma = p - 1.0 - alpha
+    sigma1 = delta * (p - 1.0) * traj.du**pma / (pma * r * w1)
+    sigma2 = (n - 1.0) * traj.dv ** (p - 1.0) / (r * w2)
 
-    deriv1 = pma / (p - 1.0) * w1 - delta / r * traj.du**pma
-    lower1 = pma / (n * pma + alpha) * w1
-    upper1 = pma / (p - 1.0) * w1
-    deriv2 = w2 - (n - 1.0) / r * traj.dv ** (p - 1.0)
-    lower2 = w2 / n
-    upper2 = w2
-
-    def eq_bounds(deriv, lower, upper) -> EquationBounds:
-        lo_m = (deriv - lower) / upper
-        up_m = (upper - deriv) / upper
+    def eq_bounds(sigma, w, c) -> EquationBounds:
+        sigma = np.where(np.isfinite(w), sigma, np.nan)
+        lo_m = 1.0 - c - sigma
         i_lo = int(np.argmin(lo_m))
-        i_up = int(np.argmin(up_m))
+        i_up = int(np.argmin(sigma))
         return EquationBounds(
             worst_lower_margin=float(lo_m[i_lo]),
-            worst_upper_margin=float(up_m[i_up]),
+            worst_upper_margin=float(sigma[i_up]),
             r_at_lower=float(r[i_lo]),
             r_at_upper=float(r[i_up]),
         )
 
-    first = eq_bounds(deriv1, lower1, upper1)
-    second = eq_bounds(deriv2, lower2, upper2)
+    first = eq_bounds(sigma1, w1, (p - 1.0) / (n * pma + alpha))
+    second = eq_bounds(sigma2, w2, 1.0 / n)
     passed = all(
-        m >= -tol
-        for m in (
-            first.worst_lower_margin,
-            first.worst_upper_margin,
-            second.worst_lower_margin,
-            second.worst_upper_margin,
-        )
+        m >= -tol for eq in (first, second) for m in (eq.worst_lower_margin, eq.worst_upper_margin)
     )
     return BoundsReport(first_equation=first, second_equation=second, slack=tol, passed=bool(passed))
 

@@ -42,6 +42,20 @@ P3_CONFIG = {
 }
 
 
+# A multi-term f1: u' is a power law only to leading order, and no profile exists.
+MULTI_TERM_CONFIG = {
+    "p": 2.4,
+    "n": 4,
+    "alpha": 0.3,
+    "r_max": 10.0,
+    "f1": [[0.7, 0.0], [1.3, 1.5]],
+    "f2": [[2.0, 0.5]],
+    "g1": [[1.0, 0.8]],
+    "g2": [[1.0, 0.2]],
+    "g3": [[1.0, 0.6]],
+}
+
+
 @pytest.fixture(scope="session")
 def poisson_system() -> ValidatedSystem:
     return system_from_config(POISSON_CONFIG)

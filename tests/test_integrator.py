@@ -29,20 +29,7 @@ from plap import (
 )
 from plap import integrator
 from plap.integrator import _DP_A, _DP_C, _DP_ERR, _step_loop, dormand_prince_step
-from conftest import P3_CONFIG, POISSON_CONFIG, sample_integration_system
-
-
-MULTI_TERM_CONFIG = {
-    "p": 2.4,
-    "n": 4,
-    "alpha": 0.3,
-    "r_max": 10.0,
-    "f1": [[0.7, 0.0], [1.3, 1.5]],
-    "f2": [[2.0, 0.5]],
-    "g1": [[1.0, 0.8]],
-    "g2": [[1.0, 0.2]],
-    "g3": [[1.0, 0.6]],
-}
+from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, sample_integration_system
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,8 @@ def test_params_validation_rejects_bad_scalars():
         constant_system(n=2.5)
     with pytest.raises(ValueError, match="dimension n must be an integer, got True"):
         constant_system(n=True)
+    with pytest.raises(ValueError, match="dimension n is an integer too large for a float"):
+        constant_system(n=10**400)
     with pytest.raises(ValueError):
         constant_system(alpha=-0.1)
     with pytest.raises(ValueError):

@@ -26,8 +26,8 @@ from plap import (
     sample_profile_trajectory,
     system_from_config,
 )
-from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK
-from conftest import P3_CONFIG, sample_integration_system
+from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK, BoundsReport, EquationBounds
+from conftest import MULTI_TERM_CONFIG, P3_CONFIG, sample_integration_system
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +181,65 @@ def test_convexity_bounds_hold_on_random_systems():
         system, _ = sample_integration_system(rng)
         traj = integrate_radial(system, 1.0, 1.0, tol=1e-9, r_max=100.0)
         assert check_convexity_bounds(traj, system).passed
+
+
+def _reference_bounds(traj, system, tol=_SLACK):
+    """``check_convexity_bounds`` in its difference form: each flux derivative
+    is built from the stored states and set between its two bounds."""
+    p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
+    r = traj.r
+    w1 = system.f1(r) * system.g1(traj.v)
+    w2 = system.f2(r) * system.g2(traj.v) * system.g3(traj.du)
+    pma = p - 1.0 - alpha
+
+    def eq_bounds(deriv, lower, upper):
+        lo_m = (deriv - lower) / upper
+        up_m = (upper - deriv) / upper
+        i_lo = int(np.argmin(lo_m))
+        i_up = int(np.argmin(up_m))
+        return EquationBounds(float(lo_m[i_lo]), float(up_m[i_up]), float(r[i_lo]), float(r[i_up]))
+
+    first = eq_bounds(
+        pma / (p - 1.0) * w1 - delta / r * traj.du**pma,
+        pma / (n * pma + alpha) * w1,
+        pma / (p - 1.0) * w1,
+    )
+    second = eq_bounds(w2 - (n - 1.0) / r * traj.dv ** (p - 1.0), w2 / n, w2)
+    margins = (first.worst_lower_margin, first.worst_upper_margin)
+    margins += (second.worst_lower_margin, second.worst_upper_margin)
+    return BoundsReport(first, second, tol, all(m >= -tol for m in margins))
+
+
+def test_convexity_bounds_match_the_difference_form(poisson_traj, poisson_system, p3_traj, p3_system):
+    multi = system_from_config(MULTI_TERM_CONFIG)
+    runs = [
+        (poisson_traj, poisson_system),
+        (p3_traj, p3_system),
+        (dataclasses.replace(p3_traj, du=p3_traj.du * 1.2), p3_system),
+        (integrate_radial(multi, 1.0, 1.0, tol=1e-9, r_max=10.0), multi),
+    ]
+    rng = np.random.default_rng(99)
+    for _ in range(3):
+        system, _ = sample_integration_system(rng)
+        runs.append((integrate_radial(system, 1.0, 1.0, tol=1e-9, r_max=100.0), system))
+    for traj, system in runs:
+        got, ref = check_convexity_bounds(traj, system), _reference_bounds(traj, system)
+        assert got.passed == ref.passed
+        for eq, ref_eq in ((got.first_equation, ref.first_equation), (got.second_equation, ref.second_equation)):
+            assert eq.worst_lower_margin == pytest.approx(ref_eq.worst_lower_margin, rel=0, abs=1e-14)
+            assert eq.worst_upper_margin == pytest.approx(ref_eq.worst_upper_margin, rel=0, abs=1e-14)
+
+
+def test_convexity_bounds_fail_an_overflowed_weight():
+    """v scaled by 1e200 overflows w1 = g1(v) = v^2; sigma1 = 0 would then pass."""
+    system = system_from_config(dict(P3_CONFIG, p=4, g1=[[1.0, 2.0]], r_max=10.0))
+    traj = integrate_radial(system, 1.0, 1.0, tol=1e-9, r_max=10.0)
+    with np.errstate(all="ignore"):
+        report = check_convexity_bounds(dataclasses.replace(traj, v=traj.v * 1e200), system)
+    assert not report.passed
+    assert math.isnan(report.first_equation.worst_lower_margin)
+    assert report.second_equation.worst_lower_margin >= -report.slack
+    assert report.second_equation.worst_upper_margin >= -report.slack
 
 
 # ---------------------------------------------------------------------------
