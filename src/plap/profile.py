@@ -160,39 +160,41 @@ def profile_residual(
 
         defect = |lhs - rhs| / max(|lhs|, |rhs|) = 1 - exp(-|log lhs - log rhs|)
 
-    which is exact for positive sides and immune to overflow for large
-    exponents.  A correct profile scores at rounding level; perturbing an
-    amplitude by epsilon moves the residual to O(epsilon).
+    which is exact for positive sides.  Amplitudes enter in logs as well,
+    through ``Lp[C r^lam] = C^(p-1) Lp[r^lam]`` for ``C > 0``, so extreme
+    amplitudes neither overflow nor underflow.  Both equations' gaps are
+    reduced by one ``np.max``, so a NaN gap gives a NaN residual; ``C <= 0``
+    or a wrong sign structure scores ``inf``.  A correct profile scores at
+    rounding level; perturbing an amplitude by epsilon moves it to O(epsilon).
     """
     c1, m1, c2, m2 = _pure_power_weights(system)
     p, n, alpha = system.p, system.n, system.alpha
     k1, k2, k3 = system.k1, system.k2, system.k3
     lam, mu, c_lam, c_mu = profile.lam, profile.mu, profile.c_lam, profile.c_mu
 
-    amp1, expo1 = p_laplace_power(c_lam, lam, p, n)
-    amp2, expo2 = p_laplace_power(c_mu, mu, p, n)
-    if amp1 <= 0.0 or amp2 <= 0.0:
+    amp1, expo1 = p_laplace_power(1.0, lam, p, n)
+    amp2, expo2 = p_laplace_power(1.0, mu, p, n)
+    if not (c_lam > 0.0 and c_mu > 0.0 and amp1 > 0.0 and amp2 > 0.0):
         return math.inf  # not even the right sign structure
 
     log_r = np.log(np.asarray(r_samples, dtype=float))
+    log_c_lam, log_c_mu = math.log(c_lam), math.log(c_mu)
+    log_du0 = math.log(lam) + log_c_lam  # amplitude of u0' = lam C_lam r^(lam-1)
     # first equation: c1 r^m1 * (v0)^k1 * (u0')^alpha
-    log_lhs1 = math.log(amp1) + expo1 * log_r
+    log_lhs1 = math.log(amp1) + (p - 1.0) * log_c_lam + expo1 * log_r
     log_rhs1 = (
         math.log(c1)
-        + k1 * math.log(c_mu)
-        + alpha * math.log(lam * c_lam)
+        + k1 * log_c_mu
+        + alpha * log_du0
         + (m1 + mu * k1 + (lam - 1.0) * alpha) * log_r
     )
     # second equation: c2 r^m2 * (v0)^k2 * (u0')^k3
-    log_lhs2 = math.log(amp2) + expo2 * log_r
+    log_lhs2 = math.log(amp2) + (p - 1.0) * log_c_mu + expo2 * log_r
     log_rhs2 = (
         math.log(c2)
-        + k2 * math.log(c_mu)
-        + k3 * math.log(lam * c_lam)
+        + k2 * log_c_mu
+        + k3 * log_du0
         + (m2 + mu * k2 + (lam - 1.0) * k3) * log_r
     )
-    gap = max(
-        float(np.max(np.abs(log_lhs1 - log_rhs1))),
-        float(np.max(np.abs(log_lhs2 - log_rhs2))),
-    )
-    return -math.expm1(-gap)
+    gap = np.abs(np.stack((log_lhs1 - log_rhs1, log_lhs2 - log_rhs2)))
+    return -math.expm1(-float(np.max(gap)))

@@ -350,6 +350,33 @@ def test_exit_2_on_arithmetic_error(write_config, command, failure):
     assert "Traceback" not in proc.stderr
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "command, base, overrides",
+    [
+        pytest.param(command, path.name, {}, id=f"{command}-{path.stem}")
+        for path in sorted(CONFIGS.glob("*.json"))
+        for command in ("profile", "verify")
+    ]
+    + [
+        pytest.param("profile", "coupled_p3.json", {key: [[weight, 0.0]]}, id=f"profile-{key}={weight:g}")
+        for key, weight in (("f1", 1e-300), ("f2", 1e-300), ("f1", 1e300))
+    ],
+)
+def test_fresh_process_writes_standard_json_and_nothing_on_stderr(write_config, command, base, overrides):
+    """Amplitudes of 4e-202 and 4e198 enter the profile residual in logs, so
+    it is neither ``Infinity`` nor an ``OverflowError``."""
+    cfg = write_config(base, json.loads((CONFIGS / base).read_text()), **overrides)
+    proc = _fresh_cli(command, "--config", cfg)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    doc = json.loads(proc.stdout, parse_constant=_reject_constant)
+    if command == "profile":
+        assert doc["residual"] < 1e-12
+
+
 @pytest.mark.parametrize(
     "overrides, flags, radius",
     [({"n": 60}, [], "1e-06"), ({}, ["--rmax", "1e-200"], "9.999999999999999e-207")],

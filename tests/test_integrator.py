@@ -847,5 +847,17 @@ def test_flux_consistency_reference_runs(poisson_traj, p3_traj, poisson_system, 
 
 
 def test_flux_consistency_detects_corruption(p3_traj, p3_system):
+    """A bent flux shows; so does one NaN or infinite sample of P, S, or a
+    state that a growth law reads (both systems' g1 reads v and g3 reads u')."""
     bent = dataclasses.replace(p3_traj, P=p3_traj.P * 1.001)
     assert flux_consistency(bent, p3_system) > 1e-4
+    multi_system = system_from_config(MULTI_TERM_CONFIG)
+    multi_traj = integrate_radial(multi_system, 1.0, 1.0, tol=1e-9)
+    for traj, system in ((p3_traj, p3_system), (multi_traj, multi_system)):
+        for field in ("P", "S", "v", "du"):
+            for bad in (math.nan, math.inf):
+                samples = getattr(traj, field).copy()
+                samples[len(samples) // 2] = bad
+                with np.errstate(all="ignore"):
+                    defect = flux_consistency(dataclasses.replace(traj, **{field: samples}), system)
+                assert not defect < 1e-6, (system.f1.terms, field, bad, defect)

@@ -189,8 +189,11 @@ def test_residual_detects_exponent_perturbation(p3_system, p3_profile):
 
 
 def test_residual_infinite_for_degenerate_operator_output(poisson_system):
-    forged = PowerProfile(lam=-1.0, mu=2.0, c_lam=1.0, c_mu=1.0, b_lam=0.0, b_mu=3.0)
-    assert profile_residual(forged, poisson_system, RESIDUAL_GRID) == math.inf
+    """A zero operator output, and a negative or zero amplitude, whose log
+    the residual would otherwise take."""
+    for lam, c_lam, c_mu in ((-1.0, 1.0, 1.0), (2.0, -1.0, 1.0), (2.0, 1.0, 0.0)):
+        forged = PowerProfile(lam=lam, mu=2.0, c_lam=c_lam, c_mu=c_mu, b_lam=0.0, b_mu=3.0)
+        assert profile_residual(forged, poisson_system, RESIDUAL_GRID) == math.inf
 
 
 def test_multi_term_weights_are_refused():
