@@ -140,10 +140,15 @@ def geometric_grid(r0: float, r_max: float, points_per_decade: int = 64) -> np.n
     """Geometric output grid from r0 to r_max, about `points_per_decade` per decade.
 
     Grids are memoised and read-only, so repeated runs on one grid share one
-    array instead of holding a copy each.
+    array instead of holding a copy each.  Raises ``ValueError`` unless
+    0 < r0 < r_max, r_max / r0 is finite and ``points_per_decade`` >= 1.
     """
     if not (0.0 < r0 < r_max):
         raise ValueError(f"need 0 < r0 < r_max, got r0={r0}, r_max={r_max}")
+    if not math.isfinite(r_max / r0):
+        raise ValueError(f"r_max / r0 must be finite, got r0={r0}, r_max={r_max}")
+    if not points_per_decade >= 1:
+        raise ValueError(f"points_per_decade must be at least 1, got {points_per_decade}")
     decades = math.log10(r_max / r0)
     count = max(2, int(math.ceil(decades * points_per_decade)) + 1)
     grid = np.geomspace(r0, r_max, count)
@@ -636,29 +641,33 @@ def integrate_radial(
 
 
 def _cumulative_power_quadrature(r: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Cumulative integral of a positive, power-law-like integrand over r.
+    """Cumulative integrals of a (K, N) stack of positive, power-law-like integrands over r.
 
-    Works in x = log r: the integrand is lifted to psi = log(values * r) and a
+    Works in x = log r: each integrand is lifted to psi = log(values * r) and a
     local cubic fit of psi (four neighbouring nodes) is integrated per
-    interval with 6-point Gauss-Legendre.  Exact to rounding for pure powers
-    of r, and high-order for the smooth log-curvature of validated runs, so a
-    64-per-decade grid resolves the integral far below the defect thresholds.
+    interval with 6-point Gauss-Legendre.  The nodes are the same for every
+    row, so each interval makes one ``np.polyfit`` call with a K-column
+    right-hand side and the rows share it.  Exact to rounding for pure powers
+    of r, and high-order for the smooth log-curvature of validated runs: the
+    truncation error falls as about h^4 in the grid spacing h, so the grid's
+    points per decade, not the stepper's tolerance, set the defect it leaves.
     """
     x = np.log(r)
     psi = np.log(np.maximum(values, 1e-300)) + x
+    # an infinite psi would make the least-squares solve rescale every row's
+    # right-hand side by 1/inf; as NaN it spoils only its own row
+    psi[np.isinf(psi)] = np.nan
     nodes, weights = np.polynomial.legendre.leggauss(6)
-    out = np.zeros(len(r))
-    acc = 0.0
+    out = np.zeros(psi.shape)
     count = len(r)
     for i in range(count - 1):
         lo = max(0, i - 1)
         hi = min(count, i + 3)
         xc = x[lo:hi] - x[i]
-        coeffs = np.polyfit(xc, psi[lo:hi], deg=len(xc) - 1)
+        coeffs = np.polyfit(xc, psi[:, lo:hi].T, deg=len(xc) - 1)
         half = 0.5 * (x[i + 1] - x[i])
         local = half * (nodes + 1.0)  # map [-1, 1] onto [0, x_{i+1}-x_i]
-        acc += half * float(np.dot(weights, np.exp(np.polyval(coeffs, local))))
-        out[i + 1] = acc
+        out[:, i + 1] = out[:, i] + half * (weights @ np.exp(np.polyval(coeffs, local[:, None])))
     return out
 
 
@@ -667,17 +676,20 @@ def flux_consistency(traj: Trajectory, system: ValidatedSystem) -> float:
 
     The right-hand sides are evaluated from the stored states and integrated
     cumulatively from the startup radius by a scheme independent of the
-    stepper; the defect at each grid point compares flux increments with the
+    stepper, both in one quadrature pass that shares each interval's fit;
+    the defect at each grid point compares flux increments with the
     quadrature.  Converged runs score well below 1e-6; corrupting a single
-    state is immediately visible.  The defects of P and S form one (2, N)
-    array reduced by one ``np.max``, so a NaN or infinite defect fails.
+    state is immediately visible.  The defect is the quadrature's own
+    truncation, so it depends on the points per decade, not on ``tol``.  The
+    defects of P and S form one (2, N) array reduced by one ``np.max``, so a
+    NaN or infinite defect fails.
     """
     p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     coef = (p - 1.0 - alpha) / (p - 1.0)
     r = traj.r
     rhs_P = coef * r**delta * system.f1(r) * system.g1(traj.v)
     rhs_S = r ** (n - 1) * system.f2(r) * system.g2(traj.v) * system.g3(traj.du)
-    quad = np.stack([_cumulative_power_quadrature(r, rhs) for rhs in (rhs_P, rhs_S)])
+    quad = _cumulative_power_quadrature(r, np.stack((rhs_P, rhs_S)))
     flux = np.stack((traj.P, traj.S))
     inc = flux - flux[:, :1]
     denom = np.maximum(np.maximum(np.abs(inc), np.abs(quad)), 1e-300)

@@ -461,6 +461,16 @@ def test_exit_1_on_rmax_flag_out_of_range(command, value):
     assert proc.stderr == f"ValueError: --rmax must be a finite number > 0, got {float(value)}\n"
 
 
+@pytest.mark.parametrize("overrides, flags", [({"r_max": 1e308}, []), ({}, ["--rmax", "1e308"])], ids=["config", "flag"])
+def test_exit_1_when_r_max_over_r0_overflows(write_config, overrides, flags):
+    """r_max = 1e308 is finite, but r_max / r0 is not, so the output grid has
+    no decade count: one line and exit 1, not an ``OverflowError`` (exit 2)."""
+    cfg = write_config("huge_rmax.json", P3_CONFIG, **overrides)
+    proc = _fresh_cli("verify", "--config", cfg, *flags)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "ValueError: r_max / r0 must be finite, got r0=1e-06, r_max=1e+308\n"
+
+
 _HUGE_INT = "1" + "0" * 400
 
 

@@ -24,6 +24,7 @@ from plap import (
     geometric_grid,
     integrate_fixed_grid,
     integrate_radial,
+    run_verification,
     startup_state,
     system_from_config,
 )
@@ -55,10 +56,27 @@ def test_default_grids_are_shared_and_read_only(poisson_system):
 
 
 def test_geometric_grid_rejects_bad_ranges():
-    with pytest.raises(ValueError):
-        geometric_grid(1.0, 1.0)
-    with pytest.raises(ValueError):
-        geometric_grid(-1.0, 10.0)
+    """Also an r_max / r0 past the largest float, which has no decade count,
+    and fewer than one point per decade, which gave a silent 2-point grid."""
+    for r0, r_max, points_per_decade in [
+        (1.0, 1.0, 64),
+        (-1.0, 10.0, 64),
+        (1e-6, 1e308, 64),
+        (1e-6, math.inf, 64),
+        (1e-300, 1e10, 64),
+        (1e-6, 10.0, 0),
+        (1e-6, 10.0, 0.5),
+        (1e-6, 10.0, -3),
+    ]:
+        with pytest.raises(ValueError):
+            geometric_grid(r0, r_max, points_per_decade)
+
+
+def test_runs_reject_what_the_grid_cannot_hold(p3_system):
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_radial(p3_system, 1.0, 1.0, r_max=math.inf)
+    with pytest.raises(ValueError, match="points_per_decade"):
+        run_verification(p3_system, 1.0, 1.0, points_per_decade=0)
 
 
 # ---------------------------------------------------------------------------
@@ -839,6 +857,70 @@ def test_underflow_when_the_startup_powers_of_r0_underflow():
 # ---------------------------------------------------------------------------
 # Flux consistency (independent quadrature cross-check)
 # ---------------------------------------------------------------------------
+
+
+def _flux_integrands(traj, system):
+    """The (2, N) stack of right-hand sides that ``flux_consistency`` integrates."""
+    coef = (system.p - 1.0 - system.alpha) / (system.p - 1.0)
+    r = traj.r
+    rhs_P = coef * r**system.delta * system.f1(r) * system.g1(traj.v)
+    rhs_S = r ** (system.n - 1) * system.f2(r) * system.g2(traj.v) * system.g3(traj.du)
+    return np.stack((rhs_P, rhs_S))
+
+
+@pytest.mark.parametrize("points_per_decade", [64, 256])
+@pytest.mark.parametrize("config", [P3_CONFIG, MULTI_TERM_CONFIG], ids=["coupled_p3", "multi_term"])
+def test_quadrature_rows_share_a_fit_without_mixing(config, points_per_decade):
+    """Both fluxes' integrands in one call give what each gives alone: the
+    shared fit changes only the rounding."""
+    system = system_from_config(config)
+    traj = integrate_radial(system, 1.0, 1.0, 1e-9, points_per_decade=points_per_decade)
+    values = _flux_integrands(traj, system)
+    both = integrator._cumulative_power_quadrature(traj.r, values)
+    assert both.shape == values.shape
+    for i in range(2):
+        alone = integrator._cumulative_power_quadrature(traj.r, values[i : i + 1])[0]
+        np.testing.assert_allclose(both[i], alone, rtol=1e-13, atol=0.0)
+
+
+def test_quadrature_is_exact_for_two_pure_powers_in_one_call():
+    r = geometric_grid(1e-6, 1e4, 64)
+    coeffs = np.array([[3.0], [0.5]])
+    powers = np.array([[2.0], [0.7]])
+    got = integrator._cumulative_power_quadrature(r, coeffs * r**powers)
+    exact = coeffs * (r ** (powers + 1) - r[0] ** (powers + 1)) / (powers + 1)
+    assert got[:, 0].tolist() == [0.0, 0.0]
+    np.testing.assert_allclose(got[:, 1:], exact[:, 1:], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("row", [0, 1])
+def test_nonfinite_sample_spoils_only_its_own_row(row, bad):
+    """An infinite sample must not make the shared least-squares solve
+    rescale the other row's right-hand side to NaN as well."""
+    r = geometric_grid(1e-6, 1e4, 64)
+    values = np.stack((3.0 * r**2, 0.5 * r**0.7))
+    values[row, len(r) // 2] = bad
+    got = integrator._cumulative_power_quadrature(r, values)
+    other = 1 - row
+    alone = integrator._cumulative_power_quadrature(r, values[other : other + 1])[0]
+    assert np.all(np.isfinite(got[other]))
+    np.testing.assert_allclose(got[other], alone, rtol=1e-13, atol=0.0)
+    assert np.isnan(got[row, -1])
+
+
+def test_flux_defect_is_the_quadrature_truncation_not_the_tolerance():
+    """On the multi-term config the defect reads 6.5e-7 at 64 points per
+    decade for both tol 1e-9 and 1e-12, and falls like h^4 with the grid."""
+    system = system_from_config(MULTI_TERM_CONFIG)
+
+    def defect(tol, points_per_decade):
+        traj = integrate_radial(system, 1.0, 1.0, tol, points_per_decade=points_per_decade)
+        return flux_consistency(traj, system)
+
+    loose, tight = defect(1e-9, 64), defect(1e-12, 64)
+    assert abs(loose - tight) < 0.01 * tight, (loose, tight)
+    assert defect(1e-9, 256) < 1e-8
 
 
 def test_flux_consistency_reference_runs(poisson_traj, p3_traj, poisson_system, p3_system):
