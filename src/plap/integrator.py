@@ -640,6 +640,14 @@ def integrate_radial(
 # ----------------------------------------------------------------------------
 
 
+# the 6-point Gauss-Legendre rule on [-1, 1], np.polynomial.legendre.leggauss(6)
+# bit for bit, written out so the check never imports numpy.polynomial
+_GAUSS_NODES = np.array([-0.93246951420315194, -0.66120938646626448, -0.23861918608319690,
+                         0.23861918608319690, 0.66120938646626448, 0.93246951420315194])
+_GAUSS_WEIGHTS = np.array([0.17132449237917027, 0.36076157304813872, 0.46791393457269104,
+                           0.46791393457269104, 0.36076157304813872, 0.17132449237917027])
+
+
 def _cumulative_power_quadrature(r: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Cumulative integrals of a (K, N) stack of positive, power-law-like integrands over r.
 
@@ -657,7 +665,6 @@ def _cumulative_power_quadrature(r: np.ndarray, values: np.ndarray) -> np.ndarra
     # an infinite psi would make the least-squares solve rescale every row's
     # right-hand side by 1/inf; as NaN it spoils only its own row
     psi[np.isinf(psi)] = np.nan
-    nodes, weights = np.polynomial.legendre.leggauss(6)
     out = np.zeros(psi.shape)
     count = len(r)
     for i in range(count - 1):
@@ -666,8 +673,8 @@ def _cumulative_power_quadrature(r: np.ndarray, values: np.ndarray) -> np.ndarra
         xc = x[lo:hi] - x[i]
         coeffs = np.polyfit(xc, psi[:, lo:hi].T, deg=len(xc) - 1)
         half = 0.5 * (x[i + 1] - x[i])
-        local = half * (nodes + 1.0)  # map [-1, 1] onto [0, x_{i+1}-x_i]
-        out[:, i + 1] = out[:, i] + half * (weights @ np.exp(np.polyval(coeffs, local[:, None])))
+        local = half * (_GAUSS_NODES + 1.0)  # map [-1, 1] onto [0, x_{i+1}-x_i]
+        out[:, i + 1] = out[:, i] + half * (_GAUSS_WEIGHTS @ np.exp(np.polyval(coeffs, local[:, None])))
     return out
 
 

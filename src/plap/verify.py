@@ -16,6 +16,10 @@ positive initial data:
 * all four quotients share a common limit structure at infinity tied
   together by two power-balance identities.
 
+The quotients are held as logs, log U = log u - log C_lam - lam log r and
+so on, since C_lam r^lam underflows near r0 on steep profiles; each check
+reads its quantity from the logs through ``expm1``.
+
 The checks are arithmetic on stored states only; no derivative is ever
 estimated by finite differences.
 """
@@ -70,33 +74,22 @@ class InsufficientRange(ValueError):
 
 @dataclass
 class QuotientSeries:
-    """The four solution/profile ratios sampled on the trajectory grid."""
+    """log U, log V, log W and log Y at the radii ``r``: the rows of one (4, N) array ``log``."""
 
     r: np.ndarray
-    u_ratio: np.ndarray
-    v_ratio: np.ndarray
-    du_ratio: np.ndarray
-    dv_ratio: np.ndarray
-
-    def series(self, key: str) -> np.ndarray:
-        return {
-            "u": self.u_ratio,
-            "v": self.v_ratio,
-            "du": self.du_ratio,
-            "dv": self.dv_ratio,
-        }[key]
+    log: np.ndarray
 
 
 def quotient_series(traj: Trajectory, profile: PowerProfile) -> QuotientSeries:
-    """Ratios of a trajectory against the power profile on the trajectory grid."""
-    u0, v0, du0, dv0 = profile_eval(profile, traj.r)
-    return QuotientSeries(
-        r=traj.r,
-        u_ratio=traj.u / u0,
-        v_ratio=traj.v / v0,
-        du_ratio=traj.du / du0,
-        dv_ratio=traj.dv / dv0,
-    )
+    """The logs of a trajectory's quotients, e.g. log U = log u - log C_lam - lam log r.
+
+    No profile value is formed: C_lam r^lam underflows at r0 = 1e-6 once lam >~ 43.
+    """
+    lam, mu = profile.lam, profile.mu
+    log_amp = np.log([profile.c_lam, profile.c_mu, lam * profile.c_lam, mu * profile.c_mu])
+    expo = np.array([lam, mu, lam - 1.0, mu - 1.0])
+    log_state = np.log(np.stack((traj.u, traj.v, traj.du, traj.dv)))
+    return QuotientSeries(r=traj.r, log=log_state - log_amp[:, None] - expo[:, None] * np.log(traj.r))
 
 
 @dataclass
@@ -118,19 +111,16 @@ def check_monotone_quotients(qs: QuotientSeries, tol: float = _SLACK) -> Monoton
 
     A forward difference counts as a violation when it exceeds ``tol`` times
     the local quotient value; the report records the worst normalised
-    increase and where it occurred.
+    increase and where it occurred.  For positive q that increase,
+    diff(q) / q[:-1], is expm1 of the forward difference of log q.
     """
-    out: dict[str, SeriesMonotonicity] = {}
-    for key in _SERIES_KEYS:
-        q = qs.series(key)
-        rel_inc = np.diff(q) / np.abs(q[:-1])
-        idx = int(np.argmax(rel_inc))
-        worst = float(rel_inc[idx])
-        out[key] = SeriesMonotonicity(
-            passed=bool(worst <= tol),
-            worst_increase=worst,
-            r_at=float(qs.r[idx + 1]),
-        )
+    rel_inc = np.expm1(np.diff(qs.log, axis=1))
+    worst = np.max(rel_inc, axis=1).tolist()
+    r_at = qs.r[np.argmax(rel_inc, axis=1) + 1].tolist()
+    out = {
+        key: SeriesMonotonicity(passed=bool(w <= tol), worst_increase=w, r_at=r)
+        for key, w, r in zip(_SERIES_KEYS, worst, r_at)
+    }
     return MonotonicityReport(series=out, slack=tol, passed=all(s.passed for s in out.values()))
 
 
@@ -151,11 +141,11 @@ def check_quotient_ordering(qs: QuotientSeries, slack: float = _SLACK) -> Quotie
     For non-degenerate couplings the inequalities are strict; degenerate
     constant couplings collapse some of them to equalities, which is why a
     multiplicative slack is allowed here (the strict variants are asserted in
-    the comparison check between genuinely ordered trajectories).
+    the comparison check between genuinely ordered trajectories).  In logs the
+    excess is expm1(min log q) and the gap (U - W) / U is -expm1(log W - log U).
     """
-    excess = {key: float(np.min(qs.series(key)) - 1.0) for key in _SERIES_KEYS}
-    gap_u = float(np.min((qs.u_ratio - qs.du_ratio) / qs.u_ratio))
-    gap_v = float(np.min((qs.v_ratio - qs.dv_ratio) / qs.v_ratio))
+    excess = dict(zip(_SERIES_KEYS, np.expm1(np.min(qs.log, axis=1)).tolist()))
+    gap_u, gap_v = np.min(-np.expm1(qs.log[2:] - qs.log[:2]), axis=1).tolist()
     ok = all(v >= -slack for v in excess.values()) and gap_u >= -slack and gap_v >= -slack
     return QuotientOrdering(
         passed=bool(ok), slack=slack, min_excess_above_one=excess, min_gap_u=gap_u, min_gap_v=gap_v
@@ -295,15 +285,12 @@ def estimate_limits(qs: QuotientSeries) -> dict[str, LimitEstimate]:
     if int(np.sum(window)) < 3:
         raise InsufficientRange("fewer than three grid points in the last two decades")
     out: dict[str, LimitEstimate] = {}
-    log_r = np.log(r[window])
-    for key in _SERIES_KEYS:
-        q = qs.series(key)[window]
-        y = q - 1.0
-        if np.min(y) <= 0.0 or np.max(y) <= 1e-13 * np.max(q):
+    log_r, r_last = np.log(r[window]), float(r[-1])
+    for key, log_q in zip(_SERIES_KEYS, qs.log[:, window]):
+        y = np.expm1(log_q)  # quotient - 1
+        if np.min(y) <= 0.0 or np.max(y) <= 1e-13 * (1.0 + np.max(y)):
             # flat (or sub-rounding) series: no decay left to fit
-            out[key] = LimitEstimate(
-                value=float(q[-1]), rate=None, fit_quality=None, r_last=float(qs.r[-1])
-            )
+            out[key] = LimitEstimate(value=math.exp(log_q[-1]), rate=None, fit_quality=None, r_last=r_last)
             continue
         ly = np.log(y)
         slope, intercept = np.polyfit(log_r, ly, 1)
@@ -312,7 +299,7 @@ def estimate_limits(qs: QuotientSeries) -> dict[str, LimitEstimate]:
             value=1.0 + math.exp(intercept + slope * log_r[-1]),
             rate=float(-slope),
             fit_quality=float(np.sqrt(np.mean(resid**2))),
-            r_last=float(qs.r[-1]),
+            r_last=r_last,
         )
     return out
 

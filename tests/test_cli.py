@@ -350,6 +350,10 @@ def test_exit_2_on_arithmetic_error(write_config, command, failure):
     assert "Traceback" not in proc.stderr
 
 
+# p=2, n=3, lambda about 50.7: C_lambda r^lambda underflows at r0 = 1e-6
+_STEEP = {"p": 2, "alpha": 0, "g1": [[1.0, 0.97]], "g3": [[1.0, 0.97]], "r_max": 1000.0}
+
+
 def _reject_constant(name: str) -> None:
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -364,13 +368,19 @@ def _reject_constant(name: str) -> None:
     + [
         pytest.param("profile", "coupled_p3.json", {key: [[weight, 0.0]]}, id=f"profile-{key}={weight:g}")
         for key, weight in (("f1", 1e-300), ("f2", 1e-300), ("f1", 1e300))
-    ],
+    ]
+    + [pytest.param("verify", "coupled_p3.json", _STEEP, id="verify-steep")],
 )
-def test_fresh_process_writes_standard_json_and_nothing_on_stderr(write_config, command, base, overrides):
+def test_fresh_process_writes_standard_json_and_nothing_on_stderr(
+    write_config, tmp_path, command, base, overrides
+):
     """Amplitudes of 4e-202 and 4e198 enter the profile residual in logs, so
-    it is neither ``Infinity`` nor an ``OverflowError``."""
+    it is neither ``Infinity`` nor an ``OverflowError``.  On the steep
+    system (lambda about 50.7, C_lambda about 2e-87) the profile underflows
+    near r0 but the quotients are formed in logs: no warning, no ``NaN``."""
     cfg = write_config(base, json.loads((CONFIGS / base).read_text()), **overrides)
-    proc = _fresh_cli(command, "--config", cfg)
+    flags = ["--series-out", str(tmp_path / "series.csv")] if command == "verify" else []
+    proc = _fresh_cli(command, "--config", cfg, *flags)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     doc = json.loads(proc.stdout, parse_constant=_reject_constant)
     if command == "profile":

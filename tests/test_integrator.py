@@ -859,6 +859,12 @@ def test_underflow_when_the_startup_powers_of_r0_underflow():
 # ---------------------------------------------------------------------------
 
 
+def test_gauss_legendre_constants_are_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    assert integrator._GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert integrator._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def _flux_integrands(traj, system):
     """The (2, N) stack of right-hand sides that ``flux_consistency`` integrates."""
     coef = (system.p - 1.0 - system.alpha) / (system.p - 1.0)

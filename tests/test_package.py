@@ -10,6 +10,7 @@ import pytest
 
 import plap
 from plap import integrator, model, profile, verify
+from conftest import P3_CONFIG
 
 
 @pytest.mark.parametrize("module", [model, profile, integrator, verify], ids=lambda m: m.__name__)
@@ -76,12 +77,16 @@ def _fresh_interpreter(code: str) -> str:
 
 
 def test_import_loads_only_numpy_machinery():
-    """numpy is the only runtime dependency and the CLI starts no worker pool."""
+    """numpy is the only runtime dependency, the CLI starts no worker pool,
+    and the flux check's quadrature does not import numpy.polynomial."""
     out = _fresh_interpreter(
         "import plap.cli, sys; "
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent'))))"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))); "
+        f"system = plap.system_from_config({P3_CONFIG!r}); "
+        "plap.flux_consistency(plap.integrate_radial(system, 1.0, 1.0, r_max=100.0), system); "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))))"
     )
-    assert out.strip() == ""
+    assert out.splitlines() == ["", ""]
 
 
 def test_import_generates_no_code():

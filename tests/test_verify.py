@@ -21,6 +21,7 @@ from plap import (
     estimate_limits,
     geometric_grid,
     integrate_radial,
+    profile_eval,
     quotient_series,
     run_verification,
     sample_profile_trajectory,
@@ -44,8 +45,8 @@ def test_profile_against_itself_is_unity(p3_profile, p3_system):
     grid = np.geomspace(1e-3, 1e3, 200)
     traj = sample_profile_trajectory(p3_profile, p3_system, grid)
     qs = quotient_series(traj, p3_profile)
-    for key in ("u", "v", "du", "dv"):
-        assert np.max(np.abs(qs.series(key) - 1.0)) < 5e-13, key
+    for key, quotient in zip(("u", "v", "du", "dv"), np.exp(qs.log)):
+        assert np.max(np.abs(quotient - 1.0)) < 5e-13, key
     # the flat series passes the slacked checks
     assert check_monotone_quotients(qs).passed
     assert check_quotient_ordering(qs).passed
@@ -55,9 +56,18 @@ def test_poisson_quotient_curve(poisson_traj, poisson_profile):
     qs = quotient_series(poisson_traj, poisson_profile)
     window = qs.r >= 1.0
     exact = 1.0 + 6.0 / qs.r[window] ** 2
-    assert np.max(np.abs(qs.u_ratio[window] / exact - 1.0)) < 1e-7
+    assert np.max(np.abs(np.exp(qs.log[0, window]) / exact - 1.0)) < 1e-7
     # degenerate couplings: gradient ratios are exactly 1 up to solver noise
-    assert np.max(np.abs(qs.du_ratio - 1.0)) < 1e-9
+    assert np.max(np.abs(np.exp(qs.log[2]) - 1.0)) < 1e-9
+
+
+def test_log_quotients_match_the_ratios_of_state_to_profile(p3_system, p3_profile):
+    """Where the profile is representable, the logs are the ratios u/u0 ... dv/dv0."""
+    traj = integrate_radial(p3_system, 1.0, 1.0, tol=1e-9, r_max=1e4)
+    qs = quotient_series(traj, p3_profile)
+    profile = profile_eval(p3_profile, traj.r)
+    ratios = np.stack([state / ref for state, ref in zip((traj.u, traj.v, traj.du, traj.dv), profile)])
+    assert np.max(np.abs(np.exp(qs.log) / ratios - 1.0)) < 1e-13
 
 
 def test_quotients_decrease_and_order(p3_quotients):
@@ -74,11 +84,9 @@ def test_quotients_decrease_and_order(p3_quotients):
 
 
 def test_monotonicity_flags_an_injected_bump(p3_quotients):
-    bumped = dataclasses.replace(
-        p3_quotients, u_ratio=p3_quotients.u_ratio.copy()
-    )
+    bumped = dataclasses.replace(p3_quotients, log=p3_quotients.log.copy())
     # inject near the flat tail, where the genuine decay cannot mask it
-    bumped.u_ratio[-2] *= 1.0 + 1e-3
+    bumped.log[0, -2] += np.log1p(1e-3)
     report = check_monotone_quotients(bumped)
     assert not report.passed
     assert not report.series["u"].passed
@@ -87,9 +95,9 @@ def test_monotonicity_flags_an_injected_bump(p3_quotients):
 
 
 def test_ordering_flags_gradient_ratio_above_value_ratio(p3_quotients):
-    bent = dataclasses.replace(
-        p3_quotients, du_ratio=p3_quotients.u_ratio * 1.01
-    )
+    log = p3_quotients.log.copy()
+    log[2] = log[0] + np.log(1.01)
+    bent = dataclasses.replace(p3_quotients, log=log)
     report = check_quotient_ordering(bent)
     assert not report.passed
     assert report.min_gap_u < 0.0
@@ -248,13 +256,7 @@ def test_convexity_bounds_fail_an_overflowed_weight():
 
 
 def synthetic_quotients(r, offsets):
-    return QuotientSeries(
-        r=r,
-        u_ratio=1.0 + offsets[0],
-        v_ratio=1.0 + offsets[1],
-        du_ratio=1.0 + offsets[2],
-        dv_ratio=1.0 + offsets[3],
-    )
+    return QuotientSeries(r=r, log=np.log1p(offsets))
 
 
 def test_limit_fit_recovers_algebraic_decay():
