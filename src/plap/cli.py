@@ -4,7 +4,9 @@ Systems are described by a JSON document with fields
 ``{p, n, alpha, r_max, f1, f2, g1, g2, g3}`` where the radial weights and
 growth laws are lists of ``[coefficient, exponent]`` pairs.  The document may
 also carry ``a``, ``b``, ``tol`` defaults and, for ``sweep``, a ``sweep``
-object mapping parameter names to value lists.
+object mapping parameter names to value lists.  The flags ``--a``, ``--b``,
+``--tol`` and ``--rmax`` of ``integrate`` and ``verify`` set these fields and
+``r_max`` before the document is read.
 
 Exit codes: 0 success, 1 validation/config failure or an output path that
 cannot be written, 2 numerical failure (step underflow, state overflow, or an
@@ -28,6 +30,7 @@ from .integrator import Overflow, StepSizeUnderflow, integrate_radial
 from .model import (
     ExistenceConditionViolated,
     GradientExponentTooLarge,
+    ValidatedSystem,
     _config_float,
     _terms_from_config,
     system_from_config,
@@ -96,22 +99,20 @@ def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
     return header + "\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
-def _run_options(
-    cfg: dict, a: Optional[float] = None, b: Optional[float] = None, tol: Optional[float] = None
-) -> tuple[float, float, float]:
-    """Initial values and tolerance: the given flag, else the config's field, else the default."""
+def _run_config(cfg: dict) -> tuple[ValidatedSystem, float, float, float]:
+    """The system of a config document, and its ``a``, ``b`` and ``tol`` or their defaults."""
     return (
-        a if a is not None else _config_float(cfg.get("a", 1.0), "a"),
-        b if b is not None else _config_float(cfg.get("b", 1.0), "b"),
-        tol if tol is not None else _config_float(cfg.get("tol", 1e-9), "tol"),
+        system_from_config(cfg),
+        _config_float(cfg.get("a", 1.0), "a"),
+        _config_float(cfg.get("b", 1.0), "b"),
+        _config_float(cfg.get("tol", 1e-9), "tol"),
     )
 
 
-def _rmax_option(r_max: Optional[float]) -> Optional[float]:
-    """The ``--rmax`` flag, held to the rule ``ValidatedSystem`` holds the config's ``r_max`` to."""
-    if r_max is not None and not 0.0 < r_max < math.inf:
-        raise ValueError(f"--rmax must be a finite number > 0, got {r_max}")
-    return r_max
+def _flagged_config(args: argparse.Namespace) -> dict:
+    """The config document with each given ``--a``, ``--b``, ``--tol`` and ``--rmax`` in its field."""
+    flags = {key: getattr(args, key) for key in ("a", "b", "tol", "r_max")}
+    return {**_load_config(args.config), **{k: v for k, v in flags.items() if v is not None}}
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -131,20 +132,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    system = system_from_config(cfg)
-    a, b, tol = _run_options(cfg, args.a, args.b, args.tol)
-    traj = integrate_radial(system, a, b, tol, r_max=_rmax_option(args.rmax))
+    traj = integrate_radial(*_run_config(_flagged_config(args)))
     columns = (traj.r, traj.u, traj.v, traj.du, traj.dv, traj.P, traj.S)
     _emit(_csv("r,u,v,du,dv,P,S", zip(*columns)), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    system = system_from_config(cfg)
-    a, b, tol = _run_options(cfg, args.a, args.b, args.tol)
-    report, _, qs = run_verification(system, a, b, tol, r_max=_rmax_option(args.rmax))
+    report, _, qs = run_verification(*_run_config(_flagged_config(args)))
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
     if args.series_out:
         with np.errstate(over="ignore"):  # a quotient beyond the float range near r0 reads inf
@@ -198,9 +193,9 @@ def _sweep_row(point_cfg: dict) -> list[object]:
     way the failure's class name is the reason and the sweep goes on.
     """
     try:
-        system = system_from_config(point_cfg)
+        system, a, b, tol = _run_config(point_cfg)
         prof = solve_profile(system)
-        report, _, _ = run_verification(system, *_run_options(point_cfg))
+        report, _, _ = run_verification(system, a, b, tol)
     except (GradientExponentTooLarge, ExistenceConditionViolated) as exc:
         return ["", "", "", "", "", "rejected", type(exc).__name__]
     except (ValueError, ArithmeticError, StepSizeUnderflow, Overflow) as exc:
@@ -271,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the artifact here instead of stdout")
         if name in ("integrate", "verify"):
             p.add_argument("--tol", type=float, default=None, help="integration tolerance")
-            p.add_argument("--rmax", type=float, default=None, help="override the target radius")
+            p.add_argument("--rmax", dest="r_max", type=float, default=None, help="target radius")
             p.add_argument("--a", type=float, default=None, help="initial value u(0)")
             p.add_argument("--b", type=float, default=None, help="initial value v(0)")
         if name == "verify":

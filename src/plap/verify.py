@@ -175,19 +175,14 @@ def check_ordering(traj_a: Trajectory, traj_b: Trajectory) -> OrderingReport:
     rs, ia, ib = np.intersect1d(traj_a.r, traj_b.r, assume_unique=True, return_indices=True)
     if len(rs) < 2:
         raise GridMismatch(f"{len(rs)} shared radii, need at least two to compare on")
-    margins: dict[str, float] = {}
-    r_at: dict[str, float] = {}
-    passed = True
-    for key in _SERIES_KEYS:
-        a_vals = getattr(traj_a, key)[ia]
-        b_vals = getattr(traj_b, key)[ib]
-        gap = a_vals - b_vals
-        rel = gap / np.maximum(np.abs(b_vals), 1e-300)
-        idx = int(np.argmin(rel))
-        margins[key] = float(rel[idx])
-        r_at[key] = float(rs[idx])
-        passed = passed and bool(np.all(gap > 0.0))
-    return OrderingReport(passed=passed, n_points=len(rs), min_margin=margins, r_at=r_at)
+    a_vals, b_vals = (
+        np.stack([getattr(traj, key)[i] for key in _SERIES_KEYS]) for traj, i in ((traj_a, ia), (traj_b, ib))
+    )
+    gap = a_vals - b_vals
+    rel = gap / np.maximum(np.abs(b_vals), 1e-300)
+    margins = dict(zip(_SERIES_KEYS, np.min(rel, axis=1).tolist()))
+    r_at = dict(zip(_SERIES_KEYS, rs[np.argmin(rel, axis=1)].tolist()))
+    return OrderingReport(passed=bool(np.all(gap > 0.0)), n_points=len(rs), min_margin=margins, r_at=r_at)
 
 
 @dataclass
@@ -228,29 +223,16 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
     p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     r = traj.r
     pma = p - 1.0 - alpha
-    w1 = system.f1(r) * system.g1(traj.v)
-    w2 = system.f2(r) * system.g2(traj.v) * system.g3(traj.du)
-    sigma1 = delta * (p - 1.0) * traj.du**pma / (pma * r * w1)
-    sigma2 = (n - 1.0) * traj.dv ** (p - 1.0) / (r * w2)
-
-    def eq_bounds(sigma, w, c) -> EquationBounds:
-        sigma = np.where(np.isfinite(w), sigma, np.nan)
-        lo_m = 1.0 - c - sigma
-        i_lo = int(np.argmin(lo_m))
-        i_up = int(np.argmin(sigma))
-        return EquationBounds(
-            worst_lower_margin=float(lo_m[i_lo]),
-            worst_upper_margin=float(sigma[i_up]),
-            r_at_lower=float(r[i_lo]),
-            r_at_upper=float(r[i_up]),
-        )
-
-    first = eq_bounds(sigma1, w1, (p - 1.0) / (n * pma + alpha))
-    second = eq_bounds(sigma2, w2, 1.0 / n)
-    passed = all(
-        m >= -tol for eq in (first, second) for m in (eq.worst_lower_margin, eq.worst_upper_margin)
-    )
-    return BoundsReport(first_equation=first, second_equation=second, slack=tol, passed=bool(passed))
+    w = np.stack((system.f1(r) * system.g1(traj.v), system.f2(r) * system.g2(traj.v) * system.g3(traj.du)))
+    flux = np.stack((traj.du**pma, traj.dv ** (p - 1.0)))
+    sigma = np.array([[delta * (p - 1.0)], [n - 1.0]]) * flux / (np.array([[pma], [1.0]]) * r * w)
+    sigma = np.where(np.isfinite(w), sigma, np.nan)
+    lower = 1.0 - np.array([[(p - 1.0) / (n * pma + alpha)], [1.0 / n]]) - sigma
+    worst_lower, worst_upper = np.min(lower, axis=1).tolist(), np.min(sigma, axis=1).tolist()
+    r_lower, r_upper = r[np.argmin(lower, axis=1)].tolist(), r[np.argmin(sigma, axis=1)].tolist()
+    first, second = map(EquationBounds, worst_lower, worst_upper, r_lower, r_upper)
+    passed = all(m >= -tol for m in worst_lower + worst_upper)
+    return BoundsReport(first_equation=first, second_equation=second, slack=tol, passed=passed)
 
 
 @dataclass

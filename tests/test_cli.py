@@ -97,6 +97,19 @@ def test_integrate_flag_overrides(write_config, tmp_path):
     assert float(last[1]) == pytest.approx(2.0 + 1.0 / 6.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("command", ["integrate", "verify"])
+def test_rmax_flag_supplies_a_missing_r_max(write_config, tmp_path, command):
+    """Flags are written into the config document before it is read, so
+    ``--rmax`` stands in for the ``r_max`` a config lacks."""
+    base = {k: v for k, v in P3_CONFIG.items() if k != "r_max"}
+    flagged, full = tmp_path / "flagged.out", tmp_path / "full.out"
+    cfg = write_config("no_rmax.json", base)
+    assert main([command, "--config", cfg, "--rmax", "10", "--out", str(flagged)]) == 0
+    cfg = write_config("rmax.json", base, r_max=10.0)
+    assert main([command, "--config", cfg, "--out", str(full)]) == 0
+    assert flagged.read_bytes() == full.read_bytes()
+
+
 def test_integrate_is_byte_deterministic(write_config, tmp_path):
     cfg = write_config("p3.json", P3_CONFIG, r_max=100.0)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -465,10 +478,10 @@ def test_exit_1_on_config_field_of_wrong_type(write_config, field, value):
 @pytest.mark.parametrize("command", ["integrate", "verify"])
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
 def test_exit_1_on_rmax_flag_out_of_range(command, value):
-    """``--rmax`` obeys the config's ``r_max`` rule, in one line that names the flag."""
+    """``--rmax`` sets the config's ``r_max``, so it fails by that field's rule, in one line."""
     proc = _fresh_cli(command, "--config", str(CONFIGS / "coupled_p3.json"), "--rmax", value)
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr == f"ValueError: --rmax must be a finite number > 0, got {float(value)}\n"
+    assert proc.stderr == f"ValueError: r_max must be a finite number > 0, got {float(value)}\n"
 
 
 @pytest.mark.parametrize("overrides, flags", [({"r_max": 1e308}, []), ({}, ["--rmax", "1e308"])], ids=["config", "flag"])

@@ -12,7 +12,9 @@ import pytest
 from plap import (
     GridMismatch,
     InsufficientRange,
+    Overflow,
     QuotientSeries,
+    StepSizeUnderflow,
     check_convexity_bounds,
     check_limit_identities,
     check_monotone_quotients,
@@ -25,6 +27,7 @@ from plap import (
     quotient_series,
     run_verification,
     sample_profile_trajectory,
+    solve_profile,
     system_from_config,
 )
 from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK, BoundsReport, EquationBounds
@@ -68,6 +71,51 @@ def test_log_quotients_match_the_ratios_of_state_to_profile(p3_system, p3_profil
     profile = profile_eval(p3_profile, traj.r)
     ratios = np.stack([state / ref for state, ref in zip((traj.u, traj.v, traj.du, traj.dv), profile)])
     assert np.max(np.abs(np.exp(qs.log) / ratios - 1.0)) < 1e-13
+
+
+# A mixed pure-power system: every weight and growth law has a nonzero exponent.
+_MIXED_POWERS = {
+    "p": 2.5,
+    "n": 4,
+    "alpha": 0.5,
+    "r_max": 1e4,
+    "f1": [[1.3, 0.5]],
+    "f2": [[0.7, 1.0]],
+    "g1": [[1.0, 0.4]],
+    "g2": [[1.0, 0.3]],
+    "g3": [[1.0, 0.6]],
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, tol, bound",
+    [
+        (dict(P3_CONFIG, r_max=1e4), 1e-9, 1e-9),
+        (dict(P3_CONFIG, r_max=1e4), 1e-12, 1e-9),
+        (_MIXED_POWERS, 1e-12, 1e-13),
+    ],
+    ids=["coupled_p3-tol-1e-9", "coupled_p3-tol-1e-12", "mixed"],
+)
+def test_quotients_are_covariant_under_the_scaling_symmetry(cfg, tol, bound):
+    """If (u, v) solves a pure-power system with data (a, b), then
+    (tau^lam u(r/tau), tau^mu v(r/tau)) solves it with data (tau^lam a, tau^mu b),
+    so the quotients satisfy U_tau(r) = U(r/tau).  With tau = 10^(k/64) on a
+    64-per-decade grid that is a shift of k indices.
+
+    ``coupled_p3`` reads about 3.9e-10 at either tol, the startup truncation
+    at r0 = 1e-6; the mixed case reads about 3.9e-14.
+    """
+    system = system_from_config(cfg)
+    prof = solve_profile(system)
+
+    def log_quotients(a, b):
+        return quotient_series(integrate_radial(system, a, b, tol, points_per_decade=64), prof).log
+
+    base = log_quotients(1.0, 1.0)
+    for k in (8, 64, 128):
+        tau = 10.0 ** (k / 64)
+        scaled = log_quotients(tau**prof.lam, tau**prof.mu)
+        assert np.max(np.abs(np.expm1(scaled[:, k:] - base[:, :-k]))) <= bound, k
 
 
 def test_quotients_decrease_and_order(p3_quotients):
@@ -409,3 +457,22 @@ def test_run_verification_accepts_initial_data_sweep(p3_system):
         assert report.monotonicity.passed, (a, b)
         assert report.ordering.passed, (a, b)
         assert report.convexity_bounds.passed, (a, b)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="u'(r0) = 1.0e-322 is subnormal, so the u' recovered from P holds a few bits: "
+    "W rises by 1.3% at r0 and the first sandwich fails",
+)
+def test_subnormal_start_gradient_passes_or_fails_typed():
+    """An admissible instance (existence margin 0.049) either passes the
+    battery or raises a typed error.  At alpha = 1.9752 it passes, with
+    u'(r0) = 5.7e-320; from alpha = 1.9757 on the run underflows at r0.
+    Between them it integrates and reads ``not_passed``."""
+    cfg = dict(P3_CONFIG, alpha=1.9754, r_max=1e4, g1=[[1.0, 0.001]], g3=[[1.0, 0.001]])
+    try:
+        report, _, _ = run_verification(system_from_config(cfg), 1.0, 1.0, 1e-9)
+    except (StepSizeUnderflow, Overflow):
+        return
+    assert report.passed
