@@ -23,7 +23,7 @@ Dormand-Prince is exact on straight lines.  No state can leave (0, inf), and
 an absolute tolerance on Y is a relative one on y, down to the 1e-18 fluxes
 near the origin.  The singular initial value problem starts at a small
 radius r0 from its leading-order state: v held at its origin value and u'
-following its local power law inside the flux integrals.
+following its local power law inside the flux integrals and in u(r0).
 
 The step loop runs on plain Python floats: for a 4-component state, numpy's
 per-call overhead would cost several times the arithmetic itself.  The hot
@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -97,17 +97,13 @@ class Overflow(_IntegrationFailure):
     _what = "state overflow"
 
 
-@dataclass(frozen=True)
-class State:
-    """Solution state at one radius, fluxes plus recovered gradients."""
+class State(NamedTuple):
+    """The state (u, v, P, S) at one radius: the step loop's start, a failure's last."""
 
-    r: float
     u: float
     v: float
     P: float
     S: float
-    du: float
-    dv: float
 
 
 @dataclass
@@ -141,14 +137,15 @@ def geometric_grid(r0: float, r_max: float, points_per_decade: int = 64) -> np.n
 
     Grids are memoised and read-only, so repeated runs on one grid share one
     array instead of holding a copy each.  Raises ``ValueError`` unless
-    0 < r0 < r_max, r_max / r0 is finite and ``points_per_decade`` >= 1.
+    0 < r0 < r_max, r_max / r0 is finite and ``points_per_decade`` is finite
+    and at least 1.
     """
     if not (0.0 < r0 < r_max):
         raise ValueError(f"need 0 < r0 < r_max, got r0={r0}, r_max={r_max}")
     if not math.isfinite(r_max / r0):
         raise ValueError(f"r_max / r0 must be finite, got r0={r0}, r_max={r_max}")
-    if not points_per_decade >= 1:
-        raise ValueError(f"points_per_decade must be at least 1, got {points_per_decade}")
+    if not 1 <= points_per_decade < math.inf:
+        raise ValueError(f"points_per_decade must be finite and at least 1, got {points_per_decade}")
     decades = math.log10(r_max / r0)
     count = max(2, int(math.ceil(decades * points_per_decade)) + 1)
     grid = np.geomspace(r0, r_max, count)
@@ -175,9 +172,10 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
 
         S(r0) = g2(b) * sum_i sum_j c_i a_j u'(r0)^(e_j) r0^(n+m_i) / (n+m_i+e_j gamma)
 
-    over the terms c_i r^m_i of f2 and a_j s^e_j of g3.  For a pure-power f1
-    this is the integral of the leading-order integrand to rounding; the
-    neglected variation of u, v over [0, r0] is O(r0^(1+eps)).  A flux that
+    over the terms c_i r^m_i of f2 and a_j s^e_j of g3, and the same law
+    integrates to u(r0) = a + r0 u'(r0) / (1+gamma).  For a pure-power f1
+    these are integrals of the leading-order integrands to rounding; v(r0) is
+    left at b, and the neglected variation of v is O(r0^(1+eps)).  A flux that
     underflows to 0 gives a zero gradient, as in ``flux_rhs``, so the step
     loop fails typed; a zero u'(r0) leaves only the constant terms of g3.
     """
@@ -200,9 +198,7 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
     for c, m in system.f2.terms:
         for c3, e in system.g3.terms:
             S += c * c3 * du**e * r0 ** (n + m) / (n + m + e * gamma)
-    S *= system.g2(b)
-    dv = (S / r0 ** (n - 1)) ** (1.0 / (p - 1.0)) if S > 0.0 else 0.0
-    return State(r=r0, u=a, v=b, P=P, S=S, du=du, dv=dv)
+    return State(a + r0 * du / (1.0 + gamma), b, P, S * system.g2(b))
 
 
 @functools.lru_cache(maxsize=64)
@@ -599,8 +595,7 @@ def integrate_radial(
     r_start = float(r0 if r0 is not None else 1e-6 * min(1.0, r_end))
     grid = geometric_grid(r_start, r_end, points_per_decade)
     start = startup_state(system, a, b, r_start)
-    y0 = [start.u, start.v, start.P, start.S]
-    ys, accepted, rejections, h_min, h_max, r_at_h_min = _step_loop(flux_rhs(system), grid, y0, tol)
+    ys, accepted, rejections, h_min, h_max, r_at_h_min = _step_loop(flux_rhs(system), grid, start, tol)
     rejected = sum(rejections.values())
 
     inv_grad = 1.0 / (system.p - 1.0 - system.alpha)

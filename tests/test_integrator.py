@@ -67,6 +67,7 @@ def test_geometric_grid_rejects_bad_ranges():
         (1e-6, 10.0, 0),
         (1e-6, 10.0, 0.5),
         (1e-6, 10.0, -3),
+        (1e-6, 10.0, math.inf),
     ]:
         with pytest.raises(ValueError):
             geometric_grid(r0, r_max, points_per_decade)
@@ -75,13 +76,26 @@ def test_geometric_grid_rejects_bad_ranges():
 def test_runs_reject_what_the_grid_cannot_hold(p3_system):
     with pytest.raises(ValueError, match="must be finite"):
         integrate_radial(p3_system, 1.0, 1.0, r_max=math.inf)
-    with pytest.raises(ValueError, match="points_per_decade"):
-        run_verification(p3_system, 1.0, 1.0, points_per_decade=0)
+    for points_per_decade in (0, math.inf):
+        with pytest.raises(ValueError, match="points_per_decade"):
+            run_verification(p3_system, 1.0, 1.0, points_per_decade=points_per_decade)
 
 
 # ---------------------------------------------------------------------------
 # Startup state at the inner radius
 # ---------------------------------------------------------------------------
+
+
+def _leading_order_gradient(system, b):
+    """u'(s) from the leading-order first flux P(s), with v held at b."""
+    p, alpha, delta = system.p, system.alpha, system.delta
+    coef = (p - 1 - alpha) / (p - 1) * system.g1(b)
+
+    def gradient(s):
+        flux = coef * sum(c * s ** (delta + m + 1) / (delta + m + 1) for c, m in system.f1.terms)
+        return (flux / s**delta) ** (1 / (p - 1 - alpha))
+
+    return gradient
 
 
 def _leading_order_oracle(system, b, r0):
@@ -94,13 +108,7 @@ def _leading_order_oracle(system, b, r0):
     """
     p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     coef = (p - 1 - alpha) / (p - 1) * system.g1(b)
-
-    def flux(s):
-        return coef * sum(c * s ** (delta + m + 1) / (delta + m + 1) for c, m in system.f1.terms)
-
-    def gradient(s):
-        return (flux(s) / s**delta) ** (1 / (p - 1 - alpha))
-
+    gradient = _leading_order_gradient(system, b)
     P_ref = coef * quad(lambda s: s**delta * system.f1(s), 0.0, r0, epsabs=0, epsrel=1e-13)[0]
     S_ref = quad(lambda s: s ** (n - 1) * system.f2(s) * system.g3(gradient(s)), 0.0, r0, epsabs=0, epsrel=1e-13)[0]
     return P_ref, system.g2(b) * S_ref
@@ -109,18 +117,24 @@ def _leading_order_oracle(system, b, r0):
 def test_startup_matches_quadrature_oracle():
     """A multi-term f1: u' is a power law only to leading order, so the
     exponent taken at r0 leaves an error in S that grows with r0 (4.8e-11
-    at 1e-6, 2.5e-7 at 3e-4); freezing g3 at u'(r0) is 11% off."""
+    at 1e-6, 2.5e-7 at 3e-4); freezing g3 at u'(r0) is 11% off.
+
+    u(r0) - a is the integral of the same leading-order u'.  It is checked at
+    r0 = 3e-4, where it is far above the rounding of a: 2.1e-6 off on this
+    config, 1.1e-11 on the pure-power coupled_p3.  v(r0) is still held at b."""
     system = system_from_config(MULTI_TERM_CONFIG)
-    p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     b = 1.7
     for r0, S_limit in ((1e-6, 1e-10), (3e-4, 1e-6)):
         st = startup_state(system, 1.2, b, r0)
         P_ref, S_ref = _leading_order_oracle(system, b, r0)
         assert st.P == pytest.approx(P_ref, rel=1e-12, abs=0)
         assert abs(st.S / S_ref - 1.0) <= S_limit
-        assert st.u == 1.2 and st.v == b
-        assert st.du == pytest.approx((st.P / r0**delta) ** (1 / (p - 1 - alpha)), rel=1e-15, abs=0)
-        assert st.dv == pytest.approx((st.S / r0 ** (n - 1)) ** (1 / (p - 1)), rel=1e-15, abs=0)
+        assert st.v == b
+    for config, rise_limit in ((MULTI_TERM_CONFIG, 3e-6), (P3_CONFIG, 5e-11)):
+        system = system_from_config(config)
+        st = startup_state(system, 1.2, b, 3e-4)
+        rise = quad(_leading_order_gradient(system, b), 0.0, 3e-4, epsabs=0, epsrel=1e-13)[0]
+        assert abs((st.u - 1.2) / rise - 1.0) <= rise_limit, config
 
 
 @pytest.mark.parametrize(
@@ -148,14 +162,18 @@ def test_startup_gradient_scaling_under_radius_halving():
     st2 = startup_state(system, 1.2, 1.7, 5e-7)
     m_min = system.f1.terms[0][1]
     expected = 2.0 ** (-(m_min + 1.0) / (p - 1.0 - alpha))
-    assert st2.du / st1.du == pytest.approx(expected, rel=1e-8)
+    # u' = (P / r^delta)^(1/(p-1-alpha)), so u'(r0/2) / u'(r0) is
+    ratio = (st2.P / st1.P * 2.0**system.delta) ** (1.0 / (p - 1.0 - alpha))
+    assert ratio == pytest.approx(expected, rel=1e-8)
 
 
 def test_startup_poisson_exact(poisson_system):
-    """Constant weights integrate exactly: P = r^3/3, u' = r/3."""
+    """Constant weights integrate exactly: P = r^3/3, u' = P / r^2 = r/3 and
+    u = 1 + r^2/6, the exact solution."""
     st = startup_state(poisson_system, 1.0, 1.0, 1e-6)
     assert st.P == pytest.approx((1e-6) ** 3 / 3.0, rel=1e-15, abs=0)
-    assert st.du == pytest.approx(1e-6 / 3.0, rel=1e-15, abs=0)
+    assert st.P / (1e-6) ** 2 == pytest.approx(1e-6 / 3.0, rel=1e-15, abs=0)
+    assert st.u == 1.0 + (1e-6) ** 2 / 6.0
 
 
 def test_startup_rejects_nonpositive_inputs(poisson_system):
@@ -848,7 +866,7 @@ def test_underflow_when_the_startup_powers_of_r0_underflow():
     fails at r0 as StepSizeUnderflow, not with a ZeroDivisionError."""
     system = system_from_config(dict(P3_CONFIG, n=60))
     start = startup_state(system, 1.0, 1.0, 1e-6)
-    assert start.P == start.S == start.du == start.dv == 0.0
+    assert start == (1.0, 1.0, 0.0, 0.0)
     with pytest.raises(StepSizeUnderflow) as info:
         integrate_radial(system, 1.0, 1.0, tol=1e-9)
     assert info.value.radius == 1e-6

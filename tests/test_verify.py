@@ -31,7 +31,7 @@ from plap import (
     system_from_config,
 )
 from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK, BoundsReport, EquationBounds
-from conftest import MULTI_TERM_CONFIG, P3_CONFIG, sample_integration_system
+from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, sample_integration_system
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +90,8 @@ _MIXED_POWERS = {
 @pytest.mark.parametrize(
     "cfg, tol, bound",
     [
-        (dict(P3_CONFIG, r_max=1e4), 1e-9, 1e-9),
-        (dict(P3_CONFIG, r_max=1e4), 1e-12, 1e-9),
+        (dict(P3_CONFIG, r_max=1e4), 1e-9, 2e-11),
+        (dict(P3_CONFIG, r_max=1e4), 1e-12, 2e-11),
         (_MIXED_POWERS, 1e-12, 1e-13),
     ],
     ids=["coupled_p3-tol-1e-9", "coupled_p3-tol-1e-12", "mixed"],
@@ -102,8 +102,9 @@ def test_quotients_are_covariant_under_the_scaling_symmetry(cfg, tol, bound):
     so the quotients satisfy U_tau(r) = U(r/tau).  With tau = 10^(k/64) on a
     64-per-decade grid that is a shift of k indices.
 
-    ``coupled_p3`` reads about 3.9e-10 at either tol, the startup truncation
-    at r0 = 1e-6; the mixed case reads about 3.9e-14.
+    ``coupled_p3`` reads about 7.3e-12 at either tol, the startup truncation
+    of v at r0 = 1e-6 (3.9e-10 while u(r0) was held at a); the mixed case
+    reads about 3.9e-14.
     """
     system = system_from_config(cfg)
     prof = solve_profile(system)
@@ -457,6 +458,36 @@ def test_run_verification_accepts_initial_data_sweep(p3_system):
         assert report.monotonicity.passed, (a, b)
         assert report.ordering.passed, (a, b)
         assert report.convexity_bounds.passed, (a, b)
+
+
+@pytest.mark.parametrize(
+    "config, a",
+    [(P3_CONFIG, 1e-12), (P3_CONFIG, 1e-40), (POISSON_CONFIG, 1e-15), (POISSON_CONFIG, 1e-300)],
+    ids=["coupled_p3-1e-12", "coupled_p3-1e-40", "poisson-1e-15", "poisson-1e-300"],
+)
+def test_tiny_first_datum_passes(config, a):
+    """u(r0) carries the integral of u' over [0, r0].  While it was a, U rose
+    19.3x over the first step of coupled_p3 at a = 1e-12 and 11.5x on Poisson
+    at a = 1e-15, and from a = 1e-40 on both raised StepSizeUnderflow at r0."""
+    report, _, _ = run_verification(system_from_config(config), a, 1.0, 1e-9, r_max=1e4)
+    assert report.passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="v(r0) is held at b and g1(v) at g1(b) over [0, r0], while v grows several-fold there: "
+    "V rises by 35.8% at r = 1.04e-6",
+)
+def test_tiny_second_datum_passes_or_fails_typed(p3_system):
+    """Every positive datum either passes the battery or raises a typed error.
+    b = 1e-15 passes and from b = 1e-40 on the run underflows at r0; b = 2e-16
+    and 1e-16 integrate and read ``not_passed``."""
+    try:
+        report, _, _ = run_verification(p3_system, 1.0, 1e-16, 1e-9, r_max=1e4)
+    except (StepSizeUnderflow, Overflow):
+        return
+    assert report.passed
 
 
 @pytest.mark.xfail(
