@@ -121,8 +121,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     payload = {
         "lambda": prof.lam,
         "mu": prof.mu,
-        "C_lambda": prof.c_lam,
-        "C_mu": prof.c_mu,
+        "C_lambda": math.exp(prof.log_c_lam),
+        "C_mu": math.exp(prof.log_c_mu),
         "B_lambda": prof.b_lam,
         "B_mu": prof.b_mu,
         "residual": profile_residual(prof, system, _RESIDUAL_GRID),

@@ -49,15 +49,16 @@ class NotPurePowerCoefficients(ValueError):
 class PowerProfile:
     """Exact far-field solution ``(C_lam r^lam, C_mu r^mu)`` of the companion system.
 
-    ``b_lam = lam (p-1) + n - p`` and ``b_mu`` are the p-Laplace factors of the
-    two powers; admissibility guarantees ``lam, mu > 1`` and hence both factors
-    and both amplitudes are strictly positive.
+    The amplitudes are held as their logs, since C_lam leaves the float range
+    on steep profiles (e^-1470 at lam ~ 450).  ``b_lam = lam (p-1) + n - p``
+    and ``b_mu`` are the p-Laplace factors of the two powers; admissibility
+    guarantees ``lam, mu > 1`` and hence both factors are strictly positive.
     """
 
     lam: float
     mu: float
-    c_lam: float
-    c_mu: float
+    log_c_lam: float
+    log_c_mu: float
     b_lam: float
     b_mu: float
 
@@ -107,8 +108,9 @@ def solve_profile(system: ValidatedSystem) -> PowerProfile:
         (mu  C_mu)^(p-1-k2)     = c2 / (mu^k2 b_mu)  * (lam C_lam)^k3
 
     a linear 2x2 system in the logarithms of ``lam C_lam`` and ``mu C_mu``
-    with the same determinant.  Solving in log space avoids overflow when the
-    subcriticality margin is small and the amplitudes are extreme.
+    with the same determinant.  The amplitudes are returned as these logs, so
+    no amplitude overflows or underflows however small the subcriticality
+    margin or extreme the weights.
     """
     c1, m1, c2, m2 = _pure_power_weights(system)
     p, n, alpha = system.p, system.n, system.alpha
@@ -127,8 +129,8 @@ def solve_profile(system: ValidatedSystem) -> PowerProfile:
     return PowerProfile(
         lam=lam,
         mu=mu,
-        c_lam=math.exp(log_lc) / lam,
-        c_mu=math.exp(log_mc) / mu,
+        log_c_lam=log_lc - math.log(lam),
+        log_c_mu=log_mc - math.log(mu),
         b_lam=b_lam,
         b_mu=b_mu,
     )
@@ -138,11 +140,13 @@ def profile_eval(profile: PowerProfile, r: Scalar) -> tuple[Scalar, Scalar, Scal
     """Profile values and gradients ``(u0, v0, u0', v0')`` at radius ``r >= 0``.
 
     Both exponents exceed 1, so values and gradients vanish at the origin.
+    An amplitude beyond the float range raises ``OverflowError``.
     """
-    u0 = profile.c_lam * r**profile.lam
-    v0 = profile.c_mu * r**profile.mu
-    du0 = profile.lam * profile.c_lam * r ** (profile.lam - 1.0)
-    dv0 = profile.mu * profile.c_mu * r ** (profile.mu - 1.0)
+    c_lam, c_mu = math.exp(profile.log_c_lam), math.exp(profile.log_c_mu)
+    u0 = c_lam * r**profile.lam
+    v0 = c_mu * r**profile.mu
+    du0 = profile.lam * c_lam * r ** (profile.lam - 1.0)
+    dv0 = profile.mu * c_mu * r ** (profile.mu - 1.0)
     return u0, v0, du0, dv0
 
 
@@ -160,25 +164,24 @@ def profile_residual(
 
         defect = |lhs - rhs| / max(|lhs|, |rhs|) = 1 - exp(-|log lhs - log rhs|)
 
-    which is exact for positive sides.  Amplitudes enter in logs as well,
-    through ``Lp[C r^lam] = C^(p-1) Lp[r^lam]`` for ``C > 0``, so extreme
+    which is exact for positive sides.  The amplitudes are read as the logs
+    the profile holds, through ``Lp[C r^lam] = C^(p-1) Lp[r^lam]``, so extreme
     amplitudes neither overflow nor underflow.  Both equations' gaps are
-    reduced by one ``np.max``, so a NaN gap gives a NaN residual; ``C <= 0``
-    or a wrong sign structure scores ``inf``.  A correct profile scores at
+    reduced by one ``np.max``, so a NaN gap gives a NaN residual; an operator
+    output that is not positive scores ``inf``.  A correct profile scores at
     rounding level; perturbing an amplitude by epsilon moves it to O(epsilon).
     """
     c1, m1, c2, m2 = _pure_power_weights(system)
     p, n, alpha = system.p, system.n, system.alpha
     k1, k2, k3 = system.k1, system.k2, system.k3
-    lam, mu, c_lam, c_mu = profile.lam, profile.mu, profile.c_lam, profile.c_mu
+    lam, mu, log_c_lam, log_c_mu = profile.lam, profile.mu, profile.log_c_lam, profile.log_c_mu
 
     amp1, expo1 = p_laplace_power(1.0, lam, p, n)
     amp2, expo2 = p_laplace_power(1.0, mu, p, n)
-    if not (c_lam > 0.0 and c_mu > 0.0 and amp1 > 0.0 and amp2 > 0.0):
+    if not (amp1 > 0.0 and amp2 > 0.0):
         return math.inf  # not even the right sign structure
 
     log_r = np.log(np.asarray(r_samples, dtype=float))
-    log_c_lam, log_c_mu = math.log(c_lam), math.log(c_mu)
     log_du0 = math.log(lam) + log_c_lam  # amplitude of u0' = lam C_lam r^(lam-1)
     # first equation: c1 r^m1 * (v0)^k1 * (u0')^alpha
     log_lhs1 = math.log(amp1) + (p - 1.0) * log_c_lam + expo1 * log_r

@@ -85,8 +85,8 @@ def quotient_series(traj: Trajectory, profile: PowerProfile) -> QuotientSeries:
 
     No profile value is formed: C_lam r^lam underflows at r0 = 1e-6 once lam >~ 43.
     """
-    lam, mu = profile.lam, profile.mu
-    log_amp = np.log([profile.c_lam, profile.c_mu, lam * profile.c_lam, mu * profile.c_mu])
+    lam, mu, log_c_lam, log_c_mu = profile.lam, profile.mu, profile.log_c_lam, profile.log_c_mu
+    log_amp = np.array([log_c_lam, log_c_mu, math.log(lam) + log_c_lam, math.log(mu) + log_c_mu])
     expo = np.array([lam, mu, lam - 1.0, mu - 1.0])
     log_state = np.log(np.stack((traj.u, traj.v, traj.du, traj.dv)))
     return QuotientSeries(r=traj.r, log=log_state - log_amp[:, None] - expo[:, None] * np.log(traj.r))
@@ -144,7 +144,8 @@ def check_quotient_ordering(qs: QuotientSeries, slack: float = _SLACK) -> Quotie
     the comparison check between genuinely ordered trajectories).  In logs the
     excess is expm1(min log q) and the gap (U - W) / U is -expm1(log W - log U).
     """
-    excess = dict(zip(_SERIES_KEYS, np.expm1(np.min(qs.log, axis=1)).tolist()))
+    with np.errstate(over="ignore"):  # an excess beyond the float range reads inf
+        excess = dict(zip(_SERIES_KEYS, np.expm1(np.min(qs.log, axis=1)).tolist()))
     gap_u, gap_v = np.min(-np.expm1(qs.log[2:] - qs.log[:2]), axis=1).tolist()
     ok = all(v >= -slack for v in excess.values()) and gap_u >= -slack and gap_v >= -slack
     return QuotientOrdering(
@@ -239,10 +240,10 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
 class LimitEstimate:
     """Algebraic-decay fit of one quotient over the last two decades.
 
-    ``value`` is the fitted quotient at the last radius, ``rate`` the decay
-    exponent of (quotient - 1) and ``fit_quality`` the RMS residual of the
-    log-log fit.  When the quotient is already flat at rounding level the raw
-    final value is returned and no rate is reported.
+    ``value`` is the fitted quotient at the last radius (``inf`` past the
+    float range), ``rate`` the decay exponent of (quotient - 1) and
+    ``fit_quality`` the RMS residual of the log-log fit.  When the quotient is
+    already flat at rounding level the raw final value is returned and no rate.
     """
 
     value: float
@@ -255,6 +256,8 @@ def estimate_limits(qs: QuotientSeries) -> dict[str, LimitEstimate]:
     """Fit (quotient - 1) ~ c * r^(-q) over the last two decades of the grid.
 
     Raises ``InsufficientRange`` unless the grid spans at least two decades.
+    One ``np.polyfit`` fits all four rows on log(q - 1) = log q + log(1 - 1/q),
+    read from the logs, so a steep quotient beyond the float range fits too.
     The fitted value at the final radius smooths integrator noise; the rate is
     diagnostic only (no convergence-rate theory backs a threshold on it).
     """
@@ -263,27 +266,21 @@ def estimate_limits(qs: QuotientSeries) -> dict[str, LimitEstimate]:
         raise InsufficientRange(
             f"grid spans only {math.log10(r[-1] / r[0]):.2f} decades, need >= 2"
         )
-    window = r >= r[-1] / 100.0
+    window = r >= r[-1] / 100.0 * (1.0 - 1e-12)  # the two-decade point, however it rounds
     if int(np.sum(window)) < 3:
         raise InsufficientRange("fewer than three grid points in the last two decades")
-    out: dict[str, LimitEstimate] = {}
-    log_r, r_last = np.log(r[window]), float(r[-1])
-    for key, log_q in zip(_SERIES_KEYS, qs.log[:, window]):
-        y = np.expm1(log_q)  # quotient - 1
-        if np.min(y) <= 0.0 or np.max(y) <= 1e-13 * (1.0 + np.max(y)):
-            # flat (or sub-rounding) series: no decay left to fit
-            out[key] = LimitEstimate(value=math.exp(log_q[-1]), rate=None, fit_quality=None, r_last=r_last)
-            continue
-        ly = np.log(y)
-        slope, intercept = np.polyfit(log_r, ly, 1)
-        resid = ly - (slope * log_r + intercept)
-        out[key] = LimitEstimate(
-            value=1.0 + math.exp(intercept + slope * log_r[-1]),
-            rate=float(-slope),
-            fit_quality=float(np.sqrt(np.mean(resid**2))),
-            r_last=r_last,
-        )
-    return out
+    log_r, log_q = np.log(r[window]), qs.log[:, window]
+    # rows that reach 1 or stay within rounding of it (log q <= 1e-13): no decay left to fit
+    flat = (np.min(log_q, axis=1) <= 0.0) | (np.max(log_q, axis=1) <= 1e-13)
+    fitted = np.where(flat[:, None], 1.0, log_q)  # a flat row's fit is discarded
+    log_excess = fitted + np.log(-np.expm1(-fitted))
+    slope, intercept = np.polyfit(log_r, log_excess.T, 1)
+    rms = np.sqrt(np.mean((log_excess - (slope[:, None] * log_r + intercept[:, None])) ** 2, axis=1))
+    with np.errstate(over="ignore"):
+        value = np.where(flat, np.exp(log_q[:, -1]), 1.0 + np.exp(intercept + slope * log_r[-1]))
+    rate = [None if f else -s for f, s in zip(flat, slope.tolist())]
+    quality = [None if f else q for f, q in zip(flat, rms.tolist())]
+    return dict(zip(_SERIES_KEYS, map(LimitEstimate, value.tolist(), rate, quality, [float(r[-1])] * 4)))
 
 
 @dataclass

@@ -53,7 +53,7 @@ def test_profile_json_document(write_config, tmp_path, capsys):
     }
     profile = solve_profile(system_from_config(P3_CONFIG))
     assert doc["lambda"] == profile.lam and doc["mu"] == profile.mu
-    assert doc["C_lambda"] == pytest.approx(profile.c_lam, rel=1e-15)
+    assert doc["C_lambda"] == pytest.approx(math.exp(profile.log_c_lam), rel=1e-15)
     assert doc["residual"] < 1e-12
 
 
@@ -203,8 +203,9 @@ def test_sweep_deterministic(write_config, tmp_path):
         # no closed-form profile for a two-term weight
         ({"f1": [[1.0, 0.0], [1.0, 1.0]]}, "NotPurePowerCoefficients"),
         ({"tol": 1e-20}, "ValueError"),
-        # admissible by a margin of 2e-4: the profile amplitude overflows
-        ({"f1": [[1e100, 0.0]], "sweep": {"k1": [2.0], "k3": [1.9999]}}, "OverflowError"),
+        # admissible by a margin of 2e-4: the amplitudes are held as logs, but
+        # lambda is about 4e4 and the run underflows at r0
+        ({"f1": [[1e100, 0.0]], "sweep": {"k1": [2.0], "k3": [1.9999]}}, "StepSizeUnderflow"),
         # a config field of the wrong JSON type
         ({"a": {}}, "ValueError"),
     ],
@@ -352,19 +353,16 @@ def _fresh_cli(*args: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize(
     "command, failure",
-    [("profile", "OverflowError"), ("verify", "OverflowError"), ("integrate", "StepSizeUnderflow")],
+    [("profile", "OverflowError"), ("verify", "StepSizeUnderflow"), ("integrate", "StepSizeUnderflow")],
 )
 def test_exit_2_on_arithmetic_error(write_config, command, failure):
-    """Admissible by a margin of 2e-4: the profile amplitudes overflow."""
+    """Admissible by a margin of 2e-4: the exported profile amplitudes overflow.
+    ``verify`` reads them as logs and fails where the run does, at r0."""
     cfg = write_config("amplitude.json", P3_CONFIG, f1=[[1e100, 0.0]], g1=[[1.0, 2.0]], g3=[[1.0, 1.9999]])
     proc = _fresh_cli(command, "--config", cfg)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"numerical failure: {failure}: ")
     assert "Traceback" not in proc.stderr
-
-
-# p=2, n=3, lambda about 50.7: C_lambda r^lambda underflows at r0 = 1e-6
-_STEEP = {"p": 2, "alpha": 0, "g1": [[1.0, 0.97]], "g3": [[1.0, 0.97]], "r_max": 1000.0}
 
 
 def _reject_constant(name: str) -> None:
@@ -381,16 +379,15 @@ def _reject_constant(name: str) -> None:
     + [
         pytest.param("profile", "coupled_p3.json", {key: [[weight, 0.0]]}, id=f"profile-{key}={weight:g}")
         for key, weight in (("f1", 1e-300), ("f2", 1e-300), ("f1", 1e300))
-    ]
-    + [pytest.param("verify", "coupled_p3.json", _STEEP, id="verify-steep")],
+    ],
 )
 def test_fresh_process_writes_standard_json_and_nothing_on_stderr(
     write_config, tmp_path, command, base, overrides
 ):
     """Amplitudes of 4e-202 and 4e198 enter the profile residual in logs, so
-    it is neither ``Infinity`` nor an ``OverflowError``.  On the steep
-    system (lambda about 50.7, C_lambda about 2e-87) the profile underflows
-    near r0 but the quotients are formed in logs: no warning, no ``NaN``."""
+    it is neither ``Infinity`` nor an ``OverflowError``.  On ``steep.json``
+    (lambda about 50.7, C_lambda about 2e-87) the profile underflows near r0
+    but the quotients are formed in logs: no warning, no ``NaN``."""
     cfg = write_config(base, json.loads((CONFIGS / base).read_text()), **overrides)
     flags = ["--series-out", str(tmp_path / "series.csv")] if command == "verify" else []
     proc = _fresh_cli(command, "--config", cfg, *flags)
@@ -398,6 +395,18 @@ def test_fresh_process_writes_standard_json_and_nothing_on_stderr(
     doc = json.loads(proc.stdout, parse_constant=_reject_constant)
     if command == "profile":
         assert doc["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("r_max", ["1e-3", "1e-5"])
+def test_steep_limit_fit_reads_the_profile_exponent(tmp_path, r_max):
+    """Close to r0 on ``steep.json`` u is still about a, so U - 1 decays as
+    r^-lambda; at r_max = 1e-5 U passes the float range, which the fit and
+    the excess read from the logs without a warning."""
+    out = tmp_path / "report.json"
+    proc = _fresh_cli("verify", "--config", str(CONFIGS / "steep.json"), "--rmax", r_max, "--out", str(out))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    lam = solve_profile(system_from_config(json.loads((CONFIGS / "steep.json").read_text()))).lam
+    assert json.loads(out.read_text())["limits"]["u"]["rate"] == pytest.approx(lam, rel=1e-6)
 
 
 @pytest.mark.parametrize(

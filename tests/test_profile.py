@@ -116,14 +116,14 @@ def test_profile_carries_operator_factors(p3_profile):
 
 def test_reference_amplitude_cube(p3_profile):
     """Hand value: (lam * C_lam)^3 = 243/175616 for the degenerate instance."""
-    assert (p3_profile.lam * p3_profile.c_lam) ** 3 == pytest.approx(
+    assert (p3_profile.lam * math.exp(p3_profile.log_c_lam)) ** 3 == pytest.approx(
         243.0 / 175616.0, rel=1e-12
     )
 
 
 def test_poisson_amplitudes(poisson_profile):
-    assert poisson_profile.c_lam == pytest.approx(1.0 / 6.0, rel=1e-14)
-    assert poisson_profile.c_mu == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert math.exp(poisson_profile.log_c_lam) == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert math.exp(poisson_profile.log_c_mu) == pytest.approx(1.0 / 6.0, rel=1e-14)
     assert poisson_profile.b_lam == 3.0
 
 
@@ -136,8 +136,8 @@ def test_amplitudes_satisfy_coupled_equations_on_random_systems():
         k1, k2, k3 = system.k1, system.k2, system.k3
         (c1, _), = system.f1.terms
         (c2, _), = system.f2.terms
-        lc = profile.lam * profile.c_lam
-        mc = profile.mu * profile.c_mu
+        lc = profile.lam * math.exp(profile.log_c_lam)
+        mc = profile.mu * math.exp(profile.log_c_mu)
         lhs1 = (p - 1.0 - alpha) * math.log(lc)
         rhs1 = math.log(c1 / (profile.mu**k1 * profile.b_lam)) + k1 * math.log(mc)
         lhs2 = (p - 1.0 - k2) * math.log(mc)
@@ -147,7 +147,8 @@ def test_amplitudes_satisfy_coupled_equations_on_random_systems():
 
 
 def test_amplitudes_positive(p3_profile):
-    assert p3_profile.c_lam > 0 and p3_profile.c_mu > 0
+    """The amplitudes are held as logs: a finite log is a positive amplitude."""
+    assert math.isfinite(p3_profile.log_c_lam) and math.isfinite(p3_profile.log_c_mu)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +168,8 @@ def test_residual_detects_amplitude_perturbation(p3_system, p3_profile):
         bent = PowerProfile(
             lam=p3_profile.lam,
             mu=p3_profile.mu,
-            c_lam=p3_profile.c_lam * (1.0 + eps),
-            c_mu=p3_profile.c_mu,
+            log_c_lam=p3_profile.log_c_lam + math.log1p(eps),
+            log_c_mu=p3_profile.log_c_mu,
             b_lam=p3_profile.b_lam,
             b_mu=p3_profile.b_mu,
         )
@@ -180,8 +181,8 @@ def test_residual_detects_exponent_perturbation(p3_system, p3_profile):
     bent = PowerProfile(
         lam=p3_profile.lam * 1.001,
         mu=p3_profile.mu,
-        c_lam=p3_profile.c_lam,
-        c_mu=p3_profile.c_mu,
+        log_c_lam=p3_profile.log_c_lam,
+        log_c_mu=p3_profile.log_c_mu,
         b_lam=p3_profile.b_lam,
         b_mu=p3_profile.b_mu,
     )
@@ -189,11 +190,12 @@ def test_residual_detects_exponent_perturbation(p3_system, p3_profile):
 
 
 def test_residual_infinite_for_degenerate_operator_output(poisson_system):
-    """A zero operator output, and a negative or zero amplitude, whose log
-    the residual would otherwise take."""
-    for lam, c_lam, c_mu in ((-1.0, 1.0, 1.0), (2.0, -1.0, 1.0), (2.0, 1.0, 0.0)):
-        forged = PowerProfile(lam=lam, mu=2.0, c_lam=c_lam, c_mu=c_mu, b_lam=0.0, b_mu=3.0)
-        assert profile_residual(forged, poisson_system, RESIDUAL_GRID) == math.inf
+    """A zero operator output, whose log the residual would otherwise take,
+    scores inf; a zero amplitude, log C = -inf, does not score as a fit."""
+    forged = PowerProfile(lam=-1.0, mu=2.0, log_c_lam=0.0, log_c_mu=0.0, b_lam=0.0, b_mu=3.0)
+    assert profile_residual(forged, poisson_system, RESIDUAL_GRID) == math.inf
+    forged = PowerProfile(lam=2.0, mu=2.0, log_c_lam=-math.inf, log_c_mu=0.0, b_lam=3.0, b_mu=3.0)
+    assert not profile_residual(forged, poisson_system, RESIDUAL_GRID) < 1e-3
 
 
 def test_multi_term_weights_are_refused():
@@ -212,8 +214,8 @@ def test_multi_term_weights_are_refused():
 def test_profile_eval_values_and_gradients(p3_profile):
     r = 2.5
     u0, v0, du0, dv0 = profile_eval(p3_profile, r)
-    assert u0 == pytest.approx(p3_profile.c_lam * r**p3_profile.lam, rel=1e-15)
-    assert v0 == pytest.approx(p3_profile.c_mu * r**p3_profile.mu, rel=1e-15)
+    assert u0 == pytest.approx(math.exp(p3_profile.log_c_lam) * r**p3_profile.lam, rel=1e-15)
+    assert v0 == pytest.approx(math.exp(p3_profile.log_c_mu) * r**p3_profile.mu, rel=1e-15)
     # logarithmic-derivative identities of pure powers
     assert du0 * r / u0 == pytest.approx(p3_profile.lam, rel=1e-13)
     assert dv0 * r / v0 == pytest.approx(p3_profile.mu, rel=1e-13)

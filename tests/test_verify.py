@@ -318,6 +318,15 @@ def test_limit_fit_recovers_algebraic_decay():
     assert limits["v"].rate == pytest.approx(1.0, abs=1e-9)
     # the flat series falls back to the endpoint with no rate
     assert limits["dv"].value == 1.0 and limits["dv"].rate is None
+    # a steep row, q - 1 = e^10 (r / 1e4)^-200: log q reaches 931 at r = 100,
+    # where q itself passes the float range
+    steep = np.logaddexp(0.0, 10.0 - 200.0 * np.log(r / 1e4))
+    assert np.max(steep[r >= 100.0]) > 709.0
+    limits = estimate_limits(QuotientSeries(r=r, log=np.vstack((steep, qs.log[1:]))))
+    assert limits["u"].rate == pytest.approx(200.0, rel=1e-12)
+    assert limits["u"].value == pytest.approx(1.0 + math.exp(10.0), rel=1e-12)
+    assert limits["u"].fit_quality < 1e-9
+    assert limits["v"].rate == pytest.approx(1.0, abs=1e-9)
 
 
 def test_limit_fit_requires_two_decades():
@@ -325,6 +334,14 @@ def test_limit_fit_requires_two_decades():
     qs = synthetic_quotients(r, [r**-1.0] * 4)
     with pytest.raises(InsufficientRange):
         estimate_limits(qs)
+
+
+def test_limit_window_keeps_the_two_decade_point_however_it_rounds(p3_system):
+    """At one point per decade out to 1e-3 the grid point two decades below
+    r_max is 9.999999999999999e-06, a rounding below r_max / 100."""
+    report, traj, _ = run_verification(p3_system, r_max=1e-3, points_per_decade=1)
+    assert traj.r[-3] < traj.r[-1] / 100.0
+    assert report.limits is not None
 
 
 def test_identity_residual_arithmetic(p3_system):
@@ -470,6 +487,29 @@ def test_tiny_first_datum_passes(config, a):
     19.3x over the first step of coupled_p3 at a = 1e-12 and 11.5x on Poisson
     at a = 1e-15, and from a = 1e-40 on both raised StepSizeUnderflow at r0."""
     report, _, _ = run_verification(system_from_config(config), a, 1.0, 1e-9, r_max=1e4)
+    assert report.passed
+
+
+def test_steep_profile_with_underflowing_amplitude_passes():
+    """lambda is about 450 and C_lambda = e^-1470.5 underflows a float; its
+    log does not, so the quotients, their excess and the limit fit are all
+    read from logs."""
+    cfg = {
+        "p": 2.5,
+        "n": 3,
+        "alpha": 1.04,
+        "r_max": 0.1,
+        "f1": [[0.0086, 3]],
+        "f2": [[0.02, 2]],
+        "g1": [[1, 1.79]],
+        "g2": [[1, 0]],
+        "g3": [[1, 0.368]],
+    }
+    system = system_from_config(cfg)
+    profile = solve_profile(system)
+    assert math.isfinite(profile.log_c_lam) and math.exp(profile.log_c_lam) == 0.0
+    report, _, _ = run_verification(system, 2.8e-3, 2.1e-4, 1.2e-7)
+    assert all(series.passed for series in report.monotonicity.series.values())
     assert report.passed
 
 
