@@ -123,6 +123,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "mu": prof.mu,
         "C_lambda": math.exp(prof.log_c_lam),
         "C_mu": math.exp(prof.log_c_mu),
+        "log_C_lambda": prof.log_c_lam,
+        "log_C_mu": prof.log_c_mu,
         "B_lambda": prof.b_lam,
         "B_mu": prof.b_mu,
         "residual": profile_residual(prof, system, _RESIDUAL_GRID),

@@ -61,8 +61,8 @@ __all__ = [
 
 
 class _IntegrationFailure(RuntimeError):
-    """A failed integration: ``radius`` is where it stopped, ``state`` the last
-    accepted state as a tuple of floats and ``h`` the last attempted step."""
+    """A failed integration: ``radius`` is where it stopped, ``state`` the last accepted
+    state as a tuple of floats and ``h`` the last attempted step, ``None`` if none was."""
 
     _what = ""
 
@@ -86,13 +86,13 @@ class _IntegrationFailure(RuntimeError):
 
 
 class StepSizeUnderflow(_IntegrationFailure):
-    """Accepted step would fall below 1e-14 * r: stiffness or blow-up suspected."""
+    """Accepted step would fall below 1e-14 * r, or a startup component is 0: stiffness or blow-up suspected."""
 
     _what = "step size underflow"
 
 
 class Overflow(_IntegrationFailure):
-    """A state component left the representable range before r_max."""
+    """A state component left the representable range before r_max, or started outside it."""
 
     _what = "state overflow"
 
@@ -429,8 +429,7 @@ def _log_rate_lines(dim: int, stage: int, at: str, logs: str) -> list[str]:
     ]
 
 
-_OVERFLOW_LOG = math.log(1e250)
-_HUGE_LOG = math.log(1e200)
+_OVERFLOW = 1e250
 _UNDERFLOW_STEP = 1e-14
 _MAX_STEPS = 2_000_000
 
@@ -438,15 +437,14 @@ _MAX_STEPS = 2_000_000
 # ``y{m}`` = log x_m against t = log r and keeps the radius ``r`` and the
 # state ``x{m}`` beside them, as the last stage computed them (FSAL), so the
 # output and failures need no further ``exp`` and give the first radius and
-# state exactly.  A zero component starts at -inf and makes every stage NaN,
-# so the step shrinks to StepSizeUnderflow there.  ``abs(x) < inf`` is
-# ``isfinite(x)``; ``x <= huge`` is false for NaN too.  The error norm is the
+# state exactly.  ``_step_loop`` refuses a start outside (0, 1e250], so every
+# log is finite.  ``abs(x) < inf`` is ``isfinite(x)``.  The error norm is the
 # largest component, so each log is held to ``tol``; ``max`` may drop a NaN,
 # so the finiteness test covers the error estimate as well as the new state.
 _LOOP_SOURCE = """\
 def loop(f, radii, times, x, tol, out):
     {x} = x
-    {y} = [log(v) if v != 0.0 else -inf for v in x]
+    {y} = [log(v) for v in x]
     r, t = radii[0], times[0]
 {k1}
     h = times[1] - t
@@ -497,8 +495,7 @@ def loop(f, radii, times, x, tol, out):
                 rejections[cause] += 1
                 h = h_try * shrink
                 if h < underflow_step:
-                    failure = StepSizeUnderflow if {moderate} else Overflow
-                    raise failure(r, state=({x}), h=r * expm1(h_try))
+                    raise StepSizeUnderflow(r, state=({x}), h=r * expm1(h_try))
             if accepted + rejected > max_steps:
                 raise StepSizeUnderflow(r, f"step budget exhausted at r={{r!r}}", state=({x}), h=r * expm1(h_try))
         out[i] = ({x})
@@ -522,8 +519,7 @@ def _dp_loop(dim: int) -> Callable:
         log=math.log,
         Overflow=Overflow,
         StepSizeUnderflow=StepSizeUnderflow,
-        limit=_OVERFLOW_LOG,
-        huge=_HUGE_LOG,
+        limit=math.log(_OVERFLOW),
         underflow_step=_UNDERFLOW_STEP,
         max_steps=_MAX_STEPS,
     )
@@ -539,7 +535,6 @@ def _dp_loop(dim: int) -> Callable:
         x_is_x7=_each("x{m} = x7_{m}", dim, "; "),
         k1_is_k7=_each("k1_{m} = k7_{m}", dim, "; "),
         overflow=_each("y{m} > limit", dim, " or "),
-        moderate=_each("y{m} <= huge", dim, " and "),
     )
     return _generate(source, "loop", constants)
 
@@ -552,18 +547,22 @@ def _step_loop(
 ) -> tuple[np.ndarray, int, dict, float, float, float]:
     """Adaptive stepping of y' = f(r, y) in log variables, landing on every grid radius.
 
-    ``_dp_loop`` steps log y against log r and holds the error estimate of
-    every component of log y to ``tol``, a relative tolerance on y.  A zero
-    component of ``y0`` fails as ``StepSizeUnderflow`` at the first radius.
-    Returns the states on the grid, the accepted step count, the rejected
-    steps by cause, and the smallest and largest accepted step in r with the
-    radius the smallest one started from (``inf``, ``0.0``, ``nan`` when none
-    was accepted).  The causes are ``error`` (the estimate exceeded the
-    tolerance) and ``nonfinite`` (a stage left the range of floats, or the
-    new state or its estimate was not finite).
+    ``_dp_loop`` steps log y against log r and holds the error estimate of every
+    component of log y to ``tol``, a relative tolerance on y.  A start outside
+    (0, 1e250] raises at the first radius with ``h = None``: ``Overflow`` for a NaN
+    or large component, else ``StepSizeUnderflow``.  Returns the states on the
+    grid, the accepted step count, the rejected steps by cause, and the smallest
+    and largest accepted step in r with the radius the smallest one started from
+    (``inf``, ``0.0``, ``nan`` when none was accepted).  The causes are ``error``
+    (the estimate exceeded the tolerance) and ``nonfinite`` (a stage left the
+    range of floats, or the new state or its estimate was not finite).
     """
     radii = np.asarray(grid, dtype=float)
     x = np.asarray(y0, dtype=float).tolist()
+    if not all(0.0 < v <= _OVERFLOW for v in x):
+        failure = StepSizeUnderflow if all(v <= _OVERFLOW for v in x) else Overflow  # NaN too
+        message = f"startup state {tuple(x)} refused, a component is outside (0, 1e250], at r={radii[0]}"
+        raise failure(float(radii[0]), message, state=tuple(x))
     out = np.empty((len(radii), len(x)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return (out, *_dp_loop(len(x))(f, radii.tolist(), np.log(radii).tolist(), x, tol, out))
@@ -586,8 +585,8 @@ def integrate_radial(
     on u, v, P and S.  Default grids come from ``geometric_grid`` and are
     shared, read-only arrays.  Raises ``StepSizeUnderflow`` when the step
     falls below 1e-14 in log r (1e-14 * r) or a startup component is 0, and
-    ``Overflow`` when a component passes 1e250; both carry the radius, the
-    last accepted (u, v, P, S) and the last attempted step in r.
+    ``Overflow`` when a component passes 1e250; both carry the radius, the last
+    accepted (u, v, P, S) and the last attempted step in r (``None`` for a refused start).
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")

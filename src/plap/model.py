@@ -77,8 +77,8 @@ class _PowerSum:
     """``x -> sum_i c_i * x^(e_i)`` with ``c_i >= 0``, ``e_i >= 0`` and a nonzero term.
 
     Construction normalises the terms (``_normalise_terms``) and raises
-    ``_error`` on an empty term list, a negative coefficient or an exponent
-    that is not a finite number ``>= 0``.
+    ``_error`` on an empty term list or a coefficient or exponent that is not
+    a finite number ``>= 0``.
     """
 
     terms: tuple[tuple[float, float], ...]
@@ -92,8 +92,8 @@ class _PowerSum:
         if not merged:
             raise self._error(self._empty_message)
         for coeff, expo in merged:
-            if coeff < 0.0:
-                raise self._error(f"negative coefficient {coeff} in {self._noun}")
+            if not 0.0 <= coeff < math.inf:
+                raise self._error(f"coefficient {coeff} in {self._noun} must be a finite number >= 0")
             if not 0.0 <= expo < math.inf:
                 raise self._error(f"exponent {expo} in {self._noun} must be a finite number >= 0")
         object.__setattr__(self, "terms", merged)

@@ -38,6 +38,20 @@ def write_config(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+# lambda is about 450: C_lambda = e^-1470.5 underflows a float, its log does not
+STEEP_450_CONFIG = {
+    "p": 2.5,
+    "n": 3,
+    "alpha": 1.04,
+    "r_max": 0.1,
+    "f1": [[0.0086, 3]],
+    "f2": [[0.02, 2]],
+    "g1": [[1, 1.79]],
+    "g2": [[1, 0]],
+    "g3": [[1, 0.368]],
+}
+
+
 def test_profile_json_document(write_config, tmp_path, capsys):
     cfg = write_config("p3.json", P3_CONFIG)
     assert main(["profile", "--config", cfg]) == 0
@@ -47,6 +61,8 @@ def test_profile_json_document(write_config, tmp_path, capsys):
         "mu",
         "C_lambda",
         "C_mu",
+        "log_C_lambda",
+        "log_C_mu",
         "B_lambda",
         "B_mu",
         "residual",
@@ -55,6 +71,13 @@ def test_profile_json_document(write_config, tmp_path, capsys):
     assert doc["lambda"] == profile.lam and doc["mu"] == profile.mu
     assert doc["C_lambda"] == pytest.approx(math.exp(profile.log_c_lam), rel=1e-15)
     assert doc["residual"] < 1e-12
+    # the logs give back the amplitude that the exported value lost
+    cfg = write_config("steep450.json", STEEP_450_CONFIG)
+    assert main(["profile", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    profile = solve_profile(system_from_config(STEEP_450_CONFIG))
+    assert doc["C_lambda"] == 0.0
+    assert (doc["log_C_lambda"], doc["log_C_mu"]) == (profile.log_c_lam, profile.log_c_mu)
 
 
 def test_profile_out_file(write_config, tmp_path):
@@ -420,7 +443,11 @@ def test_exit_2_when_the_startup_powers_of_r0_underflow(write_config, overrides,
     cfg = write_config("underflow.json", P3_CONFIG, **overrides)
     proc = _fresh_cli("verify", "--config", cfg, *flags)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"numerical failure: StepSizeUnderflow: step size underflow at r={radius}\n"
+    state = tuple(plap.startup_state(system_from_config(dict(P3_CONFIG, **overrides)), 1.0, 1.0, float(radius)))
+    assert proc.stderr == (
+        f"numerical failure: StepSizeUnderflow: startup state {state} refused, "
+        f"a component is outside (0, 1e250], at r={radius}\n"
+    )
 
 
 def test_exit_3_when_a_limit_identity_overflows(write_config, tmp_path):

@@ -25,6 +25,7 @@ from plap import (
     integrate_fixed_grid,
     integrate_radial,
     run_verification,
+    solve_profile,
     startup_state,
     system_from_config,
 )
@@ -576,7 +577,9 @@ def _reference_propagate(f, grid, y0, tol):
     """The step loop on numpy arrays: log y against log r, landing on every grid radius."""
     times = np.log(np.asarray(grid, dtype=float))
     x = np.asarray(y0, dtype=float)
-    y = np.array([math.log(v) if v != 0.0 else -math.inf for v in x])
+    if not np.all((0.0 < x) & (x <= 1e250)):
+        raise (StepSizeUnderflow if np.all(x <= 1e250) else Overflow)(float(grid[0]))
+    y = np.log(x)
     out = np.empty((len(grid), len(y)))
     out[0] = x
     r, t = float(grid[0]), float(times[0])
@@ -610,7 +613,7 @@ def _reference_propagate(f, grid, y0, tol):
                     rejected += 1
                     h = h_try * (max(0.1, 0.8 * enorm**-0.2) if math.isfinite(enorm) else 0.2)
                     if h < 1e-14:
-                        raise (StepSizeUnderflow if np.all(y <= math.log(1e200)) else Overflow)(r)
+                        raise StepSizeUnderflow(r)
             out[i] = x
     return out, accepted, rejected
 
@@ -659,6 +662,68 @@ def test_step_loop_accuracy_against_dop853(config, tol, r_max, points_per_decade
         assert traj.meta["steps_rejected"] > 0
 
 
+# (p, n, alpha, f1, f2, k3) with g1 = g2 = 1 and g3 = s^k3: k1 = k2 = 0, so
+# the system is triangular and integrates by hand for any p, n and alpha
+TRIANGULAR_CASES = [
+    (1.5, 2, 0.2, [[1, 0]], [[1, 0]], 0.3),
+    (2.5, 3, 0.5, [[1.3, 0.5]], [[0.7, 1]], 0.9),
+    (3, 4, 1.2, [[2, 1]], [[0.5, 0]], 1.5),
+    (4, 5, 2.5, [[0.8, 2]], [[1.5, 0.5]], 2),
+]
+TRIANGULAR_IDS = ["p1.5", "p2.5", "p3", "p4"]
+
+
+def _triangular(p, n, alpha, f1, f2, k3):
+    """The system and its closed form: u' = K r^gamma, v' = K_v r^(mu-1).
+
+    gamma = (m1+1)/(p-1-alpha) and K^(p-1-alpha) = c1/(n-1+gamma(p-1)), so
+    u = a + K r^(gamma+1)/(gamma+1); then mu = (p+m2+gamma k3)/(p-1) and
+    K_v^(p-1) = c2 K^k3/(n+m2+gamma k3), so v = b + K_v r^mu/mu.
+    """
+    config = dict(p=p, n=n, alpha=alpha, r_max=1e4, f1=f1, f2=f2, g1=[[1, 0]], g2=[[1, 0]], g3=[[1, k3]])
+    (c1, m1), (c2, m2) = f1[0], f2[0]
+    gamma = (m1 + 1) / (p - 1 - alpha)
+    K = (c1 / (n - 1 + gamma * (p - 1))) ** (1 / (p - 1 - alpha))
+    mu = (p + m2 + gamma * k3) / (p - 1)
+    K_v = (c2 * K**k3 / (n + m2 + gamma * k3)) ** (1 / (p - 1))
+    return system_from_config(config), gamma, K, mu, K_v
+
+
+@pytest.mark.parametrize("case", TRIANGULAR_CASES, ids=TRIANGULAR_IDS)
+def test_triangular_profile_is_exact(case):
+    """lambda = gamma + 1, mu and the amplitudes K/lambda and K_v/mu to rounding."""
+    system, gamma, K, mu, K_v = _triangular(*case)
+    profile = solve_profile(system)
+    assert profile.lam == pytest.approx(gamma + 1, rel=2.5e-16)
+    assert profile.mu == pytest.approx(mu, rel=2.5e-16)
+    assert abs(profile.log_c_lam - math.log(K / (gamma + 1))) < 4e-15
+    assert abs(profile.log_c_mu - math.log(K_v / mu)) < 4e-15
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("points_per_decade", [8, 64])
+@pytest.mark.parametrize("case", TRIANGULAR_CASES, ids=TRIANGULAR_IDS)
+def test_triangular_solution_matches_its_closed_form(case, points_per_decade, tol):
+    """u and v within tol of the closed form (at most 2.7e-10 and 5.8e-13
+    measured).  The fluxes are pure powers, straight lines in log
+    variables, so u' and v' are exact to 4.5e-14; only p = 4's v' at 8 per
+    decade is held to tol (3.6e-10 at tol 1e-9, 2.5e-13 at 1e-12)."""
+    system, gamma, K, mu, K_v = _triangular(*case)
+    traj = integrate_radial(system, 1.0, 1.0, tol, points_per_decade=points_per_decade)
+    r = traj.r
+    exact = {
+        "u": 1.0 + K * r ** (gamma + 1) / (gamma + 1),
+        "v": 1.0 + K_v * r**mu / mu,
+        "du": K * r**gamma,
+        "dv": K_v * r ** (mu - 1),
+    }
+    dv_bound = tol if (case[0], points_per_decade) == (4, 8) else 1e-13
+    bounds = dict(u=tol, v=tol, du=1e-13, dv=dv_bound)
+    for name, value in exact.items():
+        err = float(np.max(np.abs(getattr(traj, name) / value - 1.0)))
+        assert err < bounds[name], f"{name}: rel err {err:.3e}"
+
+
 def test_step_count_on_tight_coarse_run(p3_system):
     """Error control, not the 8-per-decade grid, sets the steps here."""
     meta = integrate_radial(p3_system, 1.0, 1.0, 1e-12, r_max=1e4, points_per_decade=8).meta
@@ -688,6 +753,21 @@ def test_step_loop_matches_numpy_reference_on_underflow():
     with pytest.raises(StepSizeUnderflow) as info:
         integrate_radial(system, 1.0, 1.0, 1e-9, r_max=1e4)
     assert info.value.radius == expected.value.radius
+
+
+def test_refused_start_costs_no_rhs_evaluation(monkeypatch):
+    """S(r0) is 0 here, so the start is refused before the first right-hand
+    side, with no step to report; stepping from log 0 = -inf once rejected
+    18 steps (109 evaluations) to reach the same radius."""
+    calls = _counting_flux_rhs(monkeypatch)
+    system = system_from_config(NEAR_ALPHA_CONFIG)
+    with pytest.raises(StepSizeUnderflow) as info:
+        integrate_radial(system, 1.0, 1.0, 1e-9, r_max=1e4)
+    exc = info.value
+    start = startup_state(system, 1.0, 1.0, 1e-6)
+    assert start.S == 0.0 and exc.state == tuple(start)
+    assert (exc.radius, exc.h, len(calls)) == (1e-6, None, 0)
+    assert str(exc) == f"startup state {tuple(start)} refused, a component is outside (0, 1e250], at r=1e-06"
 
 
 def _toy_rates(dim, drift=False):
@@ -720,7 +800,12 @@ def test_step_loop_matches_numpy_reference_in_any_dimension(dim):
         _reference_propagate(drift, grid, y0, 1e-10)
     with pytest.raises(StepSizeUnderflow) as failure:
         _step_loop(drift, grid, y0, 1e-10)
-    assert failure.value.radius == expected_failure.value.radius
+    exc = failure.value
+    assert exc.radius == expected_failure.value.radius
+    # the last attempted step: the 1e-14 * r floor is only tested after a
+    # rejection, so accepted steps shrink past it (to about 6e-309 here)
+    assert 0.0 < exc.h < 1e-13 * exc.radius
+    assert len(exc.state) == dim and all(type(v) is float and math.isfinite(v) for v in exc.state)
 
 
 def test_step_size_record_on_known_steps():
@@ -751,7 +836,9 @@ def test_step_size_record_in_meta(p3_system):
     ids=["underflow", "huge_weight"],
 )
 def test_failures_carry_last_state_and_step(config, failure):
-    """Both fail before any step is accepted, so the state is the startup state."""
+    """Both starts are refused before any step, so the state is the startup
+    state and there is no step.  A collapse mid-run is covered by
+    ``test_step_loop_matches_numpy_reference_in_any_dimension``."""
     system = system_from_config(config)
     r0 = 1e-6 * min(1.0, config["r_max"])
     with pytest.raises(failure) as info:
@@ -761,26 +848,31 @@ def test_failures_carry_last_state_and_step(config, failure):
     assert exc.radius == r0
     assert exc.state == (start.u, start.v, start.P, start.S)
     assert all(type(x) is float for x in exc.state)
-    # the last attempted step, which the controller then shrank below 1e-14 * r
-    assert 0.1 * exc.h < 1e-14 * exc.radius <= exc.h
-    what = "step size underflow" if failure is StepSizeUnderflow else "state overflow"
-    assert str(exc) == f"{what} at r={exc.radius!r}"
+    assert exc.h is None
+    assert str(exc) == f"startup state {exc.state} refused, a component is outside (0, 1e250], at r={exc.radius!r}"
     assert exc.args == (str(exc),)
     copy = pickle.loads(pickle.dumps(exc))
     assert (type(copy), copy.radius, copy.state, copy.h, str(copy)) == (failure, r0, exc.state, exc.h, str(exc))
 
 
 @pytest.mark.parametrize(
-    "override",
+    "override, nonfinite",
     [
-        dict(f1=[[math.inf, 0.0]]),
-        dict(g1=[[math.nan, 0.5], [1.0, 1.0]]),
-        dict(f2=[[1e300, 0.0]]),
+        (dict(f1=[[math.inf, 0.0]]), True),
+        (dict(g1=[[math.nan, 0.5], [1.0, 1.0]]), True),
+        (dict(f2=[[1e300, 0.0]]), False),
     ],
     ids=["infinite_weight", "nan_growth_term", "huge_weight"],
 )
-def test_nonfinite_and_extreme_parameters_overflow_at_startup(override):
-    system = system_from_config(dict(P3_CONFIG, r_max=100.0, **override))
+def test_nonfinite_and_extreme_parameters_overflow_at_startup(override, nonfinite):
+    """A NaN or infinite coefficient is refused where its power sum is built;
+    a huge finite one makes S(r0) pass 1e250, which refuses the start."""
+    config = dict(P3_CONFIG, r_max=100.0, **override)
+    if nonfinite:
+        with pytest.raises(ValueError, match="must be a finite number"):
+            system_from_config(config)
+        return
+    system = system_from_config(config)
     with pytest.raises(Overflow) as expected:
         _reference_trajectory(system, 1e-9, 100.0, 64)
     with pytest.raises(Overflow) as info:

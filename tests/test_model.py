@@ -268,10 +268,20 @@ def test_params_reject_nonfinite_scalars(field, value):
         constant_system(**scalars)
 
 
-@pytest.mark.parametrize("expo", [math.nan, math.inf])
-def test_power_sums_reject_nonfinite_exponents(expo):
+@pytest.mark.parametrize(
+    "weight, law",
+    [
+        (((1.0, math.nan),), ((1.0, math.nan),)),
+        (((1.0, math.inf),), ((1.0, math.inf),)),
+        (((math.inf, 0.0),), ((math.nan, 0.5), (1.0, 1.0))),
+    ],
+    ids=["nan", "inf", "coefficients"],
+)
+def test_power_sums_reject_nonfinite_exponents(weight, law):
+    """A NaN or infinite coefficient is refused like such an exponent, not
+    left to fail the run as ``Overflow`` at r0."""
     with pytest.raises(ValueError, match="must be a finite number"):
-        CoefficientFunction(((1.0, expo),))
+        CoefficientFunction(weight)
     with pytest.raises(MalformedNonlinearity, match="must be a finite number"):
-        Nonlinearity(((1.0, expo),))
+        Nonlinearity(law)
 
