@@ -86,7 +86,7 @@ class _IntegrationFailure(RuntimeError):
 
 
 class StepSizeUnderflow(_IntegrationFailure):
-    """Accepted step would fall below 1e-14 * r, or a startup component is 0: stiffness or blow-up suspected."""
+    """A shrunk step fell below 1e-14 * r, or a startup component is 0: stiffness or blow-up suspected."""
 
     _what = "step size underflow"
 
@@ -441,6 +441,8 @@ _MAX_STEPS = 2_000_000
 # log is finite.  ``abs(x) < inf`` is ``isfinite(x)``.  The error norm is the
 # largest component, so each log is held to ``tol``; ``max`` may drop a NaN,
 # so the finiteness test covers the error estimate as well as the new state.
+# The branches only keep their books: one block after them sets the next step,
+# and one test of the 1e-14 floor covers every step it shrinks, accepted or rejected.
 _LOOP_SOURCE = """\
 def loop(f, radii, times, x, tol, out):
     {x} = x
@@ -480,22 +482,17 @@ def loop(f, radii, times, x, tol, out):
                 accepted += 1
                 if {overflow}:
                     raise Overflow(r, state=({x}), h=h_r)
-                if enorm == 0.0:
-                    grow = 5.0
-                else:
-                    grow = 0.8 * enorm**-0.2
-                    grow = grow if grow < 5.0 else 5.0
-                h = h_try * (grow if grow > 0.2 else 0.2)
             else:
                 rejected += 1
-                if enorm < inf:
-                    cause, shrink = "error", max(0.1, 0.8 * enorm**-0.2)
-                else:
-                    cause, shrink = "nonfinite", 0.2
-                rejections[cause] += 1
-                h = h_try * shrink
-                if h < underflow_step:
-                    raise StepSizeUnderflow(r, state=({x}), h=r * expm1(h_try))
+                rejections["error" if enorm < inf else "nonfinite"] += 1
+            if enorm == 0.0:
+                h = h_try * 5.0
+            elif enorm < inf:
+                h = h_try * min(5.0, max(0.1, 0.8 * enorm**-0.2))
+            else:
+                h = h_try * 0.2
+            if h < underflow_step and h < h_try:
+                raise StepSizeUnderflow(r, state=({x}), h=r * expm1(h_try))
             if accepted + rejected > max_steps:
                 raise StepSizeUnderflow(r, f"step budget exhausted at r={{r!r}}", state=({x}), h=r * expm1(h_try))
         out[i] = ({x})
@@ -550,9 +547,11 @@ def _step_loop(
     ``_dp_loop`` steps log y against log r and holds the error estimate of every
     component of log y to ``tol``, a relative tolerance on y.  A start outside
     (0, 1e250] raises at the first radius with ``h = None``: ``Overflow`` for a NaN
-    or large component, else ``StepSizeUnderflow``.  Returns the states on the
-    grid, the accepted step count, the rejected steps by cause, and the smallest
-    and largest accepted step in r with the radius the smallest one started from
+    or large component, else ``StepSizeUnderflow``.  A step the controller shrinks
+    below 1e-14 in log r, accepted or rejected, raises ``StepSizeUnderflow`` where
+    it stopped, as does a run past the step budget.  Returns the states on the grid,
+    the accepted step count, the rejected steps by cause, and the smallest and
+    largest accepted step in r with the radius the smallest one started from
     (``inf``, ``0.0``, ``nan`` when none was accepted).  The causes are ``error``
     (the estimate exceeded the tolerance) and ``nonfinite`` (a stage left the
     range of floats, or the new state or its estimate was not finite).
@@ -583,8 +582,8 @@ def integrate_radial(
     ``(log u, log v, log P, log S)`` is stepped against log r, and ``tol``
     (1e-13 to 1e-3) is an absolute tolerance on those logs, so a relative one
     on u, v, P and S.  Default grids come from ``geometric_grid`` and are
-    shared, read-only arrays.  Raises ``StepSizeUnderflow`` when the step
-    falls below 1e-14 in log r (1e-14 * r) or a startup component is 0, and
+    shared, read-only arrays.  Raises ``StepSizeUnderflow`` when a step shrinks
+    below 1e-14 in log r (1e-14 * r), accepted or rejected, or a startup component is 0, and
     ``Overflow`` when a component passes 1e250; both carry the radius, the last
     accepted (u, v, P, S) and the last attempted step in r (``None`` for a refused start).
     """

@@ -25,6 +25,7 @@ from plap import (
     integrate_fixed_grid,
     integrate_radial,
     run_verification,
+    sample_profile_trajectory,
     solve_profile,
     startup_state,
     system_from_config,
@@ -608,12 +609,14 @@ def _reference_propagate(f, grid, y0, tol):
                     accepted += 1
                     if np.any(y > math.log(1e250)):
                         raise Overflow(r)
-                    h = h_try * max(0.2, 5.0 if enorm == 0.0 else min(5.0, 0.8 * enorm**-0.2))
                 else:
                     rejected += 1
-                    h = h_try * (max(0.1, 0.8 * enorm**-0.2) if math.isfinite(enorm) else 0.2)
-                    if h < 1e-14:
-                        raise StepSizeUnderflow(r)
+                if enorm == 0.0:
+                    h = h_try * 5.0
+                else:
+                    h = h_try * (min(5.0, max(0.1, 0.8 * enorm**-0.2)) if math.isfinite(enorm) else 0.2)
+                if h < 1e-14 and h < h_try:
+                    raise StepSizeUnderflow(r)
             out[i] = x
     return out, accepted, rejected
 
@@ -724,6 +727,26 @@ def test_triangular_solution_matches_its_closed_form(case, points_per_decade, to
         assert err < bounds[name], f"{name}: rel err {err:.3e}"
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("r0, r_max", [(1.0, 1e12), (1e-6, 1e4)])
+@pytest.mark.parametrize("config", [P3_CONFIG, POISSON_CONFIG], ids=["coupled_p3", "poisson"])
+def test_step_loop_started_on_the_profile_stays_on_it(config, r0, r_max, tol):
+    """For pure powers the profile is an exact solution and a straight line
+    in log variables, on which Dormand-Prince is exact: from the profile
+    state at r0 every step lands on a grid radius, none is rejected, and the
+    states stay on the profile to rounding (2.6e-14 measured)."""
+    system = system_from_config(config)
+    profile = solve_profile(system)
+    grid = geometric_grid(r0, r_max, 8)
+    start = sample_profile_trajectory(profile, system, grid[:1])
+    exact = sample_profile_trajectory(profile, system, grid)
+    y0 = [start.u[0], start.v[0], start.P[0], start.S[0]]
+    ys, accepted, rejections, *_ = _step_loop(flux_rhs(system), grid, y0, tol)
+    assert float(np.max(np.abs(np.log(ys.T / np.vstack([exact.u, exact.v, exact.P, exact.S]))))) <= 1e-13
+    assert accepted == len(grid) - 1
+    assert sum(rejections.values()) == 0
+
+
 def test_step_count_on_tight_coarse_run(p3_system):
     """Error control, not the 8-per-decade grid, sets the steps here."""
     meta = integrate_radial(p3_system, 1.0, 1.0, 1e-12, r_max=1e4, points_per_decade=8).meta
@@ -802,21 +825,54 @@ def test_step_loop_matches_numpy_reference_in_any_dimension(dim):
         _step_loop(drift, grid, y0, 1e-10)
     exc = failure.value
     assert exc.radius == expected_failure.value.radius
-    # the last attempted step: the 1e-14 * r floor is only tested after a
-    # rejection, so accepted steps shrink past it (to about 6e-309 here)
-    assert 0.0 < exc.h < 1e-13 * exc.radius
+    # the last attempted step
+    assert 1e-14 * exc.radius <= exc.h < 1e-13 * exc.radius
     assert len(exc.state) == dim and all(type(v) is float and math.isfinite(v) for v in exc.state)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+def test_collapse_costs_what_the_floor_says(dim):
+    """The 1e-14 floor holds for every step the controller shrinks, accepted
+    or rejected, so the drift case fails typed within a few thousand
+    right-hand sides (4,201 to 4,333 measured)."""
+    calls = []
+    drift = _toy_rates(dim, drift=True)
+
+    def counted(r, y):
+        calls.append(r)
+        return drift(r, y)
+
+    with pytest.raises(StepSizeUnderflow):
+        _step_loop(counted, np.array([1.0, 4.0]), np.linspace(0.5, 1.5, dim), 1e-10)
+    assert len(calls) <= 5000
 
 
 def test_step_size_record_on_known_steps():
     """y = r^2 is a straight line in log variables, so the error estimate is
     at rounding level and each step in log r is five times the last unless
-    it lands on the grid: 1, 0.5 (lands), 2.5 and 6.  The record is in r."""
+    it lands on the grid: 1, 0.5 (lands), 2.5 and 6.  The record is in r.
+    Every estimate here is exactly 0, the one controller branch the toy
+    cases of ``test_step_loop_matches_numpy_reference_in_any_dimension`` miss."""
     grid = np.exp([0.0, 1.0, 1.5, 10.0])
-    _, accepted, _, h_min, h_max, r_at_h_min = _step_loop(lambda r, y: [2.0 * y[0] / r], grid, [1.0], 1e-9)
+    line = lambda r, y: [2.0 * y[0] / r]
+    ys, accepted, _, h_min, h_max, r_at_h_min = _step_loop(line, grid, [1.0], 1e-9)
+    expected, expected_accepted, _ = _reference_propagate(line, grid, [1.0], 1e-9)
+    assert np.array_equal(ys, expected) and accepted == expected_accepted
     assert accepted == 4 and r_at_h_min == 1.0
     assert h_min == pytest.approx(math.e - 1.0, rel=1e-12)
     assert h_max == pytest.approx(grid[-1] - math.exp(4.0), rel=1e-12)
+
+
+def test_short_landing_does_not_trip_the_floor():
+    """Two grid radii 1.3e-15 apart in log r make the step that lands on the
+    second that short.  The next one, five times longer, is still below the
+    1e-14 floor, but it grew, so the run goes on to the end."""
+    grid = np.exp([0.0, 1.0, 1.0 + 6 * 2.0**-52, 10.0])
+    line = lambda r, y: [2.0 * y[0] / r]
+    ys, accepted, _, h_min, *_ = _step_loop(line, grid, [1.0], 1e-9)
+    expected, expected_accepted, _ = _reference_propagate(line, grid, [1.0], 1e-9)
+    assert np.array_equal(ys, expected) and accepted == expected_accepted == 25
+    assert h_min < 1e-14 * math.e
 
 
 def test_step_size_record_in_meta(p3_system):
