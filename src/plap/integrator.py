@@ -108,27 +108,45 @@ class State(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """Solution sampled on a strictly increasing radial grid.
+    """Solution of ``system`` sampled on a strictly increasing radial grid.
 
-    Component arrays are aligned with ``r``; ``du``/``dv`` are the gradients
-    recovered from the fluxes, not finite differences.  ``meta`` records the
-    initial data, startup radius, tolerances, step counts, rejected steps by
-    cause (``rejections``) and right-hand-side evaluations of the run.  A
-    default-grid trajectory shares its read-only ``r`` with every other run
-    on the same grid (see ``geometric_grid``).
+    The state arrays ``u, v, P, S`` are aligned with ``r``; they are all a
+    trajectory stores.  The gradients ``du``/``dv`` are derived from the
+    fluxes on each access, and ``log_gradients`` gives their logs read from
+    log P and log S, which stay resolved where the float u' is subnormal or
+    0.
+    ``meta`` records the initial data, startup radius, tolerances, step
+    counts, rejected steps by cause (``rejections``) and right-hand-side
+    evaluations of the run.  A default-grid trajectory shares its read-only
+    ``r`` with every other run on the same grid (see ``geometric_grid``).
     """
 
     r: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    du: np.ndarray
-    dv: np.ndarray
     P: np.ndarray
     S: np.ndarray
+    system: ValidatedSystem
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.r)
+
+    @property
+    def du(self) -> np.ndarray:
+        """u' = (P / r^delta)^(1/(p-1-alpha))."""
+        return (self.P / self.r**self.system.delta) ** (1.0 / (self.system.p - 1.0 - self.system.alpha))
+
+    @property
+    def dv(self) -> np.ndarray:
+        """v' = (S / r^(n-1))^(1/(p-1))."""
+        return (self.S / self.r ** (self.system.n - 1)) ** (1.0 / (self.system.p - 1.0))
+
+    def log_gradients(self) -> np.ndarray:
+        """log u' = (log P - delta log r)/(p-1-alpha) and log v' = (log S - (n-1) log r)/(p-1), as rows."""
+        s, log_r = self.system, np.log(self.r)
+        log_du = (np.log(self.P) - s.delta * log_r) / (s.p - 1.0 - s.alpha)
+        return np.stack((log_du, (np.log(self.S) - (s.n - 1) * log_r) / (s.p - 1.0)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -581,8 +599,10 @@ def integrate_radial(
 
     ``(log u, log v, log P, log S)`` is stepped against log r, and ``tol``
     (1e-13 to 1e-3) is an absolute tolerance on those logs, so a relative one
-    on u, v, P and S.  Default grids come from ``geometric_grid`` and are
-    shared, read-only arrays.  Raises ``StepSizeUnderflow`` when a step shrinks
+    on u, v, P and S.  The trajectory holds those four states and ``system``;
+    u' and v' are derived from P and S when read.  Default grids come from
+    ``geometric_grid`` and are shared, read-only arrays.  Raises
+    ``StepSizeUnderflow`` when a step shrinks
     below 1e-14 in log r (1e-14 * r), accepted or rejected, or a startup component is 0, and
     ``Overflow`` when a component passes 1e250; both carry the radius, the last
     accepted (u, v, P, S) and the last attempted step in r (``None`` for a refused start).
@@ -596,21 +616,16 @@ def integrate_radial(
     ys, accepted, rejections, h_min, h_max, r_at_h_min = _step_loop(flux_rhs(system), grid, start, tol)
     rejected = sum(rejections.values())
 
-    inv_grad = 1.0 / (system.p - 1.0 - system.alpha)
-    inv_p1 = 1.0 / (system.p - 1.0)
     # the four state columns are rows of one contiguous block, so a kept
-    # trajectory holds six arrays and nothing more
+    # trajectory holds four arrays and nothing more
     u, v, P, S = ys.T.copy()
-    du = (P / grid**system.delta) ** inv_grad
-    dv = (S / grid ** (system.n - 1)) ** inv_p1
     return Trajectory(
         r=grid,
         u=u,
         v=v,
-        du=du,
-        dv=dv,
         P=P,
         S=S,
+        system=system,
         meta={
             "a": a,
             "b": b,

@@ -84,11 +84,13 @@ def quotient_series(traj: Trajectory, profile: PowerProfile) -> QuotientSeries:
     """The logs of a trajectory's quotients, e.g. log U = log u - log C_lam - lam log r.
 
     No profile value is formed: C_lam r^lam underflows at r0 = 1e-6 once lam >~ 43.
+    log W and log Y read the trajectory's ``log_gradients``, formed from log P
+    and log S, so a u' that is subnormal or underflows to 0 keeps a finite log.
     """
     lam, mu, log_c_lam, log_c_mu = profile.lam, profile.mu, profile.log_c_lam, profile.log_c_mu
     log_amp = np.array([log_c_lam, log_c_mu, math.log(lam) + log_c_lam, math.log(mu) + log_c_mu])
     expo = np.array([lam, mu, lam - 1.0, mu - 1.0])
-    log_state = np.log(np.stack((traj.u, traj.v, traj.du, traj.dv)))
+    log_state = np.concatenate((np.log(np.stack((traj.u, traj.v))), traj.log_gradients()))
     return QuotientSeries(r=traj.r, log=log_state - log_amp[:, None] - expo[:, None] * np.log(traj.r))
 
 
@@ -214,9 +216,9 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
     upper bounds (p-1-alpha)/(p-1) w1 and w2.  So the gradient term's share
     of the upper bound, sigma1 = delta (p-1) (u')^(p-1-alpha) / ((p-1-alpha) r w1)
     or sigma2 = (n-1) (v')^(p-1) / (r w2), lies in [0, 1 - c]: the lower
-    margin is 1 - c - sigma, the upper margin sigma.  sigma reads the stored
-    u' and v', not P and S: through P, sigma1 is delta / (r P'/P), and
-    neither P nor P' reads u', so a bent u' would pass.
+    margin is 1 - c - sigma, the upper margin sigma.  The flux terms
+    (u')^(p-1-alpha) and (v')^(p-1) are read as P / r^delta and S / r^(n-1),
+    so sigma never passes through a gradient that may be subnormal.
     A non-finite w (an overflowed growth law) gives NaN margins, which fail,
     where sigma alone would read 0 and pass.  A run from exact startup
     attains the first lower bound exactly when the weights are constants.
@@ -225,7 +227,7 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
     r = traj.r
     pma = p - 1.0 - alpha
     w = np.stack((system.f1(r) * system.g1(traj.v), system.f2(r) * system.g2(traj.v) * system.g3(traj.du)))
-    flux = np.stack((traj.du**pma, traj.dv ** (p - 1.0)))
+    flux = np.stack((traj.P / r**delta, traj.S / r ** (n - 1)))
     sigma = np.array([[delta * (p - 1.0)], [n - 1.0]]) * flux / (np.array([[pma], [1.0]]) * r * w)
     sigma = np.where(np.isfinite(w), sigma, np.nan)
     lower = 1.0 - np.array([[(p - 1.0) / (n * pma + alpha)], [1.0 / n]]) - sigma
@@ -315,17 +317,16 @@ def check_limit_identities(
 def sample_profile_trajectory(
     profile: PowerProfile, system: ValidatedSystem, grid: np.ndarray
 ) -> Trajectory:
-    """The profile itself packaged as a trajectory (exact states, no stepping)."""
+    """The profile packaged as a trajectory (exact states, no stepping): its fluxes, from which u' and v' are read."""
     grid = np.asarray(grid, dtype=float)
     u0, v0, du0, dv0 = profile_eval(profile, grid)
     return Trajectory(
         r=grid,
         u=u0,
         v=v0,
-        du=du0,
-        dv=dv0,
         P=grid**system.delta * du0 ** (system.p - 1.0 - system.alpha),
         S=grid ** (system.n - 1) * dv0 ** (system.p - 1.0),
+        system=system,
         meta={"synthetic": "profile"},
     )
 
@@ -346,7 +347,8 @@ class VerificationReport:
     ``passed``.  Limit closeness (``_LIMIT_THRESHOLD``) and the power-balance
     identity residuals (``_IDENTITY_THRESHOLD``) are thresholded only when the
     run reaches radius 1e4, where those thresholds are calibrated; on shorter
-    runs they are reported as diagnostics.
+    runs they are reported as diagnostics.  ``to_dict`` writes ``None`` for a
+    NaN or infinite number, so the report is standard JSON.
     """
 
     monotonicity: MonotonicityReport
@@ -361,7 +363,14 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _finite_or_none(asdict(self))
+
+
+def _finite_or_none(node):
+    """``node`` with every NaN or infinite float, nested dicts included, replaced by ``None``."""
+    if isinstance(node, dict):
+        return {key: _finite_or_none(value) for key, value in node.items()}
+    return None if isinstance(node, float) and not math.isfinite(node) else node
 
 
 def run_verification(

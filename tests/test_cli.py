@@ -424,12 +424,15 @@ def test_fresh_process_writes_standard_json_and_nothing_on_stderr(
 def test_steep_limit_fit_reads_the_profile_exponent(tmp_path, r_max):
     """Close to r0 on ``steep.json`` u is still about a, so U - 1 decays as
     r^-lambda; at r_max = 1e-5 U passes the float range, which the fit and
-    the excess read from the logs without a warning."""
+    the excess read from the logs without a warning.  There the excess, the
+    limit values and the identity residuals are not finite, and the report
+    writes them as ``null``, so it parses with a strict parser."""
     out = tmp_path / "report.json"
     proc = _fresh_cli("verify", "--config", str(CONFIGS / "steep.json"), "--rmax", r_max, "--out", str(out))
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     lam = solve_profile(system_from_config(json.loads((CONFIGS / "steep.json").read_text()))).lam
-    assert json.loads(out.read_text())["limits"]["u"]["rate"] == pytest.approx(lam, rel=1e-6)
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["limits"]["u"]["rate"] == pytest.approx(lam, rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -452,7 +455,8 @@ def test_exit_2_when_the_startup_powers_of_r0_underflow(write_config, overrides,
 
 def test_exit_3_when_a_limit_identity_overflows(write_config, tmp_path):
     """A tiny second weight makes the limit of V about 7e191, whose square
-    overflows: the identity fails with an infinite residual, not an OverflowError."""
+    overflows: the identity fails with an infinite residual, not an
+    OverflowError, and the report writes that residual as ``null``."""
     cfg = write_config("tiny_f2.json", P3_CONFIG, f2=[[1e-300, 0.0]])
     out = tmp_path / "report.json"
     proc = _fresh_cli("verify", "--config", cfg, "--rmax", "1e4", "--out", str(out))
@@ -460,7 +464,7 @@ def test_exit_3_when_a_limit_identity_overflows(write_config, tmp_path):
     assert proc.stderr == ""
     report = json.loads(out.read_text())
     assert report["limits_asserted"] and report["identities_passed"] is False
-    assert report["limit_identities"]["second"] == math.inf
+    assert report["limit_identities"]["second"] is None
     assert math.isfinite(report["limit_identities"]["first"])
 
 

@@ -18,6 +18,7 @@ from plap import (
     Nonlinearity,
     Overflow,
     StepSizeUnderflow,
+    Trajectory,
     ValidatedSystem,
     flux_consistency,
     flux_rhs,
@@ -271,6 +272,19 @@ def test_poisson_value_and_curve(poisson_traj):
 
 def test_trajectory_state_accessors(poisson_traj):
     assert len(poisson_traj) == len(poisson_traj.r)
+
+
+def test_trajectory_stores_the_state_and_derives_the_gradients(p3_traj, p3_system):
+    """Four state arrays and the system; u' and v' are the flux expressions
+    bit for bit, and their logs are read from log P and log S."""
+    assert [f.name for f in dataclasses.fields(Trajectory)] == ["r", "u", "v", "P", "S", "system", "meta"]
+    assert p3_traj.system is p3_system
+    r, p, alpha = p3_traj.r, p3_system.p, p3_system.alpha
+    du = (p3_traj.P / r**p3_system.delta) ** (1.0 / (p - 1.0 - alpha))
+    dv = (p3_traj.S / r ** (p3_system.n - 1)) ** (1.0 / (p - 1.0))
+    assert p3_traj.du.tobytes() == du.tobytes()
+    assert p3_traj.dv.tobytes() == dv.tobytes()
+    np.testing.assert_allclose(p3_traj.log_gradients(), np.log([du, dv]), rtol=0.0, atol=1e-13)
 
 
 def assert_trajectory_increasing(traj):
@@ -1101,14 +1115,14 @@ def test_flux_consistency_reference_runs(poisson_traj, p3_traj, poisson_system, 
 
 
 def test_flux_consistency_detects_corruption(p3_traj, p3_system):
-    """A bent flux shows; so does one NaN or infinite sample of P, S, or a
-    state that a growth law reads (both systems' g1 reads v and g3 reads u')."""
+    """A bent flux shows; so does one NaN or infinite sample of P, S, or of v,
+    which g1 reads (g3 reads u', which is derived from P)."""
     bent = dataclasses.replace(p3_traj, P=p3_traj.P * 1.001)
     assert flux_consistency(bent, p3_system) > 1e-4
     multi_system = system_from_config(MULTI_TERM_CONFIG)
     multi_traj = integrate_radial(multi_system, 1.0, 1.0, tol=1e-9)
     for traj, system in ((p3_traj, p3_system), (multi_traj, multi_system)):
-        for field in ("P", "S", "v", "du"):
+        for field in ("P", "S", "v"):
             for bad in (math.nan, math.inf):
                 samples = getattr(traj, field).copy()
                 samples[len(samples) // 2] = bad

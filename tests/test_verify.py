@@ -228,8 +228,10 @@ def test_poisson_attains_first_lower_bound_exactly(poisson_traj, poisson_system)
 
 
 def test_convexity_bounds_detect_corrupted_gradient(p3_traj, p3_system):
-    bent = dataclasses.replace(p3_traj, du=p3_traj.du * 1.2)
-    assert not check_convexity_bounds(bent, p3_system).passed
+    """u' is derived from P, so the gradient is bent through its flux."""
+    bent = check_convexity_bounds(dataclasses.replace(p3_traj, P=p3_traj.P * 1.2), p3_system)
+    assert not bent.passed
+    assert bent.first_equation.worst_lower_margin == pytest.approx(-0.133, abs=1e-3)
 
 
 def test_convexity_bounds_hold_on_random_systems():
@@ -272,7 +274,7 @@ def test_convexity_bounds_match_the_difference_form(poisson_traj, poisson_system
     runs = [
         (poisson_traj, poisson_system),
         (p3_traj, p3_system),
-        (dataclasses.replace(p3_traj, du=p3_traj.du * 1.2), p3_system),
+        (dataclasses.replace(p3_traj, P=p3_traj.P * 1.2), p3_system),
         (integrate_radial(multi, 1.0, 1.0, tol=1e-9, r_max=10.0), multi),
     ]
     rng = np.random.default_rng(99)
@@ -530,20 +532,47 @@ def test_tiny_second_datum_passes_or_fails_typed(p3_system):
     assert report.passed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="u'(r0) = 1.0e-322 is subnormal, so the u' recovered from P holds a few bits: "
-    "W rises by 1.3% at r0 and the first sandwich fails",
+def _subnormal_start_report(alpha, g3):
+    cfg = dict(P3_CONFIG, alpha=alpha, r_max=1e4, g1=[[1.0, 0.001]], g3=g3)
+    return run_verification(system_from_config(cfg), 1.0, 1.0, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        1.9753,
+        1.9754,
+        1.9755,
+        pytest.param(
+            1.97545,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="startup_state and the rates read g3 at a u' with only a few bits left: "
+                "Y rises by 3.3e-6 at r = 1.04e-6",
+            ),
+        ),
+    ],
 )
-def test_subnormal_start_gradient_passes_or_fails_typed():
-    """An admissible instance (existence margin 0.049) either passes the
-    battery or raises a typed error.  At alpha = 1.9752 it passes, with
-    u'(r0) = 5.7e-320; from alpha = 1.9757 on the run underflows at r0.
-    Between them it integrates and reads ``not_passed``."""
-    cfg = dict(P3_CONFIG, alpha=1.9754, r_max=1e4, g1=[[1.0, 0.001]], g3=[[1.0, 0.001]])
+def test_subnormal_start_gradient_passes_or_fails_typed(alpha):
+    """An admissible instance (existence margin about 0.049) either passes the
+    battery or raises a typed error.  u'(r0) is subnormal (5.7e-320 at
+    alpha = 1.9752, 1.0e-322 at 1.9754), and from alpha = 1.9756 on S(r0)
+    underflows and the run fails at r0.  W, Y and the sandwiches read P and
+    S, never that u'; while they read a stored u', 1.9753 to 1.9755 read
+    ``not_passed`` (at 1.9754 W rose by 1.3% at r0)."""
     try:
-        report, _, _ = run_verification(system_from_config(cfg), 1.0, 1.0, 1e-9)
+        report, _, _ = _subnormal_start_report(alpha, [[1.0, 0.001]])
     except (StepSizeUnderflow, Overflow):
         return
     assert report.passed
+
+
+def test_quotient_logs_are_finite_where_the_gradient_underflows():
+    """With a constant term in g3 the run gets past r0, and u' underflows to 0
+    at four grid radii while P stays positive.  Read from log P, every
+    quotient log is finite; the log of that u' was log 0.  The run reads
+    ``not_passed`` on Y, since the rates read g3(0) (not gated here)."""
+    _, traj, qs = _subnormal_start_report(1.9757, [[1.0, 0.0], [1.0, 0.001]])
+    assert int(np.sum(traj.du == 0.0)) == 4 and np.all(traj.P > 0.0)
+    assert np.all(np.isfinite(qs.log))
