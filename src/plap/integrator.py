@@ -28,10 +28,12 @@ following its local power law inside the flux integrals and in u(r0).
 The step loop runs on plain Python floats: for a 4-component state, numpy's
 per-call overhead would cost several times the arithmetic itself.  The hot
 path is generated from its single sources: ``flux_rhs`` writes each
-system's power-sum terms out inline, and the Dormand-Prince 5(4) stages come
-from the Butcher tableau through one emitter, unrolled over the components
-once per dimension, both for the public step and for the whole adaptive
-loop with its change of variables, error norm and step-size controller.
+system's power-sum terms out inline, specialised on their values where that
+is exact (a unit coefficient, an exponent of 0 or 1, a factor of 1), and
+the Dormand-Prince 5(4) stages come from the Butcher tableau through one
+emitter, unrolled over the components once per dimension, both for the
+public step and for the whole adaptive loop with its change of variables,
+error norm and step-size controller.
 """
 
 from __future__ import annotations
@@ -233,8 +235,8 @@ def _generate(source: str, name: str, constants: dict) -> Callable:
     The constants become closure cells of the compiled function, so they are
     read as fast as locals and enter the code by name, never as literals:
     ``repr`` would turn an infinite coefficient into the unbound name ``inf``.
-    The code depends only on the names, so systems with the same number of
-    terms per law share one compilation.
+    The code depends only on the names, so systems whose laws have the same
+    number of terms, specialised the same way, share one compilation.
     """
     params = ", ".join(constants)
     body = "".join(f"    {line}\n" for line in source.splitlines())
@@ -243,34 +245,64 @@ def _generate(source: str, name: str, constants: dict) -> Callable:
 
 
 def _power_sum_source(prefix: str, law, arg: str, constants: dict) -> str:
-    """Inline ``law(arg)`` with the arithmetic of ``_PowerSum.__call__``.
+    """Inline ``law(arg)`` with the arithmetic of ``_PowerSum.__call__``, specialised on its terms.
 
-    The terms are added left to right onto 0.0, ``((0.0 + c0*x**e0) + c1*x**e1)``,
-    with each coefficient and exponent bound in ``constants``.
+    Each term ``c * x**e`` is written with what its values leave of it: no
+    ``c *`` for a coefficient of exactly 1, only ``c`` for an exponent of
+    exactly 0 (``x**0.0`` and ``x**-0.0`` are 1 for every x, NaN included),
+    and ``x`` for an exponent of exactly 1.  Each of these is exact, so every
+    term keeps its value bit for bit, and the coefficients and exponents
+    still written are bound in ``constants``.  The terms add left to right
+    from the first, ``(t0 + t1 + t2)``: ``_PowerSum`` starts from 0.0, and
+    ``0.0 + t`` differs from ``t`` only at ``t = -0.0``, which no term takes
+    at an argument in [+0.0, inf] or NaN.  The constant 1 gives ``""``, a
+    factor that ``_product_source`` leaves out.
     """
-    total = "0.0"
+    if law.terms == ((1.0, 0.0),):
+        return ""
+    terms = []
     for i, (coeff, expo) in enumerate(law.terms):
-        constants[f"{prefix}_c{i}"] = coeff
-        constants[f"{prefix}_e{i}"] = expo
-        total = f"({total} + {prefix}_c{i} * {arg} ** {prefix}_e{i})"
-    return total
+        c, e = f"{prefix}_c{i}", f"{prefix}_e{i}"
+        if expo == 0.0:
+            terms.append(c)
+            constants[c] = coeff
+            continue
+        if expo == 1.0:
+            term = arg
+        else:
+            term = f"{arg} ** {e}"
+            constants[e] = expo
+        if coeff != 1.0:
+            term = f"{c} * {term}"
+            constants[c] = coeff
+        terms.append(term)
+    return f"({' + '.join(terms)})"
 
 
+def _product_source(factors: Sequence[str]) -> str:
+    """``a * b * c`` left to right over the factors, leaving out the empty ones (exactly 1).
+
+    ``1.0 * x`` is ``x`` bit for bit, so the product keeps its value."""
+    return " * ".join(factor for factor in factors if factor)
+
+
+# ``v <= 0.0`` also clamps -0.0, so g1 and g2 see v in [+0.0, inf] or NaN, as
+# ``_power_sum_source`` requires; g3 sees du >= +0.0 or NaN, f1 and f2 see r > 0
 _RHS_SOURCE = """\
 def rhs(r, y):
     u, v, P, S = y.tolist() if isinstance(y, ndarray) else y
-    if v < 0.0:
+    if v <= 0.0:
         v = 0.0
     rd = r**delta
     rn = r**n1
     du = (P / rd) ** inv_grad if P > 0.0 else 0.0
     dv = (S / rn) ** inv_p1 if S > 0.0 else 0.0
-    return (du, dv, coef * rd * {f1} * {g1}, rn * {f2} * {g2} * {g3})
+    return (du, dv, {dP}, {dS})
 """
 
 
 def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tuple]:
-    """Right-hand side of the flux system as a plain callable f(r, y).
+    """Right-hand side of the flux system as a plain callable f(r, y), for r > 0.
 
     ``y`` is any sequence ``(u, v, P, S)`` of floats (an ndarray is read
     through ``tolist``); the derivatives come back as a tuple of floats.
@@ -279,20 +311,26 @@ def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tupl
     is strictly positive).
 
     The callable is generated per system with the five power sums written
-    out term by term; it computes exactly what ``f1(r) * g1(v)`` and
-    ``f2(r) * g2(v) * g3(du)`` compute, bit for bit.
+    out term by term and specialised on their values (``_power_sum_source``),
+    and with every factor that is exactly 1 left out of the two products:
+    ``coef`` when alpha = 0 and a law that is the constant 1.  It computes
+    exactly what ``coef * r**delta * f1(r) * g1(v)`` and
+    ``r**(n-1) * f2(r) * g2(v) * g3(du)`` compute, bit for bit, sign of zero
+    included, and raises where they raise.
     """
     p, alpha = system.p, system.alpha
+    coef = (p - 1.0 - alpha) / (p - 1.0)
     constants = dict(
         ndarray=np.ndarray,
         delta=system.delta,
         n1=float(system.n - 1),
         inv_grad=1.0 / (p - 1.0 - alpha),
         inv_p1=1.0 / (p - 1.0),
-        coef=(p - 1.0 - alpha) / (p - 1.0),
     )
-    sums = {
-        name: _power_sum_source(name, law, arg, constants)
+    if coef != 1.0:
+        constants["coef"] = coef
+    f1, g1, f2, g2, g3 = (
+        _power_sum_source(name, law, arg, constants)
         for name, law, arg in (
             ("f1", system.f1, "r"),
             ("g1", system.g1, "v"),
@@ -300,8 +338,12 @@ def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tupl
             ("g2", system.g2, "v"),
             ("g3", system.g3, "du"),
         )
-    }
-    return _generate(_RHS_SOURCE.format(**sums), "rhs", constants)
+    )
+    source = _RHS_SOURCE.format(
+        dP=_product_source(("coef" if coef != 1.0 else "", "rd", f1, g1)),
+        dS=_product_source(("rn", f2, g2, g3)),
+    )
+    return _generate(source, "rhs", constants)
 
 
 # ----------------------------------------------------------------------------
@@ -427,9 +469,9 @@ def _log_rate_lines(dim: int, stage: int, at: str, logs: str) -> list[str]:
     """Lines for the stage ``k{stage}_m = r f_m(r, x) / x_m`` at r = exp(at), x_m = exp(logs{m}).
 
     They leave r in ``r{stage}`` and x in ``x{stage}_0, ...`` and call ``f``
-    exactly once.  A stage out of the range of floats (``exp`` overflows, or
-    a state that underflowed to 0 is divided by) gets NaN rates, which the
-    loop rejects as non-finite.
+    exactly once, with x as a tuple.  A stage out of the range of floats
+    (``exp`` overflows, or a state that underflowed to 0 is divided by) gets
+    NaN rates, which the loop rejects as non-finite.
     """
     xs = [f"x{stage}_{m}" for m in range(dim)]
     ks = [f"k{stage}_{m}" for m in range(dim)]
@@ -440,7 +482,7 @@ def _log_rate_lines(dim: int, stage: int, at: str, logs: str) -> list[str]:
         "except OverflowError:",
         f"    {' = '.join(xs)} = nan",
         "try:",
-        f"    {_unpack('d', dim)} = f(r{stage}, [{', '.join(xs)}])",
+        f"    {_unpack('d', dim)} = f(r{stage}, ({_unpack(f'x{stage}_', dim)}))",
         *(f"    {ks[m]} = r{stage} * d{m} / {xs[m]}" for m in range(dim)),
         "except (OverflowError, ZeroDivisionError):",
         f"    {' = '.join(ks)} = nan",
@@ -456,13 +498,18 @@ _MAX_STEPS = 2_000_000
 # state ``x{m}`` beside them, as the last stage computed them (FSAL), so the
 # output and failures need no further ``exp`` and give the first radius and
 # state exactly.  ``_step_loop`` refuses a start outside (0, 1e250], so every
-# log is finite.  ``abs(x) < inf`` is ``isfinite(x)``.  The error norm is the
-# largest component, so each log is held to ``tol``; ``max`` may drop a NaN,
-# so the finiteness test covers the error estimate as well as the new state.
-# The branches only keep their books: one block after them sets the next step,
-# and one test of the 1e-14 floor covers every step it shrinks, accepted or rejected.
+# log is finite.  ``x - x == 0.0`` is ``isfinite(x)``, since inf - inf and
+# NaN - NaN are NaN.  The error norm is the largest component, so each log is
+# held to ``tol``; ``max`` may drop a NaN, so the finiteness test covers the
+# error estimate as well as the new state.  The branches only keep their
+# books: one block after them sets the next step, and one test of the 1e-14
+# floor covers every step it shrinks, accepted or rejected.  The grid rows go
+# one after another into the flat list ``rows``, and ``_step_loop`` builds one
+# array from it at the end.  Per grid radius, numpy row assignments cost
+# about 0.7 us, a list of row tuples and its ``np.array`` about 0.5 us, the
+# flat list and its ``np.array`` about 0.3 us.
 _LOOP_SOURCE = """\
-def loop(f, radii, times, x, tol, out):
+def loop(f, radii, times, x, tol):
     {x} = x
     {y} = [log(v) for v in x]
     r, t = radii[0], times[0]
@@ -471,7 +518,7 @@ def loop(f, radii, times, x, tol, out):
     accepted = rejected = 0
     rejections = {{"error": 0, "nonfinite": 0}}
     h_min, h_max, r_at_h_min = inf, 0.0, nan
-    out[0] = x
+    rows = [{x}]
     for i in range(1, len(times)):
         target = times[i]
         while True:
@@ -513,8 +560,8 @@ def loop(f, radii, times, x, tol, out):
                 raise StepSizeUnderflow(r, state=({x}), h=r * expm1(h_try))
             if accepted + rejected > max_steps:
                 raise StepSizeUnderflow(r, f"step budget exhausted at r={{r!r}}", state=({x}), h=r * expm1(h_try))
-        out[i] = ({x})
-    return accepted, rejections, h_min, h_max, r_at_h_min
+        rows += ({x})
+    return rows, accepted, rejections, h_min, h_max, r_at_h_min
 """
 
 
@@ -544,7 +591,7 @@ def _dp_loop(dim: int) -> Callable:
         y=_unpack("y", dim),
         k1="\n".join(f"    {line}" for line in _log_rate_lines(dim, 1, "t", "y")),
         stages="\n".join(f"            {line}" for line in stages),
-        finite=_each("abs(s7_{m}) < inf and abs(err_{m}) < inf", dim, " and "),
+        finite=_each("s7_{m} - s7_{m} == 0.0 and err_{m} - err_{m} == 0.0", dim, " and "),
         errors=_each("abs(err_{m})", dim, ", "),
         y_is_s7=_each("y{m} = s7_{m}", dim, "; "),
         x_is_x7=_each("x{m} = x7_{m}", dim, "; "),
@@ -567,10 +614,11 @@ def _step_loop(
     (0, 1e250] raises at the first radius with ``h = None``: ``Overflow`` for a NaN
     or large component, else ``StepSizeUnderflow``.  A step the controller shrinks
     below 1e-14 in log r, accepted or rejected, raises ``StepSizeUnderflow`` where
-    it stopped, as does a run past the step budget.  Returns the states on the grid,
-    the accepted step count, the rejected steps by cause, and the smallest and
-    largest accepted step in r with the radius the smallest one started from
-    (``inf``, ``0.0``, ``nan`` when none was accepted).  The causes are ``error``
+    it stopped, as does a run past the step budget.  Returns the states on the grid
+    as one (N, dim) array, built once from the flat list of rows the loop
+    collects, the accepted step count, the rejected steps by cause, and the
+    smallest and largest accepted step in r with the radius the smallest one
+    started from (``inf``, ``0.0``, ``nan`` when none was accepted).  The causes are ``error``
     (the estimate exceeded the tolerance) and ``nonfinite`` (a stage left the
     range of floats, or the new state or its estimate was not finite).
     """
@@ -580,9 +628,9 @@ def _step_loop(
         failure = StepSizeUnderflow if all(v <= _OVERFLOW for v in x) else Overflow  # NaN too
         message = f"startup state {tuple(x)} refused, a component is outside (0, 1e250], at r={radii[0]}"
         raise failure(float(radii[0]), message, state=tuple(x))
-    out = np.empty((len(radii), len(x)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (out, *_dp_loop(len(x))(f, radii.tolist(), np.log(radii).tolist(), x, tol, out))
+        rows, *record = _dp_loop(len(x))(f, radii.tolist(), np.log(radii).tolist(), x, tol)
+    return (np.array(rows).reshape(-1, len(x)), *record)
 
 
 def integrate_radial(

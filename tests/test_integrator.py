@@ -440,7 +440,7 @@ def test_benchmark_hooks_accept_numpy_states(monkeypatch, p3_system):
     counts evaluations by patching ``plap.integrator.flux_rhs``."""
     f = flux_rhs(p3_system)
     y = np.array([1.0, 1.0, 1e-6, 2e-6])
-    assert f(0.5, y) == f(0.5, y.tolist())
+    assert f(0.5, y) == f(0.5, y.tolist()) == f(0.5, tuple(y))
     y5, err, k7 = dormand_prince_step(f, 0.5, y, 1e-3)
     assert (y5, err, k7) == dormand_prince_step(f, 0.5, y.tolist(), 1e-3)
     assert len(y5) == len(err) == len(k7) == 4
@@ -540,10 +540,48 @@ _SIGNED = st.floats(min_value=-1e3, max_value=1e3) | st.sampled_from([0.0, -0.0]
 )
 def test_generated_rhs_matches_power_sum_rhs_bit_for_bit(system, r, u, v, P, S):
     """States include v < 0 (clamped), P <= 0 and S <= 0 (zero gradients)."""
-    expected = _outcome(_reference_rhs(system), r, [u, v, P, S])
+    _assert_rhs_matches_reference(system, r, [u, v, P, S])
+
+
+def _assert_rhs_matches_reference(system, r, y):
+    """``flux_rhs`` gives ``_reference_rhs``'s bits or exception on a list, a tuple and an ndarray."""
+    expected = _outcome(_reference_rhs(system), r, y)
     f = flux_rhs(system)
-    assert _outcome(f, r, [u, v, P, S]) == expected
-    assert _outcome(f, r, np.array([u, v, P, S])) == expected
+    for state in (list(y), tuple(y), np.array(y)):
+        assert _outcome(f, r, state) == expected
+
+
+# Every specialisation of ``flux_rhs`` at work: alpha = 0 drops ``coef``,
+# unit coefficients drop their product, exponents 0, -0.0 and 1 drop their
+# power, and a constant-1 law drops out of its product.
+SWEEP_LIKE_CONFIG = dict(P3_CONFIG, n=2)
+SPECIALISED_CONFIGS = [
+    SWEEP_LIKE_CONFIG,
+    dict(
+        SWEEP_LIKE_CONFIG,
+        p=4,
+        f1=[[2.0, -0.0], [1.0, 1.0]],
+        f2=[[0.5, 0.0], [1.0, 3.0]],
+        g1=[[1.0, -0.0], [1.0, 1.0]],
+        g2=[[0.25, 0.0], [1.0, 1.0]],
+        g3=[[0.5, 1.0], [1.0, 3.0]],
+    ),
+    dict(MULTI_TERM_CONFIG, p=2.5, n=3, alpha=0.5, f1=[[1.0, 3.0]], f2=[[3.0, 1.0]], g1=[[1.0, 1.0]], g2=[[1.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("config", SPECIALISED_CONFIGS, ids=["sweep_like", "mixed_sums", "positive_alpha"])
+def test_specialised_rhs_matches_power_sum_rhs_bit_for_bit(config):
+    """Signed zeros and NaN on every specialised term.  ``v = -0.0`` is the
+    case to watch: ``g1 = s`` writes g1(v) as ``v``, and only the clamp of
+    -0.0 keeps it from returning the -0.0 that ``0.0 + 1.0 * v`` turns into
+    +0.0."""
+    system = system_from_config(config)
+    for r in (0.5, 2.0):
+        for v in (-0.0, 0.0, -1.0, math.nan, 0.7):
+            for P in (-0.0, 0.0, 0.3):
+                for S in (-0.0, 0.0, 0.2):
+                    _assert_rhs_matches_reference(system, r, [1.0, v, P, S])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 7])
@@ -640,6 +678,28 @@ def _reference_trajectory(system, tol, r_max, points_per_decade):
     grid = geometric_grid(1e-6 * min(1.0, r_max), r_max, points_per_decade)
     start = startup_state(system, 1.0, 1.0, float(grid[0]))
     return _reference_propagate(_reference_rhs(system), grid, [start.u, start.v, start.P, start.S], tol)
+
+
+@pytest.mark.parametrize(
+    "config, tol, r_max, points_per_decade",
+    [
+        (P3_CONFIG, 1e-9, 1e3, 64),
+        (P3_CONFIG, 1e-6, 1e4, 1),  # rejects steps
+        (SWEEP_LIKE_CONFIG, 1e-9, 1e3, 64),
+        (MULTI_TERM_CONFIG, 1e-9, 10.0, 64),
+    ],
+    ids=["coupled_p3", "rejections", "sweep_like", "multi_term"],
+)
+def test_integrate_radial_matches_numpy_reference_bit_for_bit(config, tol, r_max, points_per_decade):
+    """The generated right-hand side and loop against ``_reference_rhs`` in
+    ``_reference_propagate``: the same states and step counts, to the bit."""
+    system = system_from_config(config)
+    traj = integrate_radial(system, 1.0, 1.0, tol, r_max=r_max, points_per_decade=points_per_decade)
+    expected, accepted, rejected = _reference_trajectory(system, tol, r_max, points_per_decade)
+    assert np.array_equal(np.column_stack((traj.u, traj.v, traj.P, traj.S)), expected)
+    assert (traj.meta["steps_accepted"], traj.meta["steps_rejected"]) == (accepted, rejected)
+    if points_per_decade == 1:
+        assert rejected > 0
 
 
 def _dop853_states(system, grid):
