@@ -118,11 +118,13 @@ def _flagged_config(args: argparse.Namespace) -> dict:
 def _cmd_profile(args: argparse.Namespace) -> int:
     system = system_from_config(_load_config(args.config))
     prof = solve_profile(system)
+    # an amplitude that underflows reads null, and its log still carries it;
+    # one beyond the float range raises OverflowError (exit 2)
     payload = {
         "lambda": prof.lam,
         "mu": prof.mu,
-        "C_lambda": math.exp(prof.log_c_lam),
-        "C_mu": math.exp(prof.log_c_mu),
+        "C_lambda": math.exp(prof.log_c_lam) or None,
+        "C_mu": math.exp(prof.log_c_mu) or None,
         "log_C_lambda": prof.log_c_lam,
         "log_C_mu": prof.log_c_mu,
         "B_lambda": prof.b_lam,

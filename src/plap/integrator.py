@@ -30,10 +30,10 @@ per-call overhead would cost several times the arithmetic itself.  The hot
 path is generated from its single sources: ``flux_rhs`` writes each
 system's power-sum terms out inline, specialised on their values where that
 is exact (a unit coefficient, an exponent of 0 or 1, a factor of 1), and
-the Dormand-Prince 5(4) stages come from the Butcher tableau through one
-emitter, unrolled over the components once per dimension, both for the
-public step and for the whole adaptive loop with its change of variables,
-error norm and step-size controller.
+the Dormand-Prince 5(4) stages come from the Butcher tableau, written in as
+literals, through one emitter, unrolled over the components once per
+dimension, both for the public step and for the whole adaptive loop with
+its change of variables, error norm and step-size controller.
 """
 
 from __future__ import annotations
@@ -232,11 +232,13 @@ def _compile_factory(factory: str, name: str) -> Callable:
 def _generate(source: str, name: str, constants: dict) -> Callable:
     """Compile ``source``, which defines ``name``, with ``constants`` bound as names.
 
-    The constants become closure cells of the compiled function, so they are
-    read as fast as locals and enter the code by name, never as literals:
-    ``repr`` would turn an infinite coefficient into the unbound name ``inf``.
-    The code depends only on the names, so systems whose laws have the same
-    number of terms, specialised the same way, share one compilation.
+    The constants become closure cells of the compiled function and enter
+    the code by name: ``repr`` would turn an infinite coefficient into the
+    unbound name ``inf``, and a system's values as literals would cost one
+    compilation per system.  The code depends only on the names, so systems
+    whose laws have the same number of terms, specialised the same way,
+    share one compilation.  What is the same in every compilation, such as
+    the Dormand-Prince tableau, is written into ``source`` as literals.
     """
     params = ", ".join(constants)
     body = "".join(f"    {line}\n" for line in source.splitlines())
@@ -364,14 +366,13 @@ _DP_A = (
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _weighted_sum(prefix: str, weights: Sequence[float], m: int, constants: dict) -> str:
-    """``w1 * k1_m + w2 * k2_m + ...`` over the nonzero weights, left to right."""
-    terms = []
-    for j, w in enumerate(weights, 1):
-        if w != 0.0:
-            constants[f"{prefix}{j}"] = w
-            terms.append(f"{prefix}{j} * k{j}_{m}")
-    return " + ".join(terms)
+def _weighted_sum(weights: Sequence[float], m: int) -> str:
+    """``(w1) * k1_m + (w2) * k2_m + ...`` over the nonzero weights, left to right.
+
+    The weights are written as parenthesised ``repr`` literals: the tableau is
+    finite and fixed, ``repr`` gives each float back exactly, and a literal is
+    read as a constant rather than a closure cell."""
+    return " + ".join(f"({w!r}) * k{j}_{m}" for j, w in enumerate(weights, 1) if w != 0.0)
 
 
 def _unpack(name: str, dim: int) -> str:
@@ -384,26 +385,28 @@ def _each(template: str, dim: int, sep: str) -> str:
     return sep.join(template.format(m=m) for m in range(dim))
 
 
-def _dp_stage_lines(dim: int, t: str, h: str, constants: dict, evaluate: Callable) -> list[str]:
+def _dp_stage_lines(dim: int, t: str, h: str, evaluate: Callable) -> list[str]:
     """Stages 2 to 7 of one Dormand-Prince step and its error estimate, as source lines.
 
-    This is the only place the tableau becomes code.  The lines read the
-    independent variable named ``t``, the step named ``h``, the state
-    ``y0, y1, ...`` and the first stage ``k1_0, k1_1, ...``.  Each stage state
-    ``s2_0, s2_1, ...`` sums its weights left to right with the zero ones
-    skipped, then scales by h and adds y; ``evaluate(stage, at, "s2_")`` gives
-    the lines that turn it into ``k2_0, k2_1, ...``.  The lines leave the
-    5th-order solution in ``s7_0, ...``, the stage there in ``k7_0, ...``
-    (FSAL) and the error estimate in ``err_0, err_1, ...``.
+    This is the only place the tableau becomes code, its entries written as
+    literals (``_weighted_sum``).  The lines read the independent variable
+    named ``t``, the step named ``h``, the state ``y0, y1, ...`` and the first
+    stage ``k1_0, k1_1, ...``.  Each stage state ``s2_0, s2_1, ...`` sums its
+    weights left to right with the zero ones skipped, then scales by h and
+    adds y; ``evaluate(stage, at, "s2_")`` gives the lines that turn it into
+    ``k2_0, k2_1, ...`` at ``at``, which is ``t + (c) * h``, or ``t + h`` where
+    c is 1 (``1.0 * h`` is h).  The lines leave the 5th-order solution in
+    ``s7_0, ...``, the stage there in ``k7_0, ...`` (FSAL) and the error
+    estimate in ``err_0, err_1, ...``.
     """
     lines = []
     for i in range(1, len(_DP_A)):
         stage = i + 1
-        constants[f"c{stage}"] = _DP_C[i]
         for m in range(dim):
-            lines.append(f"s{stage}_{m} = y{m} + {h} * ({_weighted_sum(f'a{stage}', _DP_A[i], m, constants)})")
-        lines += evaluate(stage, f"{t} + c{stage} * {h}", f"s{stage}_")
-    lines += [f"err_{m} = {h} * ({_weighted_sum('e', _DP_ERR, m, constants)})" for m in range(dim)]
+            lines.append(f"s{stage}_{m} = y{m} + {h} * ({_weighted_sum(_DP_A[i], m)})")
+        at = f"{t} + {h}" if _DP_C[i] == 1.0 else f"{t} + ({_DP_C[i]!r}) * {h}"
+        lines += evaluate(stage, at, f"s{stage}_")
+    lines += [f"err_{m} = {h} * ({_weighted_sum(_DP_ERR, m)})" for m in range(dim)]
     return lines
 
 
@@ -414,17 +417,16 @@ def _dp_stepper(dim: int) -> Callable:
     def evaluate(stage: int, at: str, state: str) -> list:
         return [f"k{stage} = f({at}, [{_unpack(state, dim)}])", f"{_unpack(f'k{stage}_', dim)} = k{stage}"]
 
-    constants: dict = {}
     lines = [
         "def step(f, r, y, h, k1):",
         f"    {_unpack('y', dim)} = y",
         "    if k1 is None:",
         "        k1 = f(r, y)",
         f"    {_unpack('k1_', dim)} = k1",
-        *(f"    {line}" for line in _dp_stage_lines(dim, "r", "h", constants, evaluate)),
+        *(f"    {line}" for line in _dp_stage_lines(dim, "r", "h", evaluate)),
         f"    return [{_unpack('s7_', dim)}], [{_unpack('err_', dim)}], k7",
     ]
-    return _generate("\n".join(lines), "step", constants)
+    return _generate("\n".join(lines), "step", {})
 
 
 def dormand_prince_step(
@@ -469,14 +471,17 @@ def _log_rate_lines(dim: int, stage: int, at: str, logs: str) -> list[str]:
     """Lines for the stage ``k{stage}_m = r f_m(r, x) / x_m`` at r = exp(at), x_m = exp(logs{m}).
 
     They leave r in ``r{stage}`` and x in ``x{stage}_0, ...`` and call ``f``
-    exactly once, with x as a tuple.  A stage out of the range of floats
-    (``exp`` overflows, or a state that underflowed to 0 is divided by) gets
-    NaN rates, which the loop rejects as non-finite.
+    exactly once, with x as a tuple.  A stage of a step whose node equals the
+    previous stage's (c7 = c6 = 1) takes that stage's radius, the same
+    ``exp`` of the same sum, without computing it again.  A stage out of the
+    range of floats (``exp`` overflows, or a state that underflowed to 0 is
+    divided by) gets NaN rates, which the loop rejects as non-finite.
     """
     xs = [f"x{stage}_{m}" for m in range(dim)]
     ks = [f"k{stage}_{m}" for m in range(dim)]
+    same_node = stage > 2 and _DP_C[stage - 1] == _DP_C[stage - 2]
     return [
-        f"r{stage} = exp({at})",
+        f"r{stage} = r{stage - 1}" if same_node else f"r{stage} = exp({at})",
         "try:",
         *(f"    {xs[m]} = exp({logs}{m})" for m in range(dim)),
         "except OverflowError:",
@@ -500,14 +505,18 @@ _MAX_STEPS = 2_000_000
 # state exactly.  ``_step_loop`` refuses a start outside (0, 1e250], so every
 # log is finite.  ``x - x == 0.0`` is ``isfinite(x)``, since inf - inf and
 # NaN - NaN are NaN.  The error norm is the largest component, so each log is
-# held to ``tol``; ``max`` may drop a NaN, so the finiteness test covers the
-# error estimate as well as the new state.  The branches only keep their
-# books: one block after them sets the next step, and one test of the 1e-14
-# floor covers every step it shrinks, accepted or rejected.  The grid rows go
-# one after another into the flat list ``rows``, and ``_step_loop`` builds one
-# array from it at the end.  Per grid radius, numpy row assignments cost
-# about 0.7 us, a list of row tuples and its ``np.array`` about 0.5 us, the
-# flat list and its ``np.array`` about 0.3 us.
+# held to ``tol``.  Comparisons form it, ``max(0.0, abs(err_0), ...)`` without
+# the builtin calls, and clamp the step factor as ``min(5.0, max(0.1, ...))``
+# would; on finite operands they give the same floats, and only finite
+# estimates reach them, since the finiteness test covers the error estimate
+# as well as the new state.  ``-t if t < 0.0 else t`` is ``abs(t)`` in the
+# landing test.  The branches only keep their books: one block after them
+# sets the next step, and one test of the 1e-14 floor covers every step it
+# shrinks, accepted or rejected.  The grid rows go one after another into the
+# flat list ``rows``, and ``_step_loop`` builds one array from it at the end.
+# Per grid radius, numpy row assignments cost about 0.7 us, a list of row
+# tuples and its ``np.array`` about 0.5 us, the flat list and its
+# ``np.array`` about 0.3 us.
 _LOOP_SOURCE = """\
 def loop(f, radii, times, x, tol):
     {x} = x
@@ -523,13 +532,15 @@ def loop(f, radii, times, x, tol):
         target = times[i]
         while True:
             remaining = target - t
-            if remaining <= abs(t) * 1e-15:
+            if remaining <= (-t if t < 0.0 else t) * 1e-15:
                 break
             h_try = remaining if remaining < h else h
 {stages}
             enorm = inf
             if {finite}:
-                enorm = max(0.0, {errors}) / tol
+                enorm = 0.0
+{norm}
+                enorm = enorm / tol
             if enorm <= 1.0:
                 if h_try == remaining:
                     r_new, t = radii[i], target
@@ -553,7 +564,12 @@ def loop(f, radii, times, x, tol):
             if enorm == 0.0:
                 h = h_try * 5.0
             elif enorm < inf:
-                h = h_try * min(5.0, max(0.1, 0.8 * enorm**-0.2))
+                factor = 0.8 * enorm**-0.2
+                if factor < 0.1:
+                    factor = 0.1
+                elif factor > 5.0:
+                    factor = 5.0
+                h = h_try * factor
             else:
                 h = h_try * 0.2
             if h < underflow_step and h < h_try:
@@ -564,14 +580,24 @@ def loop(f, radii, times, x, tol):
     return rows, accepted, rejections, h_min, h_max, r_at_h_min
 """
 
+# one component's part of ``enorm = max(0.0, abs(err_0), ...)`` in the loop
+_NORM_LINES = """\
+                if err_{m} > enorm:
+                    enorm = err_{m}
+                elif -err_{m} > enorm:
+                    enorm = -err_{m}"""
+
 
 @functools.lru_cache(maxsize=16)
 def _dp_loop(dim: int) -> Callable:
     """The whole adaptive loop for ``dim`` components, generated once per dimension.
 
-    The stages come from ``_dp_stage_lines``, evaluated by ``_log_rate_lines``;
-    the finiteness test, the max error norm, the overflow tests and the
-    step-size controller are unrolled over the components in ``_LOOP_SOURCE``.
+    The stages come from ``_dp_stage_lines``, with the tableau as literals,
+    evaluated by ``_log_rate_lines``, which lets stage 7 take stage 6's
+    radius; the finiteness test, the max error norm (comparisons, no
+    ``abs`` or ``max``), the overflow tests and the step-size controller are
+    unrolled over the components in ``_LOOP_SOURCE``.  Only the loop's
+    runtime names are bound, so every system of one dimension shares it.
     """
     constants = dict(
         inf=math.inf,
@@ -585,14 +611,14 @@ def _dp_loop(dim: int) -> Callable:
         underflow_step=_UNDERFLOW_STEP,
         max_steps=_MAX_STEPS,
     )
-    stages = _dp_stage_lines(dim, "t", "h_try", constants, functools.partial(_log_rate_lines, dim))
+    stages = _dp_stage_lines(dim, "t", "h_try", functools.partial(_log_rate_lines, dim))
     source = _LOOP_SOURCE.format(
         x=_unpack("x", dim),
         y=_unpack("y", dim),
         k1="\n".join(f"    {line}" for line in _log_rate_lines(dim, 1, "t", "y")),
         stages="\n".join(f"            {line}" for line in stages),
         finite=_each("s7_{m} - s7_{m} == 0.0 and err_{m} - err_{m} == 0.0", dim, " and "),
-        errors=_each("abs(err_{m})", dim, ", "),
+        norm=_each(_NORM_LINES, dim, "\n"),
         y_is_s7=_each("y{m} = s7_{m}", dim, "; "),
         x_is_x7=_each("x{m} = x7_{m}", dim, "; "),
         k1_is_k7=_each("k1_{m} = k7_{m}", dim, "; "),

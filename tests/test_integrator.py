@@ -626,8 +626,11 @@ def _log_rates(f, r, logs):
         return np.full(len(logs), math.nan)
 
 
-def _reference_propagate(f, grid, y0, tol):
-    """The step loop on numpy arrays: log y against log r, landing on every grid radius."""
+def _reference_propagate(f, grid, y0, tol, factors=None):
+    """The step loop on numpy arrays: log y against log r, landing on every grid radius.
+
+    A ``factors`` list collects the step factor of every attempt whose
+    estimate is finite and nonzero, as ``min(5.0, max(0.1, ...))`` clamps it."""
     times = np.log(np.asarray(grid, dtype=float))
     x = np.asarray(y0, dtype=float)
     if not np.all((0.0 < x) & (x <= 1e250)):
@@ -665,8 +668,13 @@ def _reference_propagate(f, grid, y0, tol):
                     rejected += 1
                 if enorm == 0.0:
                     h = h_try * 5.0
+                elif math.isfinite(enorm):
+                    factor = min(5.0, max(0.1, 0.8 * enorm**-0.2))
+                    if factors is not None:
+                        factors.append(factor)
+                    h = h_try * factor
                 else:
-                    h = h_try * (min(5.0, max(0.1, 0.8 * enorm**-0.2)) if math.isfinite(enorm) else 0.2)
+                    h = h_try * 0.2
                 if h < 1e-14 and h < h_try:
                     raise StepSizeUnderflow(r)
             out[i] = x
@@ -680,6 +688,13 @@ def _reference_trajectory(system, tol, r_max, points_per_decade):
     return _reference_propagate(_reference_rhs(system), grid, [start.u, start.v, start.P, start.S], tol)
 
 
+# the pure-power system of the ROADMAP baseline, with every growth law and
+# weight a different power
+MIXED_POWER_CONFIG = dict(
+    p=2.5, n=4, alpha=0.5, r_max=1e6, f1=[[1.3, 0.5]], f2=[[0.7, 1]], g1=[[1, 0.6]], g2=[[1, 0.4]], g3=[[1, 0.9]]
+)
+
+
 @pytest.mark.parametrize(
     "config, tol, r_max, points_per_decade",
     [
@@ -687,8 +702,9 @@ def _reference_trajectory(system, tol, r_max, points_per_decade):
         (P3_CONFIG, 1e-6, 1e4, 1),  # rejects steps
         (SWEEP_LIKE_CONFIG, 1e-9, 1e3, 64),
         (MULTI_TERM_CONFIG, 1e-9, 10.0, 64),
+        (MIXED_POWER_CONFIG, 1e-9, 1e6, 1),  # rejects 9 steps
     ],
-    ids=["coupled_p3", "rejections", "sweep_like", "multi_term"],
+    ids=["coupled_p3", "rejections", "sweep_like", "multi_term", "mixed_power"],
 )
 def test_integrate_radial_matches_numpy_reference_bit_for_bit(config, tol, r_max, points_per_decade):
     """The generated right-hand side and loop against ``_reference_rhs`` in
@@ -879,18 +895,38 @@ def _toy_rates(dim, drift=False):
     return f
 
 
+def _settling_rates(dim):
+    """log y_m' = m/2 + (m+1)/r - (-1)^m (dim-m)/r^2 against log r: each log
+    settles onto a straight line, with error estimates of both signs, led by
+    the first component early on and by the last later."""
+
+    def f(r, y):
+        return [y[m] * (0.5 * m + (m + 1) / r - (-1) ** m * (dim - m) / (r * r)) / r for m in range(dim)]
+
+    return f
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4, 7])
 def test_step_loop_matches_numpy_reference_in_any_dimension(dim):
-    """The loop is generated per dimension; each one is the reference loop."""
+    """The loop is generated per dimension; each one is the reference loop.
+    The settling case takes every branch of the step-size clamp: a first
+    step of 8 in log r floored to a tenth, a short landing followed by a
+    capped fivefold step, and factors in between."""
     y0 = np.linspace(0.5, 1.5, dim)
-    f = _toy_rates(dim)
-    # the coarse grid's first steps are too long and rejected on the error
-    for grid, tol in ((np.linspace(1.0, 5.0, 41), 1e-12), (np.array([1.0, 3.0, 7.0]), 1e-7)):
-        expected, accepted, rejected = _reference_propagate(f, grid, y0, tol)
+    # the coarse grids' first steps are too long and rejected on the error
+    for f, grid, tol in (
+        (_toy_rates(dim), np.linspace(1.0, 5.0, 41), 1e-12),
+        (_toy_rates(dim), np.array([1.0, 3.0, 7.0]), 1e-7),
+        (_settling_rates(dim), np.exp([0.0, 8.0, 8.01, 12.0]), 1e-9),
+    ):
+        factors = []
+        expected, accepted, rejected = _reference_propagate(f, grid, y0, tol, factors)
         ys, got_accepted, rejections, *_ = _step_loop(f, grid, y0, tol)
         assert np.array_equal(ys, expected)
         assert (got_accepted, sum(rejections.values())) == (accepted, rejected)
         assert rejected > 0
+    # the settling case's factors: the floor, the cap and the interior
+    assert 0.1 in factors and 5.0 in factors and any(0.1 < factor < 5.0 for factor in factors)
     # the last component reaches zero at r = 1 + y0[-1]: the step shrinks to underflow
     drift, grid = _toy_rates(dim, drift=True), np.array([1.0, 4.0])
     with pytest.raises(StepSizeUnderflow) as expected_failure:
