@@ -292,7 +292,7 @@ def _product_source(factors: Sequence[str]) -> str:
 # ``_power_sum_source`` requires; g3 sees du >= +0.0 or NaN, f1 and f2 see r > 0
 _RHS_SOURCE = """\
 def rhs(r, y):
-    u, v, P, S = y.tolist() if isinstance(y, ndarray) else y
+    u, v, P, S = y.tolist() if y.__class__ is ndarray else y
     if v <= 0.0:
         v = 0.0
     rd = r**delta
@@ -306,8 +306,11 @@ def rhs(r, y):
 def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tuple]:
     """Right-hand side of the flux system as a plain callable f(r, y), for r > 0.
 
-    ``y`` is any sequence ``(u, v, P, S)`` of floats (an ndarray is read
-    through ``tolist``); the derivatives come back as a tuple of floats.
+    ``y`` is any sequence ``(u, v, P, S)`` of floats; the derivatives come
+    back as a tuple.  An exact ``np.ndarray`` is read through ``tolist``, so
+    it is computed on in Python floats, as a tuple or list is.  The test is
+    ``y.__class__ is ndarray``, which makes no call: an ndarray subclass is
+    unpacked as it is, and its derivatives are computed in numpy scalars.
     Stage values of an explicit stepper in these variables may momentarily
     push a component below zero; those are clamped (the converged solution
     is strictly positive).
@@ -503,13 +506,19 @@ _MAX_STEPS = 2_000_000
 # state ``x{m}`` beside them, as the last stage computed them (FSAL), so the
 # output and failures need no further ``exp`` and give the first radius and
 # state exactly.  ``_step_loop`` refuses a start outside (0, 1e250], so every
-# log is finite.  ``x - x == 0.0`` is ``isfinite(x)``, since inf - inf and
-# NaN - NaN are NaN.  The error norm is the largest component, so each log is
-# held to ``tol``.  Comparisons form it, ``max(0.0, abs(err_0), ...)`` without
-# the builtin calls, and clamp the step factor as ``min(5.0, max(0.1, ...))``
+# log is finite.  One test per attempt covers the new state and its error
+# estimate: ``(s7_0 + err_0 + ...) * 0.0 == 0.0`` holds iff the sum is
+# finite, since inf * 0.0 and NaN * 0.0 are NaN, and a NaN or infinite term
+# makes the sum NaN or infinite.  So it accepts and rejects exactly as a
+# per-term ``isfinite`` would, except where the terms are finite and their sum
+# overflows: that attempt is rejected as ``nonfinite`` (next step h * 0.2),
+# where per-term tests would pass it on to the error norm, which rejects it
+# for its error (h * 0.1), or, on an estimate within ``tol``, to the overflow
+# test.  The error norm is the largest component, so each log is held to
+# ``tol``.  Comparisons form it, ``max(0.0, abs(err_0), ...)`` without the
+# builtin calls, and clamp the step factor as ``min(5.0, max(0.1, ...))``
 # would; on finite operands they give the same floats, and only finite
-# estimates reach them, since the finiteness test covers the error estimate
-# as well as the new state.  ``-t if t < 0.0 else t`` is ``abs(t)`` in the
+# estimates reach them.  ``-t if t < 0.0 else t`` is ``abs(t)`` in the
 # landing test.  The branches only keep their books: one block after them
 # sets the next step, and one test of the 1e-14 floor covers every step it
 # shrinks, accepted or rejected.  The grid rows go one after another into the
@@ -594,7 +603,7 @@ def _dp_loop(dim: int) -> Callable:
 
     The stages come from ``_dp_stage_lines``, with the tableau as literals,
     evaluated by ``_log_rate_lines``, which lets stage 7 take stage 6's
-    radius; the finiteness test, the max error norm (comparisons, no
+    radius; the finiteness test (one sum), the max error norm (comparisons, no
     ``abs`` or ``max``), the overflow tests and the step-size controller are
     unrolled over the components in ``_LOOP_SOURCE``.  Only the loop's
     runtime names are bound, so every system of one dimension shares it.
@@ -617,7 +626,7 @@ def _dp_loop(dim: int) -> Callable:
         y=_unpack("y", dim),
         k1="\n".join(f"    {line}" for line in _log_rate_lines(dim, 1, "t", "y")),
         stages="\n".join(f"            {line}" for line in stages),
-        finite=_each("s7_{m} - s7_{m} == 0.0 and err_{m} - err_{m} == 0.0", dim, " and "),
+        finite=f"({_each('s7_{m} + err_{m}', dim, ' + ')}) * 0.0 == 0.0",
         norm=_each(_NORM_LINES, dim, "\n"),
         y_is_s7=_each("y{m} = s7_{m}", dim, "; "),
         x_is_x7=_each("x{m} = x7_{m}", dim, "; "),

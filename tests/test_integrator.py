@@ -412,35 +412,69 @@ def _burst(r, y):
     return [3000.0 * y[0] * max(0.0, 1.1 - r) / r]
 
 
+def _burst_in_slot(dim, m):
+    """``_burst`` in component m of ``dim``, y' = y / r (a log rate of 1) in the others."""
+
+    def f(r, y):
+        d = [y[j] / r for j in range(dim)]
+        d[m] = _burst(r, (y[m],))[0]
+        return d
+
+    return f
+
+
+# ``_burst`` in each slot m of 4 and 7 components.  From y_m = 1 stage 5's
+# ``exp`` overflows, and every component of that stage reads NaN.  From
+# y_m = e^-180 stage 5 stays in range (log y_m = 706) and only component m
+# goes non-finite: 3000 y_m overflows and times max(0, 1.1 - r) = 0 is NaN.
+# So the finiteness test must see each component's terms.
+_BURST_IN_SLOT = [
+    pytest.param(
+        _burst_in_slot(dim, m),
+        [1.0, math.e],
+        [start if j == m else 1.0 for j in range(dim)],
+        (2, 1),
+        id=f"nonfinite-{dim}d-slot{m}-{where}",
+    )
+    for dim in (4, 7)
+    for m in range(dim)
+    for start, where in ((1.0, "stage"), (math.exp(-180.0), "rate"))
+]
+
+
 @pytest.mark.parametrize(
     "f, grid, y0, expected",
     [
         # positivity without a reject branch: one step of log r =
         # log(1 - 1e-6) - log(0.5) overshoots the root of 1 - r^7 in flux
         # form; in log variables it lands on a positive state, unrejected
-        (_seventh_power_drop, [0.5, 1.0 - 1e-6], 1.0 - 0.5**7, (1, 0)),
+        pytest.param(_seventh_power_drop, [0.5, 1.0 - 1e-6], [1.0 - 0.5**7], (1, 0), id="overshoot"),
         # a whole unit of log r puts stage 5 at log y = 886, past the range of
         # floats: one non-finite rejection, then two steps
-        (_burst, [1.0, math.e], 1.0, (2, 1)),
+        pytest.param(_burst, [1.0, math.e], [1.0], (2, 1), id="nonfinite"),
+        # the same counts with the burst in any one component
+        *_BURST_IN_SLOT,
     ],
-    ids=["overshoot", "nonfinite"],
 )
 def test_rejection_causes_on_overshooting_first_step(f, grid, y0, expected):
     """A huge tolerance keeps the error estimate out of the decision.  No
     state can leave (0, inf) in log variables, so nothing is rejected on
     positivity; a stage that leaves the range of floats is a non-finite
     rejection, never an exception."""
-    ys, accepted, rejections, *_ = _step_loop(f, np.array(grid), [y0], 1e6)
+    ys, accepted, rejections, *_ = _step_loop(f, np.array(grid), y0, 1e6)
     assert (accepted, rejections) == (expected[0], {"error": 0, "nonfinite": expected[1]})
-    assert 0.0 < ys[-1, 0] < math.inf
+    assert np.all((0.0 < ys[-1]) & (ys[-1] < math.inf))
 
 
 def test_benchmark_hooks_accept_numpy_states(monkeypatch, p3_system):
     """The benchmark calls the public stepper pieces on ndarray states and
-    counts evaluations by patching ``plap.integrator.flux_rhs``."""
+    counts evaluations by patching ``plap.integrator.flux_rhs``.  An exact
+    ndarray state goes through ``tolist``, so ``flux_rhs`` computes on it in
+    Python floats, as on a list or a tuple, never in numpy scalars."""
     f = flux_rhs(p3_system)
     y = np.array([1.0, 1.0, 1e-6, 2e-6])
     assert f(0.5, y) == f(0.5, y.tolist()) == f(0.5, tuple(y))
+    assert all(type(d) is float for d in f(0.5, y))
     y5, err, k7 = dormand_prince_step(f, 0.5, y, 1e-3)
     assert (y5, err, k7) == dormand_prince_step(f, 0.5, y.tolist(), 1e-3)
     assert len(y5) == len(err) == len(k7) == 4
