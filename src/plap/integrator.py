@@ -34,6 +34,11 @@ the Dormand-Prince 5(4) stages come from the Butcher tableau, written in as
 literals, through one emitter, unrolled over the components once per
 dimension, both for the public step and for the whole adaptive loop with
 its change of variables, error norm and step-size controller.
+
+The loop lands exactly on each grid radius, except where a step held to
+1e-14 (a tenth of the tightest ``tol``) reaches past it: such a step passes
+the radii in its way and reads them from the method's free continuous
+extension, whose coefficients enter the generated code like the tableau's.
 """
 
 from __future__ import annotations
@@ -118,8 +123,9 @@ class Trajectory:
     log P and log S, which stay resolved where the float u' is subnormal or
     0.
     ``meta`` records the initial data, startup radius, tolerances, step
-    counts, rejected steps by cause (``rejections``) and right-hand-side
-    evaluations of the run.  A default-grid trajectory shares its read-only
+    counts, rejected steps by cause (``rejections``), the grid rows read from
+    the continuous extension rather than landed on (``rows_interpolated``) and
+    right-hand-side evaluations of the run.  A default-grid trajectory shares its read-only
     ``r`` with every other run on the same grid (see ``geometric_grid``).
     """
 
@@ -149,6 +155,18 @@ class Trajectory:
         s, log_r = self.system, np.log(self.r)
         log_du = (np.log(self.P) - s.delta * log_r) / (s.p - 1.0 - s.alpha)
         return np.stack((log_du, (np.log(self.S) - (s.n - 1) * log_r) / (s.p - 1.0)))
+
+    def g3_of_gradient(self) -> np.ndarray:
+        """g3(u') as sum_i a_i exp(e_i log u'), with log u' from ``log_gradients``.
+
+        Each term stays resolved where the float u' is subnormal or 0, where
+        ``g3(du)`` would keep only the constant terms; a term of exponent 0 is
+        its coefficient."""
+        log_du = self.log_gradients()[0]
+        total = 0.0
+        for coeff, expo in self.system.g3.terms:
+            total = total + (coeff if expo == 0.0 else coeff * np.exp(expo * log_du))
+        return total
 
 
 @functools.lru_cache(maxsize=16)
@@ -367,6 +385,18 @@ _DP_A = (
 )
 # difference between the 5th and the embedded 4th order weights
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# the free 4th-order continuous extension (Hairer, Norsett and Wanner,
+# Solving ODEs I, II.6): y(t + theta h) = y + h sum_j k_j b_j(theta), with
+# b_j(theta) = sum_q _DP_DENSE[j][q] theta^(q+1); scipy's ``RK45.P``, as reprs
+_DP_DENSE = (
+    (1.0, -2.8535800653862835, 3.0717434641059005, -1.1270175653862835),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 4.023133379230305, -6.249321565289, 2.675424484351598),
+    (0.0, -3.7324019615885042, 10.068970589843675, -5.685526961588504),
+    (0.0, 2.5548038301849423, -6.399112377351017, 3.5219323679207912),
+    (0.0, -1.3744241142186024, 3.272657752246729, -1.7672812570757455),
+    (0.0, 1.3824689317781436, -3.764937863556287, 2.382468931778144),
+)
 
 
 def _weighted_sum(weights: Sequence[float], m: int) -> str:
@@ -411,6 +441,17 @@ def _dp_stage_lines(dim: int, t: str, h: str, evaluate: Callable) -> list[str]:
         lines += evaluate(stage, at, f"s{stage}_")
     lines += [f"err_{m} = {h} * ({_weighted_sum(_DP_ERR, m)})" for m in range(dim)]
     return lines
+
+
+def _dp_dense_lines(dim: int) -> list[str]:
+    """The continuous extension's coefficient sums of one step, as source lines.
+
+    ``q{q}_m`` is column q of ``_DP_DENSE`` against the stages ``k1_m`` to
+    ``k7_m``, written by ``_weighted_sum`` as the stages are, so the value
+    at ``theta`` is ``y_m + h * (theta * (q0_m + theta * (q1_m + theta *
+    (q2_m + theta * q3_m))))``, Horner's form of y + h sum_j k_j b_j(theta).
+    """
+    return [f"q{q}_{m} = {_weighted_sum([row[q] for row in _DP_DENSE], m)}" for q in range(4) for m in range(dim)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -500,6 +541,13 @@ def _log_rate_lines(dim: int, stage: int, at: str, logs: str) -> list[str]:
 _OVERFLOW = 1e250
 _UNDERFLOW_STEP = 1e-14
 _MAX_STEPS = 2_000_000
+# the tightest ``tol`` that ``integrate_radial`` accepts
+_TOL_MIN = 1e-13
+# the tolerance an attempt that passes grid radii is held to, a tenth of the
+# tightest ``tol``: held to 1e-13 itself, such attempts grow into steps whose
+# rounding noise reaches 1e-13, and runs on exact straight lines read up to
+# 1.2e-13 (log state) and 2.0e-13 (v') off their closed forms
+_PASS_TOL = _TOL_MIN / 10
 
 # The adaptive loop, written out per component by ``_dp_loop``.  It steps
 # ``y{m}`` = log x_m against t = log r and keeps the radius ``r`` and the
@@ -519,82 +567,131 @@ _MAX_STEPS = 2_000_000
 # builtin calls, and clamp the step factor as ``min(5.0, max(0.1, ...))``
 # would; on finite operands they give the same floats, and only finite
 # estimates reach them.  ``-t if t < 0.0 else t`` is ``abs(t)`` in the
-# landing test.  The branches only keep their books: one block after them
-# sets the next step, and one test of the 1e-14 floor covers every step it
-# shrinks, accepted or rejected.  The grid rows go one after another into the
-# flat list ``rows``, and ``_step_loop`` builds one array from it at the end.
-# Per grid radius, numpy row assignments cost about 0.7 us, a list of row
-# tuples and its ``np.array`` about 0.5 us, the flat list and its
-# ``np.array`` about 0.3 us.
+# landing test.
+#
+# Each estimate proposes two next steps by one formula: ``h`` against ``tol``
+# and ``h_pass`` against ``pass_tol`` (1e-14), whose factor is h's times
+# ``pass_scale`` = (1e-14 / tol)^0.2 before the clamp.  Where ``h_pass`` reaches
+# past the next grid radius, short of the last, the attempt is ``h_pass``, or
+# the rest of the way to the last radius, and is held to 1e-14 (``held`` is
+# 1e-14 / tol against the scaled estimate); the rows it passes are read from
+# the continuous extension (``_dp_dense_lines``), then ``exp``.  Such an
+# attempt that fails is rejected as ``error`` and the next one lands.
+# Otherwise the attempt is ``h`` or the rest of the way to the next radius,
+# held to ``tol``, as when every radius was landed on.  One block sets both
+# proposals, then the branches only keep their books, and one test of the
+# 1e-14 floor covers every ``h`` the controller shrinks, accepted or
+# rejected.  The grid rows go one after another into the flat list ``rows``,
+# and ``_step_loop`` builds one array from it at the end.  Per grid radius,
+# numpy row assignments cost about 0.7 us, a list of row tuples and its
+# ``np.array`` about 0.5 us, the flat list and its ``np.array`` about 0.3 us.
 _LOOP_SOURCE = """\
 def loop(f, radii, times, x, tol):
     {x} = x
     {y} = [log(v) for v in x]
     r, t = radii[0], times[0]
 {k1}
-    h = times[1] - t
-    accepted = rejected = 0
+    last = len(times) - 1
+    t_end = times[last]
+    pass_ratio = pass_tol / tol
+    pass_scale = pass_ratio**0.2
+    h, h_pass = times[1] - t, 0.0
+    accepted = rejected = interpolated = 0
     rejections = {{"error": 0, "nonfinite": 0}}
     h_min, h_max, r_at_h_min = inf, 0.0, nan
     rows = [{x}]
-    for i in range(1, len(times)):
-        target = times[i]
-        while True:
-            remaining = target - t
-            if remaining <= (-t if t < 0.0 else t) * 1e-15:
+    i = 1
+    target = times[1]
+    while True:
+        remaining = target - t
+        if remaining <= (-t if t < 0.0 else t) * 1e-15:
+            rows += ({x})
+            if i == last:
                 break
-            h_try = remaining if remaining < h else h
+            i += 1
+            target = times[i]
+            continue
+        passing = h_pass > remaining and i < last
+        if passing:
+            held = pass_ratio
+            land = t_end - t
+            if h_pass < land:
+                h_try, land = h_pass, 0
+            else:
+                h_try, land = land, last
+        else:
+            held = 1.0
+            if remaining <= h:
+                h_try, land = remaining, i
+            else:
+                h_try, land = h, 0
 {stages}
-            enorm = inf
-            if {finite}:
-                enorm = 0.0
+        enorm = inf
+        if {finite}:
+            enorm = 0.0
 {norm}
-                enorm = enorm / tol
-            if enorm <= 1.0:
-                if h_try == remaining:
-                    r_new, t = radii[i], target
-                else:
-                    r_new, t = r7, t + h_try
-                h_r = r_new - r
-                if h_r < h_min:
-                    h_min, r_at_h_min = h_r, r
-                if h_r > h_max:
-                    h_max = h_r
-                r = r_new
-                {y_is_s7}
-                {x_is_x7}
-                {k1_is_k7}
-                accepted += 1
-                if {overflow}:
-                    raise Overflow(r, state=({x}), h=h_r)
+            enorm = enorm / tol
+        if enorm == 0.0:
+            h = h_pass = h_try * 5.0
+        elif enorm < inf:
+            factor = 0.8 * enorm**-0.2
+            factor_pass = factor * pass_scale
+            if factor < 0.1:
+                factor = 0.1
+            elif factor > 5.0:
+                factor = 5.0
+            if factor_pass < 0.1:
+                factor_pass = 0.1
+            elif factor_pass > 5.0:
+                factor_pass = 5.0
+            h = h_try * factor
+            h_pass = h_try * factor_pass
+        else:
+            h = h_pass = h_try * 0.2
+        if enorm <= held:
+            if land:
+                r_new, t_new = radii[land], times[land]
             else:
-                rejected += 1
-                rejections["error" if enorm < inf else "nonfinite"] += 1
-            if enorm == 0.0:
-                h = h_try * 5.0
-            elif enorm < inf:
-                factor = 0.8 * enorm**-0.2
-                if factor < 0.1:
-                    factor = 0.1
-                elif factor > 5.0:
-                    factor = 5.0
-                h = h_try * factor
-            else:
-                h = h_try * 0.2
-            if h < underflow_step and h < h_try:
-                raise StepSizeUnderflow(r, state=({x}), h=r * expm1(h_try))
-            if accepted + rejected > max_steps:
-                raise StepSizeUnderflow(r, f"step budget exhausted at r={{r!r}}", state=({x}), h=r * expm1(h_try))
-        rows += ({x})
-    return rows, accepted, rejections, h_min, h_max, r_at_h_min
+                r_new, t_new = r7, t + h_try
+            if passing:
+{dense}
+                first = i
+                while i < last and times[i] < t_new:
+                    theta = (times[i] - t) / h_try
+                    rows += ({rows})
+                    i += 1
+                interpolated += i - first
+                target = times[i]
+            h_r = r_new - r
+            if h_r < h_min:
+                h_min, r_at_h_min = h_r, r
+            if h_r > h_max:
+                h_max = h_r
+            r, t = r_new, t_new
+            {y_is_s7}
+            {x_is_x7}
+            {k1_is_k7}
+            accepted += 1
+            if {overflow}:
+                raise Overflow(r, state=({x}), h=h_r)
+        else:
+            rejected += 1
+            rejections["error" if enorm < inf else "nonfinite"] += 1
+            if passing:
+                h_pass = 0.0
+        if h < underflow_step and h < h_try:
+            raise StepSizeUnderflow(r, state=({x}), h=r * expm1(h_try))
+        if accepted + rejected > max_steps:
+            raise StepSizeUnderflow(r, f"step budget exhausted at r={{r!r}}", state=({x}), h=r * expm1(h_try))
+    return rows, accepted, rejections, h_min, h_max, r_at_h_min, interpolated
 """
 
 # one component's part of ``enorm = max(0.0, abs(err_0), ...)`` in the loop
 _NORM_LINES = """\
-                if err_{m} > enorm:
-                    enorm = err_{m}
-                elif -err_{m} > enorm:
-                    enorm = -err_{m}"""
+            if err_{m} > enorm:
+                enorm = err_{m}
+            elif -err_{m} > enorm:
+                enorm = -err_{m}"""
 
 
 @functools.lru_cache(maxsize=16)
@@ -603,10 +700,11 @@ def _dp_loop(dim: int) -> Callable:
 
     The stages come from ``_dp_stage_lines``, with the tableau as literals,
     evaluated by ``_log_rate_lines``, which lets stage 7 take stage 6's
-    radius; the finiteness test (one sum), the max error norm (comparisons, no
-    ``abs`` or ``max``), the overflow tests and the step-size controller are
-    unrolled over the components in ``_LOOP_SOURCE``.  Only the loop's
-    runtime names are bound, so every system of one dimension shares it.
+    radius, and the continuous extension from ``_dp_dense_lines``; the
+    finiteness test (one sum), the max error norm (comparisons, no ``abs`` or
+    ``max``), the rows read from the extension and the overflow tests are
+    unrolled over the components in ``_LOOP_SOURCE``.  Only the loop's runtime names are bound, so every
+    system of one dimension shares it.
     """
     constants = dict(
         inf=math.inf,
@@ -619,15 +717,19 @@ def _dp_loop(dim: int) -> Callable:
         limit=math.log(_OVERFLOW),
         underflow_step=_UNDERFLOW_STEP,
         max_steps=_MAX_STEPS,
+        pass_tol=_PASS_TOL,
     )
     stages = _dp_stage_lines(dim, "t", "h_try", functools.partial(_log_rate_lines, dim))
+    row = "exp(y{m} + h_try * (theta * (q0_{m} + theta * (q1_{m} + theta * (q2_{m} + theta * q3_{m})))))"
     source = _LOOP_SOURCE.format(
         x=_unpack("x", dim),
         y=_unpack("y", dim),
         k1="\n".join(f"    {line}" for line in _log_rate_lines(dim, 1, "t", "y")),
-        stages="\n".join(f"            {line}" for line in stages),
+        stages="\n".join(f"        {line}" for line in stages),
         finite=f"({_each('s7_{m} + err_{m}', dim, ' + ')}) * 0.0 == 0.0",
         norm=_each(_NORM_LINES, dim, "\n"),
+        dense="\n".join(f"                {line}" for line in _dp_dense_lines(dim)),
+        rows=_each(row, dim, ", ") + ",",
         y_is_s7=_each("y{m} = s7_{m}", dim, "; "),
         x_is_x7=_each("x{m} = x7_{m}", dim, "; "),
         k1_is_k7=_each("k1_{m} = k7_{m}", dim, "; "),
@@ -641,21 +743,26 @@ def _step_loop(
     grid: np.ndarray,
     y0: Sequence[float],
     tol: float,
-) -> tuple[np.ndarray, int, dict, float, float, float]:
-    """Adaptive stepping of y' = f(r, y) in log variables, landing on every grid radius.
+) -> tuple[np.ndarray, int, dict, float, float, float, int]:
+    """Adaptive stepping of y' = f(r, y) in log variables, sampled on every grid radius.
 
     ``_dp_loop`` steps log y against log r and holds the error estimate of every
-    component of log y to ``tol``, a relative tolerance on y.  A start outside
+    component of log y to ``tol``, a relative tolerance on y, and to 1e-14 on an
+    attempt that passes grid radii: one passes them where the step that 1e-14
+    allows reaches past the next radius, and its rows are read from the
+    Dormand-Prince continuous extension.  Every other attempt ends on the next
+    radius or short of it, and the last radius is always landed on.  A start outside
     (0, 1e250] raises at the first radius with ``h = None``: ``Overflow`` for a NaN
     or large component, else ``StepSizeUnderflow``.  A step the controller shrinks
     below 1e-14 in log r, accepted or rejected, raises ``StepSizeUnderflow`` where
     it stopped, as does a run past the step budget.  Returns the states on the grid
     as one (N, dim) array, built once from the flat list of rows the loop
-    collects, the accepted step count, the rejected steps by cause, and the
+    collects, the accepted step count, the rejected steps by cause, the
     smallest and largest accepted step in r with the radius the smallest one
-    started from (``inf``, ``0.0``, ``nan`` when none was accepted).  The causes are ``error``
-    (the estimate exceeded the tolerance) and ``nonfinite`` (a stage left the
-    range of floats, or the new state or its estimate was not finite).
+    started from (``inf``, ``0.0``, ``nan`` when none was accepted), and the
+    number of rows read from the extension.  The causes are ``error``
+    (the estimate exceeded the tolerance the attempt was held to) and ``nonfinite``
+    (a stage left the range of floats, or the new state or its estimate was not finite).
     """
     radii = np.asarray(grid, dtype=float)
     x = np.asarray(y0, dtype=float).tolist()
@@ -682,7 +789,11 @@ def integrate_radial(
 
     ``(log u, log v, log P, log S)`` is stepped against log r, and ``tol``
     (1e-13 to 1e-3) is an absolute tolerance on those logs, so a relative one
-    on u, v, P and S.  The trajectory holds those four states and ``system``;
+    on u, v, P and S.  A step whose error estimate allows a step at 1e-14 past
+    the next grid radius takes it, held to 1e-14, and reads the radii it passes
+    from the continuous extension (``meta["rows_interpolated"]`` counts them);
+    every other step ends on the next radius or short of it.  The trajectory
+    holds the four states and ``system``;
     u' and v' are derived from P and S when read.  Default grids come from
     ``geometric_grid`` and are shared, read-only arrays.  Raises
     ``StepSizeUnderflow`` when a step shrinks
@@ -690,13 +801,13 @@ def integrate_radial(
     ``Overflow`` when a component passes 1e250; both carry the radius, the last
     accepted (u, v, P, S) and the last attempted step in r (``None`` for a refused start).
     """
-    if not (1e-13 <= tol <= 1e-3):
-        raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
+    if not (_TOL_MIN <= tol <= 1e-3):
+        raise ValueError(f"tol must lie in [{_TOL_MIN!r}, 1e-3], got {tol}")
     r_end = float(r_max if r_max is not None else system.r_max)
     r_start = float(r0 if r0 is not None else 1e-6 * min(1.0, r_end))
     grid = geometric_grid(r_start, r_end, points_per_decade)
     start = startup_state(system, a, b, r_start)
-    ys, accepted, rejections, h_min, h_max, r_at_h_min = _step_loop(flux_rhs(system), grid, start, tol)
+    ys, accepted, rejections, h_min, h_max, r_at_h_min, interpolated = _step_loop(flux_rhs(system), grid, start, tol)
     rejected = sum(rejections.values())
 
     # the four state columns are rows of one contiguous block, so a kept
@@ -720,6 +831,7 @@ def integrate_radial(
             "h_min": h_min,
             "h_max": h_max,
             "r_at_h_min": r_at_h_min,
+            "rows_interpolated": interpolated,
             # one startup evaluation, then six per attempted step (FSAL)
             "rhs_evals": 1 + 6 * (accepted + rejected),
         },
@@ -772,7 +884,8 @@ def _cumulative_power_quadrature(r: np.ndarray, values: np.ndarray) -> np.ndarra
 def flux_consistency(traj: Trajectory, system: ValidatedSystem) -> float:
     """Worst relative defect between the fluxes and quadrature of their RHS.
 
-    The right-hand sides are evaluated from the stored states and integrated
+    The right-hand sides are evaluated from the stored states, g3(u') at
+    log u' (``Trajectory.g3_of_gradient``), and integrated
     cumulatively from the startup radius by a scheme independent of the
     stepper, both in one quadrature pass that shares each interval's fit;
     the defect at each grid point compares flux increments with the
@@ -786,7 +899,7 @@ def flux_consistency(traj: Trajectory, system: ValidatedSystem) -> float:
     coef = (p - 1.0 - alpha) / (p - 1.0)
     r = traj.r
     rhs_P = coef * r**delta * system.f1(r) * system.g1(traj.v)
-    rhs_S = r ** (n - 1) * system.f2(r) * system.g2(traj.v) * system.g3(traj.du)
+    rhs_S = r ** (n - 1) * system.f2(r) * system.g2(traj.v) * traj.g3_of_gradient()
     quad = _cumulative_power_quadrature(r, np.stack((rhs_P, rhs_S)))
     flux = np.stack((traj.P, traj.S))
     inc = flux - flux[:, :1]

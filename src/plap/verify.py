@@ -218,7 +218,8 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
     or sigma2 = (n-1) (v')^(p-1) / (r w2), lies in [0, 1 - c]: the lower
     margin is 1 - c - sigma, the upper margin sigma.  The flux terms
     (u')^(p-1-alpha) and (v')^(p-1) are read as P / r^delta and S / r^(n-1),
-    so sigma never passes through a gradient that may be subnormal.
+    and g3(u') at log u' (``Trajectory.g3_of_gradient``), so neither sigma nor
+    w2 passes through a gradient that may be subnormal.
     A non-finite w (an overflowed growth law) gives NaN margins, which fail,
     where sigma alone would read 0 and pass.  A run from exact startup
     attains the first lower bound exactly when the weights are constants.
@@ -226,7 +227,7 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
     p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     r = traj.r
     pma = p - 1.0 - alpha
-    w = np.stack((system.f1(r) * system.g1(traj.v), system.f2(r) * system.g2(traj.v) * system.g3(traj.du)))
+    w = np.stack((system.f1(r) * system.g1(traj.v), system.f2(r) * system.g2(traj.v) * traj.g3_of_gradient()))
     flux = np.stack((traj.P / r**delta, traj.S / r ** (n - 1)))
     sigma = np.array([[delta * (p - 1.0)], [n - 1.0]]) * flux / (np.array([[pma], [1.0]]) * r * w)
     sigma = np.where(np.isfinite(w), sigma, np.nan)

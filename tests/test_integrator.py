@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.integrate._ivp.rk import RK45
 
 from plap import (
     CoefficientFunction,
@@ -32,7 +33,7 @@ from plap import (
     system_from_config,
 )
 from plap import integrator
-from plap.integrator import _DP_A, _DP_C, _DP_ERR, _step_loop, dormand_prince_step
+from plap.integrator import _DP_A, _DP_C, _DP_DENSE, _DP_ERR, _step_loop, dormand_prince_step
 from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, sample_integration_system
 
 
@@ -198,6 +199,13 @@ def test_startup_rejects_nonpositive_inputs(poisson_system):
 # ---------------------------------------------------------------------------
 
 
+def test_continuous_extension_is_scipys_rk45_dense_output_bit_for_bit():
+    """``_DP_DENSE`` is ``RK45.P``; at theta = 1 it gives the 5th-order weights."""
+    assert _DP_DENSE == tuple(map(tuple, RK45.P.tolist()))
+    b1 = [sum(row) for row in _DP_DENSE]
+    assert b1 == pytest.approx(list(_DP_A[6]) + [0.0], abs=1e-15)
+
+
 def test_embedded_step_error_estimate_on_scalar_problem():
     """y' = y from y(0)=1: one step must beat its own error estimate's order."""
     f = lambda r, y: y
@@ -360,6 +368,8 @@ def test_integrate_radial_meta(poisson_traj):
     assert meta["rtol"] == 1e-9
     assert meta["r0"] == pytest.approx(1e-6)
     assert meta["steps_accepted"] > 0
+    # the first and last radii are always landed on
+    assert 0 < meta["rows_interpolated"] <= len(poisson_traj) - 2
 
 
 def _counting_flux_rhs(monkeypatch):
@@ -631,7 +641,8 @@ def test_stepper_matches_numpy_reference_in_any_dimension(dim):
             assert [_bits(part) for part in got] == [_bits(part) for part in expected]
 
 
-def _reference_step(f, r, y, h, k1):
+def _reference_step(f, r, y, h, k1, stages=None):
+    """One step on numpy arrays; a ``stages`` list receives k1 to k7."""
     k = [k1]
     for i in range(1, 7):
         acc = _DP_A[i][0] * k[0]
@@ -644,7 +655,36 @@ def _reference_step(f, r, y, h, k1):
     for j in range(1, 7):
         if _DP_ERR[j] != 0.0:
             err = err + _DP_ERR[j] * k[j]
+    if stages is not None:
+        stages[:] = k
     return y_new, h * err, k[6]
+
+
+def _reference_dense(y, h, k, theta):
+    """y + h sum_j k_j b_j(theta) in Horner's form, each coefficient summed
+    left to right over the nonzero entries of its ``_DP_DENSE`` column."""
+    q = []
+    for col in range(4):
+        weights = [(w[col], kj) for w, kj in zip(_DP_DENSE, k) if w[col] != 0.0]
+        acc = weights[0][0] * weights[0][1]
+        for w, kj in weights[1:]:
+            acc = acc + w * kj
+        q.append(acc)
+    return y + h * (theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3]))))
+
+
+def _reference_proposal(h_try, enorm, scale=1.0, factors=None):
+    """The next step that an estimate scaled by ``tol`` proposes, with the
+    factor times ``scale`` before the clamp: (1e-14 / tol)^0.2 makes it the
+    proposal against 1e-14."""
+    if enorm == 0.0:
+        return h_try * 5.0
+    if math.isfinite(enorm):
+        factor = min(5.0, max(0.1, 0.8 * enorm**-0.2 * scale))
+        if factors is not None:
+            factors.append(factor)
+        return h_try * factor
+    return h_try * 0.2
 
 
 def _log_rates(f, r, logs):
@@ -661,10 +701,17 @@ def _log_rates(f, r, logs):
 
 
 def _reference_propagate(f, grid, y0, tol, factors=None):
-    """The step loop on numpy arrays: log y against log r, landing on every grid radius.
+    """The step loop on numpy arrays: log y against log r, sampled on every grid radius.
 
-    A ``factors`` list collects the step factor of every attempt whose
-    estimate is finite and nonzero, as ``min(5.0, max(0.1, ...))`` clamps it."""
+    Each estimate proposes ``h`` against ``tol`` and ``h_pass`` against 1e-14.
+    Where ``h_pass`` reaches past the next radius, short of the last, the attempt
+    goes that far or to the last radius, held to 1e-14, and the radii it passes
+    are read from the continuous extension; when it fails, the next attempt
+    lands.  Otherwise the attempt is ``h`` or the rest of the way to the next
+    radius, held to ``tol``.  Returns the states, the accepted and rejected
+    attempts and the rows read from the extension.  A ``factors`` list
+    collects the step factor of ``h`` on every attempt whose estimate is
+    finite and nonzero, as ``min(5.0, max(0.1, ...))`` clamps it."""
     times = np.log(np.asarray(grid, dtype=float))
     x = np.asarray(y0, dtype=float)
     if not np.all((0.0 < x) & (x <= 1e250)):
@@ -673,46 +720,59 @@ def _reference_propagate(f, grid, y0, tol, factors=None):
     out = np.empty((len(grid), len(y)))
     out[0] = x
     r, t = float(grid[0]), float(times[0])
+    last, t_end = len(grid) - 1, float(times[-1])
 
     def rates(t, logs):
         return _log_rates(f, math.exp(t), logs)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k1 = rates(t, y)
-        h = float(times[1] - times[0])
-        accepted = rejected = 0
-        for i in range(1, len(grid)):
-            target = float(times[i])
-            while (remaining := target - t) > abs(t) * 1e-15:
+        h, h_pass = float(times[1] - times[0]), 0.0
+        accepted = rejected = interpolated = 0
+        i = 1
+        while i <= last:
+            remaining = float(times[i]) - t
+            if remaining <= abs(t) * 1e-15:
+                out[i] = x
+                i += 1
+                continue
+            passing = h_pass > remaining and i < last
+            if passing:
+                h_try = min(h_pass, t_end - t)
+                lands = h_try == t_end - t
+            else:
                 h_try = min(h, remaining)
-                y_new, err, k_last = _reference_step(rates, t, y, h_try, k1)
-                enorm = math.inf
-                if np.all(np.isfinite(y_new)) and np.all(np.isfinite(err)):
-                    enorm = float(np.max(np.abs(err))) / tol
-                if enorm <= 1.0:
-                    if h_try == remaining:
-                        r, t = float(grid[i]), target
-                    else:
-                        r, t = math.exp(t + h_try), t + h_try
-                    y, k1, x = y_new, k_last, np.array([math.exp(v) for v in y_new])
-                    accepted += 1
-                    if np.any(y > math.log(1e250)):
-                        raise Overflow(r)
+                lands = h_try == remaining
+            k = []
+            y_new, err, k_last = _reference_step(rates, t, y, h_try, k1, k)
+            enorm = math.inf
+            if np.all(np.isfinite(y_new)) and np.all(np.isfinite(err)):
+                enorm = float(np.max(np.abs(err))) / tol
+            h = _reference_proposal(h_try, enorm, factors=factors)
+            h_pass = _reference_proposal(h_try, enorm, (1e-14 / tol) ** 0.2)
+            if enorm <= (1e-14 / tol if passing else 1.0):
+                if lands:
+                    j = last if passing else i
+                    r_new, t_new = float(grid[j]), float(times[j])
                 else:
-                    rejected += 1
-                if enorm == 0.0:
-                    h = h_try * 5.0
-                elif math.isfinite(enorm):
-                    factor = min(5.0, max(0.1, 0.8 * enorm**-0.2))
-                    if factors is not None:
-                        factors.append(factor)
-                    h = h_try * factor
-                else:
-                    h = h_try * 0.2
-                if h < 1e-14 and h < h_try:
-                    raise StepSizeUnderflow(r)
-            out[i] = x
-    return out, accepted, rejected
+                    r_new, t_new = math.exp(t + h_try), t + h_try
+                while passing and i < last and times[i] < t_new:
+                    theta = (float(times[i]) - t) / h_try
+                    out[i] = [math.exp(v) for v in _reference_dense(y, h_try, k, theta)]
+                    interpolated += 1
+                    i += 1
+                r, t = r_new, t_new
+                y, k1, x = y_new, k_last, np.array([math.exp(v) for v in y_new])
+                accepted += 1
+                if np.any(y > math.log(1e250)):
+                    raise Overflow(r)
+            else:
+                rejected += 1
+                if passing:
+                    h_pass = 0.0
+            if h < 1e-14 and h < h_try:
+                raise StepSizeUnderflow(r)
+    return out, accepted, rejected, interpolated
 
 
 def _reference_trajectory(system, tol, r_max, points_per_decade):
@@ -745,11 +805,18 @@ def test_integrate_radial_matches_numpy_reference_bit_for_bit(config, tol, r_max
     ``_reference_propagate``: the same states and step counts, to the bit."""
     system = system_from_config(config)
     traj = integrate_radial(system, 1.0, 1.0, tol, r_max=r_max, points_per_decade=points_per_decade)
-    expected, accepted, rejected = _reference_trajectory(system, tol, r_max, points_per_decade)
+    expected, accepted, rejected, interpolated = _reference_trajectory(system, tol, r_max, points_per_decade)
     assert np.array_equal(np.column_stack((traj.u, traj.v, traj.P, traj.S)), expected)
-    assert (traj.meta["steps_accepted"], traj.meta["steps_rejected"]) == (accepted, rejected)
+    meta = traj.meta
+    assert (meta["steps_accepted"], meta["steps_rejected"], meta["rows_interpolated"]) == (
+        accepted,
+        rejected,
+        interpolated,
+    )
     if points_per_decade == 1:
         assert rejected > 0
+    if config in (P3_CONFIG, SWEEP_LIKE_CONFIG) and points_per_decade == 64:
+        assert interpolated > 0
 
 
 def _dop853_states(system, grid):
@@ -831,10 +898,11 @@ def test_triangular_profile_is_exact(case):
 @pytest.mark.parametrize("points_per_decade", [8, 64])
 @pytest.mark.parametrize("case", TRIANGULAR_CASES, ids=TRIANGULAR_IDS)
 def test_triangular_solution_matches_its_closed_form(case, points_per_decade, tol):
-    """u and v within tol of the closed form (at most 2.7e-10 and 5.8e-13
+    """u and v within tol of the closed form (at most 2.5e-10 and 5.7e-13
     measured).  The fluxes are pure powers, straight lines in log
-    variables, so u' and v' are exact to 4.5e-14; only p = 4's v' at 8 per
-    decade is held to tol (3.6e-10 at tol 1e-9, 2.5e-13 at 1e-12)."""
+    variables, so u' and v' are exact to 3.3e-14, rows read from the
+    continuous extension included; only p = 4's v' at 8 per decade is held
+    to tol (3.4e-10 at tol 1e-9, 3.6e-13 at 1e-12)."""
     system, gamma, K, mu, K_v = _triangular(*case)
     traj = integrate_radial(system, 1.0, 1.0, tol, points_per_decade=points_per_decade)
     r = traj.r
@@ -857,18 +925,24 @@ def test_triangular_solution_matches_its_closed_form(case, points_per_decade, to
 def test_step_loop_started_on_the_profile_stays_on_it(config, r0, r_max, tol):
     """For pure powers the profile is an exact solution and a straight line
     in log variables, on which Dormand-Prince is exact: from the profile
-    state at r0 every step lands on a grid radius, none is rejected, and the
-    states stay on the profile to rounding (2.6e-14 measured)."""
+    state at r0 the states stay on the profile to rounding (2.6e-14
+    measured), rows read from the continuous extension included.  The
+    estimates are rounding noise, so most attempts pass grid radii, and the
+    run makes fewer attempts than there are radii (33-88 where 80 and 96
+    landings were made).  Whether a noisy estimate clears 1e-14 varies with
+    ``tol`` by rounding, so the counts are bounded, not pinned; every
+    rejected attempt was held to 1e-14 (2-8 per run), none is non-finite."""
     system = system_from_config(config)
     profile = solve_profile(system)
     grid = geometric_grid(r0, r_max, 8)
     start = sample_profile_trajectory(profile, system, grid[:1])
     exact = sample_profile_trajectory(profile, system, grid)
     y0 = [start.u[0], start.v[0], start.P[0], start.S[0]]
-    ys, accepted, rejections, *_ = _step_loop(flux_rhs(system), grid, y0, tol)
+    ys, accepted, rejections, *_, interpolated = _step_loop(flux_rhs(system), grid, y0, tol)
     assert float(np.max(np.abs(np.log(ys.T / np.vstack([exact.u, exact.v, exact.P, exact.S]))))) <= 1e-13
-    assert accepted == len(grid) - 1
-    assert sum(rejections.values()) == 0
+    assert accepted + rejections["error"] < len(grid) - 1 and rejections["nonfinite"] == 0
+    # every radius after the first is landed on or read from the extension
+    assert interpolated > 0 and len(grid) - 1 - interpolated <= accepted
 
 
 def test_step_count_on_tight_coarse_run(p3_system):
@@ -954,7 +1028,7 @@ def test_step_loop_matches_numpy_reference_in_any_dimension(dim):
         (_settling_rates(dim), np.exp([0.0, 8.0, 8.01, 12.0]), 1e-9),
     ):
         factors = []
-        expected, accepted, rejected = _reference_propagate(f, grid, y0, tol, factors)
+        expected, accepted, rejected, _ = _reference_propagate(f, grid, y0, tol, factors)
         ys, got_accepted, rejections, *_ = _step_loop(f, grid, y0, tol)
         assert np.array_equal(ys, expected)
         assert (got_accepted, sum(rejections.values())) == (accepted, rejected)
@@ -994,28 +1068,86 @@ def test_collapse_costs_what_the_floor_says(dim):
 def test_step_size_record_on_known_steps():
     """y = r^2 is a straight line in log variables, so the error estimate is
     at rounding level and each step in log r is five times the last unless
-    it lands on the grid: 1, 0.5 (lands), 2.5 and 6.  The record is in r.
-    Every estimate here is exactly 0, the one controller branch the toy
-    cases of ``test_step_loop_matches_numpy_reference_in_any_dimension`` miss."""
+    it lands on the grid: 1 lands, 5 passes the radius at 1.5, which is read
+    from the continuous extension, and 4 lands on the last radius.  The
+    record is in r.  Every estimate here is exactly 0, the one controller
+    branch the toy cases of
+    ``test_step_loop_matches_numpy_reference_in_any_dimension`` miss."""
     grid = np.exp([0.0, 1.0, 1.5, 10.0])
     line = lambda r, y: [2.0 * y[0] / r]
-    ys, accepted, _, h_min, h_max, r_at_h_min = _step_loop(line, grid, [1.0], 1e-9)
-    expected, expected_accepted, _ = _reference_propagate(line, grid, [1.0], 1e-9)
-    assert np.array_equal(ys, expected) and accepted == expected_accepted
-    assert accepted == 4 and r_at_h_min == 1.0
+    ys, accepted, _, h_min, h_max, r_at_h_min, interpolated = _step_loop(line, grid, [1.0], 1e-9)
+    expected, expected_accepted, _, expected_interpolated = _reference_propagate(line, grid, [1.0], 1e-9)
+    assert np.array_equal(ys, expected) and (accepted, interpolated) == (expected_accepted, expected_interpolated)
+    assert (accepted, interpolated) == (3, 1) and r_at_h_min == 1.0
     assert h_min == pytest.approx(math.e - 1.0, rel=1e-12)
-    assert h_max == pytest.approx(grid[-1] - math.exp(4.0), rel=1e-12)
+    assert h_max == pytest.approx(grid[-1] - math.exp(6.0), rel=1e-12)
+
+
+def _kinked_line(jump, calls=None):
+    """y = r^2 up to r = e^2, then y = e^(4 - 2 jump) r^(2 + jump): the log
+    rate steps from 2 to 2 + jump.  A ``calls`` list receives every radius
+    the right-hand side is called at."""
+
+    def f(r, y):
+        if calls is not None:
+            calls.append(r)
+        return [(2.0 + jump if r > math.e**2 else 2.0) * y[0] / r]
+
+    return f
+
+
+def _attempt_ends(calls):
+    """log r at the end of each attempt, from the radii of its stages 2 to 7
+    (six calls per attempt after the first evaluation; stage 6 ends it)."""
+    return [math.log(calls[1 + 6 * a + 4]) for a in range((len(calls) - 1) // 6)]
+
+
+def test_attempt_that_passes_a_radius_is_held_to_1e_14():
+    """The second attempt, log r from 1 to 6, crosses a kink of 1e-9 in the
+    log rate.  Where it passes a grid radius (1.5) it is held to 1e-14, so it
+    is rejected as ``error`` and the next attempt lands on 1.5.  Where no
+    radius lies in between, the same attempt is held to ``tol`` and accepted.
+    The last radius is landed on and held to ``tol``, even where the 1e-14
+    step reaches past it."""
+    for grid, ends, rejections in (
+        ([0.0, 1.0, 1.5, 10.0], [1.0, 6.0, 1.5, 4.0, 10.0], {"error": 1, "nonfinite": 0}),
+        ([0.0, 1.0, 10.0], [1.0, 6.0, 10.0], {"error": 0, "nonfinite": 0}),
+        ([0.0, 1.0, 4.0], [1.0, 4.0], {"error": 0, "nonfinite": 0}),
+    ):
+        calls = []
+        ys, accepted, got, *_, interpolated = _step_loop(_kinked_line(1e-9, calls), np.exp(grid), [1.0], 1e-9)
+        assert [round(t, 12) for t in _attempt_ends(calls)] == ends
+        assert (got, accepted, interpolated) == (rejections, len(ends) - sum(rejections.values()), 0)
+        expected, *_ = _reference_propagate(_kinked_line(1e-9), np.exp(grid), [1.0], 1e-9)
+        assert np.array_equal(ys, expected)
+
+
+def test_line_over_ten_decades_takes_a_handful_of_attempts():
+    """y = r^2 on the default 64-per-decade grid from 1 to 1e10: five
+    attempts (1/64 of a decade, then five times longer each time, the last
+    cut short to land on 1e10), and every other row read from the
+    continuous extension.  Each row's log is 2 log r to rounding."""
+    grid = geometric_grid(1.0, 1e10)
+    line = lambda r, y: [2.0 * y[0] / r]
+    ys, accepted, rejections, *_, interpolated = _step_loop(line, grid, [1.0], 1e-9)
+    assert (accepted, sum(rejections.values()), interpolated) == (5, 0, len(grid) - 3)
+    log_err = np.abs(np.log(ys[:, 0]) - 2.0 * np.log(grid))
+    assert float(np.max(log_err)) <= 4 * np.spacing(2.0 * math.log(1e10))
 
 
 def test_short_landing_does_not_trip_the_floor():
-    """Two grid radii 1.3e-15 apart in log r make the step that lands on the
-    second that short.  The next one, five times longer, is still below the
-    1e-14 floor, but it grew, so the run goes on to the end."""
+    """Two grid radii 1.3e-15 apart in log r.  The attempt from the first
+    would pass the second, but it crosses the kink at log r = 2 and fails
+    1e-14, so the next one lands on the second radius, that short.  The one
+    after, five times longer, is still below the 1e-14 floor, but it grew,
+    so the run goes on to the end."""
     grid = np.exp([0.0, 1.0, 1.0 + 6 * 2.0**-52, 10.0])
-    line = lambda r, y: [2.0 * y[0] / r]
-    ys, accepted, _, h_min, *_ = _step_loop(line, grid, [1.0], 1e-9)
-    expected, expected_accepted, _ = _reference_propagate(line, grid, [1.0], 1e-9)
+    calls = []
+    ys, accepted, rejections, h_min, *_ = _step_loop(_kinked_line(1e-9, calls), grid, [1.0], 1e-9)
+    expected, expected_accepted, _, _ = _reference_propagate(_kinked_line(1e-9), grid, [1.0], 1e-9)
     assert np.array_equal(ys, expected) and accepted == expected_accepted == 25
+    ends = _attempt_ends(calls)
+    assert rejections == {"error": 1, "nonfinite": 0} and ends[:2] == [1.0, 6.0] and 0.0 < ends[2] - 1.0 < 2e-15
     assert h_min < 1e-14 * math.e
 
 
@@ -1180,7 +1312,7 @@ def _flux_integrands(traj, system):
     coef = (system.p - 1.0 - system.alpha) / (system.p - 1.0)
     r = traj.r
     rhs_P = coef * r**system.delta * system.f1(r) * system.g1(traj.v)
-    rhs_S = r ** (system.n - 1) * system.f2(r) * system.g2(traj.v) * system.g3(traj.du)
+    rhs_S = r ** (system.n - 1) * system.f2(r) * system.g2(traj.v) * traj.g3_of_gradient()
     return np.stack((rhs_P, rhs_S))
 
 

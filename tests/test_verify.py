@@ -21,6 +21,7 @@ from plap import (
     check_ordering,
     check_quotient_ordering,
     estimate_limits,
+    flux_consistency,
     geometric_grid,
     integrate_radial,
     profile_eval,
@@ -30,6 +31,7 @@ from plap import (
     solve_profile,
     system_from_config,
 )
+from plap import integrator
 from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK, BoundsReport, EquationBounds
 from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, sample_integration_system
 
@@ -248,7 +250,7 @@ def _reference_bounds(traj, system, tol=_SLACK):
     p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     r = traj.r
     w1 = system.f1(r) * system.g1(traj.v)
-    w2 = system.f2(r) * system.g2(traj.v) * system.g3(traj.du)
+    w2 = system.f2(r) * system.g2(traj.v) * traj.g3_of_gradient()
     pma = p - 1.0 - alpha
 
     def eq_bounds(deriv, lower, upper):
@@ -576,3 +578,29 @@ def test_quotient_logs_are_finite_where_the_gradient_underflows():
     _, traj, qs = _subnormal_start_report(1.9757, [[1.0, 0.0], [1.0, 0.001]])
     assert int(np.sum(traj.du == 0.0)) == 4 and np.all(traj.P > 0.0)
     assert np.all(np.isfinite(qs.log))
+
+
+def test_g3_is_read_at_log_gradient_where_the_gradient_underflows():
+    """On the same run, g3 = 1 + s^0.001 read at the float u' = 0 keeps only
+    its constant term; read at log u' it is about 1.47 at those four radii.
+    The second sandwich's tightest upper margin lies at one of them, and both
+    it and the flux defect are what the log read gives."""
+    report, traj, _ = _subnormal_start_report(1.9757, [[1.0, 0.0], [1.0, 0.001]])
+    system = traj.system
+    zero = traj.du == 0.0
+    log_du = traj.log_gradients()[0]
+    g3 = traj.g3_of_gradient()
+    assert np.array_equal(g3, 1.0 + np.exp(0.001 * log_du))
+    assert np.all(system.g3(traj.du[zero]) == 1.0) and np.all(g3[zero] > 1.47)
+    r, n = traj.r, system.n
+    sigma2 = (n - 1.0) * (traj.S / r ** (n - 1)) / (r * system.f2(r) * system.g2(traj.v) * g3)
+    second = report.convexity_bounds.second_equation
+    assert second.r_at_upper in r[zero]
+    assert second.worst_upper_margin == float(np.min(sigma2))
+    coef = (system.p - 1.0 - system.alpha) / (system.p - 1.0)
+    rhs_P = coef * r**system.delta * system.f1(r) * system.g1(traj.v)
+    rhs_S = r ** (n - 1) * system.f2(r) * system.g2(traj.v) * g3
+    quad = integrator._cumulative_power_quadrature(r, np.stack((rhs_P, rhs_S)))
+    inc = np.stack((traj.P - traj.P[0], traj.S - traj.S[0]))
+    defect = np.abs(inc - quad)[:, 1:] / np.maximum(np.maximum(np.abs(inc), np.abs(quad)), 1e-300)[:, 1:]
+    assert flux_consistency(traj, system) == float(np.max(defect))
