@@ -204,15 +204,12 @@ def _sweep_row(point_cfg: dict) -> list[object]:
         return ["", "", "", "", "", "rejected", type(exc).__name__]
     except (ValueError, ArithmeticError, StepSizeUnderflow, Overflow) as exc:
         return ["", "", "", "", "", "error", type(exc).__name__]
-    limits = report.limits or {}
-    lim_u = limits.get("u")
-    lim_v = limits.get("v")
     return [
         prof.lam,
         prof.mu,
         "true" if report.monotonicity.passed else "false",
-        lim_u.value if lim_u else "",
-        lim_v.value if lim_v else "",
+        report.limits["u"].value,
+        report.limits["v"].value,
         "ok" if report.passed else "verify_failed",
         "",
     ]

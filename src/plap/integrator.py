@@ -121,7 +121,8 @@ class Trajectory:
     trajectory stores.  The gradients ``du``/``dv`` are derived from the
     fluxes on each access, and ``log_gradients`` gives their logs read from
     log P and log S, which stay resolved where the float u' is subnormal or
-    0.
+    0.  ``flux_sources`` forms the two flux equations' sources from the
+    stored states, for the convexity sandwiches and the flux quadrature.
     ``meta`` records the initial data, startup radius, tolerances, step
     counts, rejected steps by cause (``rejections``), the grid rows read from
     the continuous extension rather than landed on (``rows_interpolated``) and
@@ -156,17 +157,26 @@ class Trajectory:
         log_du = (np.log(self.P) - s.delta * log_r) / (s.p - 1.0 - s.alpha)
         return np.stack((log_du, (np.log(self.S) - (s.n - 1) * log_r) / (s.p - 1.0)))
 
-    def g3_of_gradient(self) -> np.ndarray:
-        """g3(u') as sum_i a_i exp(e_i log u'), with log u' from ``log_gradients``.
+    def flux_sources(self) -> np.ndarray:
+        """The sources of the flux equations P' = source_P and S' = source_S,
+        as the rows of one (2, N) array:
 
-        Each term stays resolved where the float u' is subnormal or 0, where
-        ``g3(du)`` would keep only the constant terms; a term of exponent 0 is
-        its coefficient."""
+            source_P = (p-1-alpha)/(p-1) r^delta f1(r) g1(v)
+            source_S = r^(n-1) f2(r) g2(v) g3(u')
+
+        g3(u') is read as sum_i a_i exp(e_i log u'), with log u' from
+        ``log_gradients``, so each term stays resolved where the float u' is
+        subnormal or 0, where ``g3(du)`` would keep only the constant terms; a
+        term of exponent 0 is its coefficient.  The only place the sources
+        are formed: ``check_convexity_bounds`` and ``flux_consistency`` read
+        them here."""
+        s, r = self.system, self.r
         log_du = self.log_gradients()[0]
-        total = 0.0
-        for coeff, expo in self.system.g3.terms:
-            total = total + (coeff if expo == 0.0 else coeff * np.exp(expo * log_du))
-        return total
+        g3 = 0.0
+        for coeff, expo in s.g3.terms:
+            g3 = g3 + (coeff if expo == 0.0 else coeff * np.exp(expo * log_du))
+        coef = (s.p - 1.0 - s.alpha) / (s.p - 1.0)
+        return np.stack((coef * r**s.delta * s.f1(r) * s.g1(self.v), r ** (s.n - 1) * s.f2(r) * s.g2(self.v) * g3))
 
 
 @functools.lru_cache(maxsize=16)
@@ -884,23 +894,18 @@ def _cumulative_power_quadrature(r: np.ndarray, values: np.ndarray) -> np.ndarra
 def flux_consistency(traj: Trajectory, system: ValidatedSystem) -> float:
     """Worst relative defect between the fluxes and quadrature of their RHS.
 
-    The right-hand sides are evaluated from the stored states, g3(u') at
-    log u' (``Trajectory.g3_of_gradient``), and integrated
-    cumulatively from the startup radius by a scheme independent of the
-    stepper, both in one quadrature pass that shares each interval's fit;
-    the defect at each grid point compares flux increments with the
-    quadrature.  Converged runs score well below 1e-6; corrupting a single
+    The right-hand sides are ``traj.flux_sources()``, the sources of the
+    trajectory's own system (``system`` is that system) at the stored
+    states.  They are integrated cumulatively from the startup radius by a
+    scheme independent of the stepper, both in one quadrature pass that
+    shares each interval's fit; the defect at each grid point compares flux
+    increments with the quadrature.  Converged runs score well below 1e-6; corrupting a single
     state is immediately visible.  The defect is the quadrature's own
     truncation, so it depends on the points per decade, not on ``tol``.  The
     defects of P and S form one (2, N) array reduced by one ``np.max``, so a
     NaN or infinite defect fails.
     """
-    p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
-    coef = (p - 1.0 - alpha) / (p - 1.0)
-    r = traj.r
-    rhs_P = coef * r**delta * system.f1(r) * system.g1(traj.v)
-    rhs_S = r ** (n - 1) * system.f2(r) * system.g2(traj.v) * traj.g3_of_gradient()
-    quad = _cumulative_power_quadrature(r, np.stack((rhs_P, rhs_S)))
+    quad = _cumulative_power_quadrature(traj.r, traj.flux_sources())
     flux = np.stack((traj.P, traj.S))
     inc = flux - flux[:, :1]
     denom = np.maximum(np.maximum(np.abs(inc), np.abs(quad)), 1e-300)

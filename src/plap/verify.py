@@ -207,31 +207,31 @@ class BoundsReport:
 def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float = _SLACK) -> BoundsReport:
     """Check the two-sided sandwiches on the flux derivatives.
 
-    With w1 = f1(r) g1(v) and w2 = f2(r) g2(v) g3(u'), the exact relations
+    With the flux sources source_P = (p-1-alpha)/(p-1) r^delta f1(r) g1(v)
+    and source_S = r^(n-1) f2(r) g2(v) g3(u') (``Trajectory.flux_sources``),
+    and the fluxes P = r^delta (u')^(p-1-alpha) and S = r^(n-1) (v')^(p-1),
+    the exact relations
 
-        d/dr[(u')^(p-1-alpha)] = (p-1-alpha)/(p-1) w1 - delta/r (u')^(p-1-alpha)
-        d/dr[(v')^(p-1)]       = w2 - (n-1)/r (v')^(p-1)
+        d/dr[(u')^(p-1-alpha)] = r^-delta (source_P - delta P / r)
+        d/dr[(v')^(p-1)]       = r^-(n-1) (source_S - (n-1) S / r)
 
     lie between c1 = (p-1)/(n(p-1-alpha)+alpha) and c2 = 1/n times their
-    upper bounds (p-1-alpha)/(p-1) w1 and w2.  So the gradient term's share
-    of the upper bound, sigma1 = delta (p-1) (u')^(p-1-alpha) / ((p-1-alpha) r w1)
-    or sigma2 = (n-1) (v')^(p-1) / (r w2), lies in [0, 1 - c]: the lower
-    margin is 1 - c - sigma, the upper margin sigma.  The flux terms
-    (u')^(p-1-alpha) and (v')^(p-1) are read as P / r^delta and S / r^(n-1),
-    and g3(u') at log u' (``Trajectory.g3_of_gradient``), so neither sigma nor
-    w2 passes through a gradient that may be subnormal.
-    A non-finite w (an overflowed growth law) gives NaN margins, which fail,
-    where sigma alone would read 0 and pass.  A run from exact startup
-    attains the first lower bound exactly when the weights are constants.
+    upper bounds r^-delta source_P and r^-(n-1) source_S.  So the gradient
+    term's share of the source, sigma1 = delta P / (r source_P) or
+    sigma2 = (n-1) S / (r source_S), lies in [0, 1 - c]: the lower margin is
+    1 - c - sigma, the upper margin sigma.  sigma reads the fluxes, and the
+    sources read g3(u') at log u', so no gradient that may be subnormal
+    enters.  A non-finite source (an overflowed growth law) gives NaN
+    margins, which fail, where sigma alone would read 0 and pass.  A run from
+    exact startup attains the first lower bound exactly when the weights are
+    constants.
     """
-    p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
+    p, n, alpha = system.p, system.n, system.alpha
     r = traj.r
-    pma = p - 1.0 - alpha
-    w = np.stack((system.f1(r) * system.g1(traj.v), system.f2(r) * system.g2(traj.v) * traj.g3_of_gradient()))
-    flux = np.stack((traj.P / r**delta, traj.S / r ** (n - 1)))
-    sigma = np.array([[delta * (p - 1.0)], [n - 1.0]]) * flux / (np.array([[pma], [1.0]]) * r * w)
-    sigma = np.where(np.isfinite(w), sigma, np.nan)
-    lower = 1.0 - np.array([[(p - 1.0) / (n * pma + alpha)], [1.0 / n]]) - sigma
+    source = traj.flux_sources()
+    sigma = np.array([[system.delta], [n - 1.0]]) * np.stack((traj.P, traj.S)) / (r * source)
+    sigma = np.where(np.isfinite(source), sigma, np.nan)
+    lower = 1.0 - np.array([[(p - 1.0) / (n * (p - 1.0 - alpha) + alpha)], [1.0 / n]]) - sigma
     worst_lower, worst_upper = np.min(lower, axis=1).tolist(), np.min(sigma, axis=1).tolist()
     r_lower, r_upper = r[np.argmin(lower, axis=1)].tolist(), r[np.argmin(sigma, axis=1)].tolist()
     first, second = map(EquationBounds, worst_lower, worst_upper, r_lower, r_upper)
@@ -348,18 +348,20 @@ class VerificationReport:
     ``passed``.  Limit closeness (``_LIMIT_THRESHOLD``) and the power-balance
     identity residuals (``_IDENTITY_THRESHOLD``) are thresholded only when the
     run reaches radius 1e4, where those thresholds are calibrated; on shorter
-    runs they are reported as diagnostics.  ``to_dict`` writes ``None`` for a
-    NaN or infinite number, so the report is standard JSON.
+    runs they are reported as diagnostics, so ``limits``,
+    ``limit_identities``, ``limits_passed`` and ``identities_passed`` are
+    always set.  ``to_dict`` writes ``None`` for a NaN or infinite number, so
+    the report is standard JSON.
     """
 
     monotonicity: MonotonicityReport
     ordering: QuotientOrdering
     convexity_bounds: BoundsReport
-    limits: Optional[dict[str, LimitEstimate]]
-    limit_identities: Optional[IdentityResiduals]
+    limits: dict[str, LimitEstimate]
+    limit_identities: IdentityResiduals
     limits_asserted: bool
-    limits_passed: Optional[bool]
-    identities_passed: Optional[bool]
+    limits_passed: bool
+    identities_passed: bool
     tolerances: dict
     passed: bool
 
@@ -387,8 +389,11 @@ def run_verification(
 
     Requires pure-power radial weights (the comparison profile must exist).
     The checks use the pinned thresholds, which the report lists under
-    ``tolerances``.  Returns the report together with the trajectory and
-    quotient series so callers can export the underlying data.
+    ``tolerances``.  The report always carries its limits: every run starts
+    at r0 = 1e-6 min(1, r_max), so it spans six decades, with at least three
+    grid points in the last two, and ``estimate_limits`` never raises here.
+    Returns the report together with the trajectory and quotient series so
+    callers can export the underlying data.
     """
     profile = solve_profile(system)
     traj = integrate_radial(system, a, b, tol, r_max=r_max, points_per_decade=points_per_decade)
@@ -397,25 +402,14 @@ def run_verification(
     ordering = check_quotient_ordering(qs)
     bounds = check_convexity_bounds(traj, system)
 
-    limits: Optional[dict[str, LimitEstimate]] = None
-    identities: Optional[IdentityResiduals] = None
-    try:
-        limits = estimate_limits(qs)
-        identities = check_limit_identities(limits, system)
-    except InsufficientRange:
-        pass
-
-    limits_asserted = limits is not None and float(traj.r[-1]) >= _LIMIT_ASSERT_RADIUS
-    limits_passed: Optional[bool] = None
-    identities_passed: Optional[bool] = None
-    if limits is not None:
-        limits_passed = all(abs(est.value - 1.0) <= _LIMIT_THRESHOLD for est in limits.values())
-        identities_passed = (
-            identities.first <= _IDENTITY_THRESHOLD and identities.second <= _IDENTITY_THRESHOLD
-        )
+    limits = estimate_limits(qs)
+    identities = check_limit_identities(limits, system)
+    limits_asserted = float(traj.r[-1]) >= _LIMIT_ASSERT_RADIUS
+    limits_passed = all(abs(est.value - 1.0) <= _LIMIT_THRESHOLD for est in limits.values())
+    identities_passed = identities.first <= _IDENTITY_THRESHOLD and identities.second <= _IDENTITY_THRESHOLD
     passed = mono.passed and ordering.passed and bounds.passed
     if limits_asserted:
-        passed = passed and bool(limits_passed) and bool(identities_passed)
+        passed = passed and limits_passed and identities_passed
 
     report = VerificationReport(
         monotonicity=mono,

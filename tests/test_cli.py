@@ -294,6 +294,13 @@ def test_sweep_weight_override_on_malformed_base_exits_1(write_config, capsys, b
     assert err.count("\n") == 1 and "'f1'" in err
 
 
+@pytest.mark.parametrize("values", [[], 0.5], ids=["empty", "number"])
+def test_sweep_parameter_needs_a_nonempty_list(write_config, capsys, values):
+    cfg = write_config("sweep.json", P3_CONFIG, sweep={"k1": values})
+    assert main(["sweep", "--config", cfg]) == 1
+    assert "sweep parameter 'k1' must map to a non-empty list" in capsys.readouterr().err
+
+
 def test_sweep_requires_nonempty_grid(write_config, capsys):
     cfg = write_config("empty.json", P3_CONFIG, sweep={})
     assert main(["sweep", "--config", cfg]) == 1
@@ -328,6 +335,13 @@ def test_exit_1_on_unparseable_config(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["profile", "--config", str(path)]) == 1
     capsys.readouterr()
+
+
+def test_exit_1_on_a_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([P3_CONFIG]))
+    assert main(["profile", "--config", str(path)]) == 1
+    assert "must contain a JSON object" in capsys.readouterr().err
 
 
 def test_exit_1_on_usage_error(capsys):

@@ -34,7 +34,7 @@ from plap import (
 )
 from plap import integrator
 from plap.integrator import _DP_A, _DP_C, _DP_DENSE, _DP_ERR, _step_loop, dormand_prince_step
-from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, sample_integration_system
+from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, g3_at_log_gradient, sample_integration_system
 
 
 # ---------------------------------------------------------------------------
@@ -1083,6 +1083,29 @@ def test_step_size_record_on_known_steps():
     assert h_max == pytest.approx(grid[-1] - math.exp(6.0), rel=1e-12)
 
 
+def test_step_budget_raises_typed_where_it_stopped(monkeypatch):
+    """A straight line grows its step fivefold per attempt: 1 grid interval
+    of 64 per decade, then 5 (passing radii), then about 21.  With a budget of
+    two attempts the third one raises after it is accepted, with its radius,
+    its state and ``h`` = r expm1(h_try), read at the radius it reached.  The
+    loop reads the budget when it is generated, so the cache is cleared on
+    both sides."""
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 2)
+    integrator._dp_loop.cache_clear()
+    try:
+        with pytest.raises(StepSizeUnderflow) as info:
+            _step_loop(lambda r, y: [2.0 * y[0] / r], geometric_grid(1.0, 1e4, 64), [1.0], 1e-9)
+    finally:
+        integrator._dp_loop.cache_clear()
+    exc = info.value
+    r_prev = 10.0 ** (6 / 64)  # where the first two attempts end
+    assert str(exc) == f"step budget exhausted at r={exc.radius!r}"
+    assert 2.0 * r_prev < exc.radius < 1e4
+    assert len(exc.state) == 1 and math.isfinite(exc.state[0])
+    assert exc.state[0] == pytest.approx(exc.radius**2, rel=1e-13)
+    assert exc.h == pytest.approx(exc.radius * math.expm1(math.log(exc.radius / r_prev)), rel=1e-12)
+
+
 def _kinked_line(jump, calls=None):
     """y = r^2 up to r = e^2, then y = e^(4 - 2 jump) r^(2 + jump): the log
     rate steps from 2 to 2 + jump.  A ``calls`` list receives every radius
@@ -1312,7 +1335,7 @@ def _flux_integrands(traj, system):
     coef = (system.p - 1.0 - system.alpha) / (system.p - 1.0)
     r = traj.r
     rhs_P = coef * r**system.delta * system.f1(r) * system.g1(traj.v)
-    rhs_S = r ** (system.n - 1) * system.f2(r) * system.g2(traj.v) * traj.g3_of_gradient()
+    rhs_S = r ** (system.n - 1) * system.f2(r) * system.g2(traj.v) * g3_at_log_gradient(traj)
     return np.stack((rhs_P, rhs_S))
 
 

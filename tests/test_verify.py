@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from plap import (
 )
 from plap import integrator
 from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK, BoundsReport, EquationBounds
-from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, sample_integration_system
+from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, g3_at_log_gradient, sample_integration_system
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +252,7 @@ def _reference_bounds(traj, system, tol=_SLACK):
     p, n, alpha, delta = system.p, system.n, system.alpha, system.delta
     r = traj.r
     w1 = system.f1(r) * system.g1(traj.v)
-    w2 = system.f2(r) * system.g2(traj.v) * traj.g3_of_gradient()
+    w2 = system.f2(r) * system.g2(traj.v) * g3_at_log_gradient(traj)
     pma = p - 1.0 - alpha
 
     def eq_bounds(deriv, lower, upper):
@@ -338,6 +340,30 @@ def test_limit_fit_requires_two_decades():
     qs = synthetic_quotients(r, [r**-1.0] * 4)
     with pytest.raises(InsufficientRange):
         estimate_limits(qs)
+
+
+def test_limit_fit_requires_three_points_in_the_last_two_decades():
+    qs = synthetic_quotients(np.array([1.0, 1e3]), [np.array([2.0, 1.5])] * 4)
+    with pytest.raises(InsufficientRange, match="fewer than three grid points"):
+        estimate_limits(qs)
+
+
+STEEP_CONFIG = json.loads((Path(__file__).resolve().parents[1] / "configs" / "steep.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "config, r_max, points_per_decade",
+    [(P3_CONFIG, 1e-3, 1), (STEEP_CONFIG, 1e-5, 64)],
+    ids=["coupled_p3", "steep"],
+)
+def test_every_verification_carries_its_limits(config, r_max, points_per_decade):
+    """The shortest runs the API allows: every run starts at 1e-6 min(1, r_max),
+    so it spans six decades with at least three points in the last two, and
+    ``estimate_limits`` has its window."""
+    report, _, _ = run_verification(system_from_config(config), r_max=r_max, points_per_decade=points_per_decade)
+    assert set(report.limits) == {"u", "v", "du", "dv"}
+    assert type(report.limits_passed) is bool and type(report.identities_passed) is bool
+    assert report.limits_asserted is False
 
 
 def test_limit_window_keeps_the_two_decade_point_however_it_rounds(p3_system):
@@ -589,17 +615,18 @@ def test_g3_is_read_at_log_gradient_where_the_gradient_underflows():
     system = traj.system
     zero = traj.du == 0.0
     log_du = traj.log_gradients()[0]
-    g3 = traj.g3_of_gradient()
+    g3 = g3_at_log_gradient(traj)
     assert np.array_equal(g3, 1.0 + np.exp(0.001 * log_du))
     assert np.all(system.g3(traj.du[zero]) == 1.0) and np.all(g3[zero] > 1.47)
     r, n = traj.r, system.n
-    sigma2 = (n - 1.0) * (traj.S / r ** (n - 1)) / (r * system.f2(r) * system.g2(traj.v) * g3)
-    second = report.convexity_bounds.second_equation
-    assert second.r_at_upper in r[zero]
-    assert second.worst_upper_margin == float(np.min(sigma2))
     coef = (system.p - 1.0 - system.alpha) / (system.p - 1.0)
     rhs_P = coef * r**system.delta * system.f1(r) * system.g1(traj.v)
     rhs_S = r ** (n - 1) * system.f2(r) * system.g2(traj.v) * g3
+    assert np.array_equal(traj.flux_sources(), np.stack((rhs_P, rhs_S)))
+    sigma2 = (n - 1.0) * traj.S / (r * rhs_S)
+    second = report.convexity_bounds.second_equation
+    assert second.r_at_upper in r[zero]
+    assert second.worst_upper_margin == float(np.min(sigma2))
     quad = integrator._cumulative_power_quadrature(r, np.stack((rhs_P, rhs_S)))
     inc = np.stack((traj.P - traj.P[0], traj.S - traj.S[0]))
     defect = np.abs(inc - quad)[:, 1:] / np.maximum(np.maximum(np.abs(inc), np.abs(quad)), 1e-300)[:, 1:]
