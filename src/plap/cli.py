@@ -137,7 +137,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
     traj = integrate_radial(*_run_config(_flagged_config(args)))
-    columns = (traj.r, traj.u, traj.v, traj.du, traj.dv, traj.P, traj.S)
+    du, dv = np.exp(traj.logs()[2:])
+    columns = (traj.r, traj.u, traj.v, du, dv, traj.P, traj.S)
     _emit(_csv("r,u,v,du,dv,P,S", zip(*columns)), args.out)
     return EXIT_OK
 

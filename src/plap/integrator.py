@@ -69,7 +69,8 @@ __all__ = [
 
 class _IntegrationFailure(RuntimeError):
     """A failed integration: ``radius`` is where it stopped, ``state`` the last accepted
-    state as a tuple of floats and ``h`` the last attempted step, ``None`` if none was."""
+    state as a tuple of floats and ``h`` the last step in r: the one taken if the last
+    attempt was accepted, else the one attempted, ``None`` if none was."""
 
     _what = ""
 
@@ -105,7 +106,9 @@ class Overflow(_IntegrationFailure):
 
 
 class State(NamedTuple):
-    """The state (u, v, P, S) at one radius: the step loop's start, a failure's last."""
+    """The state (u, v, P, S) at one radius, as the step loop starts from it.
+
+    A failure carries its last accepted state as a plain tuple, not a ``State``."""
 
     u: float
     v: float
@@ -118,8 +121,8 @@ class Trajectory:
     """Solution of ``system`` sampled on a strictly increasing radial grid.
 
     The state arrays ``u, v, P, S`` are aligned with ``r``; they are all a
-    trajectory stores.  The gradients ``du``/``dv`` are derived from the
-    fluxes on each access, and ``log_gradients`` gives their logs read from
+    trajectory stores, and it is read through two derived views.  ``logs``
+    gives log u, log v, log u' and log v', the gradients' logs read from
     log P and log S, which stay resolved where the float u' is subnormal or
     0.  ``flux_sources`` forms the two flux equations' sources from the
     stored states, for the convexity sandwiches and the flux quadrature.
@@ -141,21 +144,21 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.r)
 
-    @property
-    def du(self) -> np.ndarray:
-        """u' = (P / r^delta)^(1/(p-1-alpha))."""
-        return (self.P / self.r**self.system.delta) ** (1.0 / (self.system.p - 1.0 - self.system.alpha))
+    def logs(self) -> np.ndarray:
+        """log u, log v, log u' and log v' as the rows of one (4, N) array, with
 
-    @property
-    def dv(self) -> np.ndarray:
-        """v' = (S / r^(n-1))^(1/(p-1))."""
-        return (self.S / self.r ** (self.system.n - 1)) ** (1.0 / (self.system.p - 1.0))
+            log u' = (log P - delta log r) / (p-1-alpha)
+            log v' = (log S - (n-1) log r) / (p-1)
 
-    def log_gradients(self) -> np.ndarray:
-        """log u' = (log P - delta log r)/(p-1-alpha) and log v' = (log S - (n-1) log r)/(p-1), as rows."""
+        read from the fluxes, so they stay resolved where the float u' would
+        be subnormal or 0.  A state that is exactly 0 (a sampled profile that
+        underflows) reads -inf, without a warning."""
         s, log_r = self.system, np.log(self.r)
-        log_du = (np.log(self.P) - s.delta * log_r) / (s.p - 1.0 - s.alpha)
-        return np.stack((log_du, (np.log(self.S) - (s.n - 1) * log_r) / (s.p - 1.0)))
+        with np.errstate(divide="ignore"):
+            log_uv = np.log(np.stack((self.u, self.v)))
+            log_P, log_S = np.log(self.P), np.log(self.S)
+        log_du = (log_P - s.delta * log_r) / (s.p - 1.0 - s.alpha)
+        return np.concatenate((log_uv, [log_du, (log_S - (s.n - 1) * log_r) / (s.p - 1.0)]))
 
     def flux_sources(self) -> np.ndarray:
         """The sources of the flux equations P' = source_P and S' = source_S,
@@ -164,14 +167,14 @@ class Trajectory:
             source_P = (p-1-alpha)/(p-1) r^delta f1(r) g1(v)
             source_S = r^(n-1) f2(r) g2(v) g3(u')
 
-        g3(u') is read as sum_i a_i exp(e_i log u'), with log u' from
-        ``log_gradients``, so each term stays resolved where the float u' is
+        g3(u') is read as sum_i a_i exp(e_i log u'), with log u' the third
+        row of ``logs``, so each term stays resolved where the float u' is
         subnormal or 0, where ``g3(du)`` would keep only the constant terms; a
         term of exponent 0 is its coefficient.  The only place the sources
         are formed: ``check_convexity_bounds`` and ``flux_consistency`` read
         them here."""
         s, r = self.system, self.r
-        log_du = self.log_gradients()[0]
+        log_du = self.logs()[2]
         g3 = 0.0
         for coeff, expo in s.g3.terms:
             g3 = g3 + (coeff if expo == 0.0 else coeff * np.exp(expo * log_du))
@@ -689,10 +692,9 @@ def loop(f, radii, times, x, tol):
             rejections["error" if enorm < inf else "nonfinite"] += 1
             if passing:
                 h_pass = 0.0
-        if h < underflow_step and h < h_try:
-            raise StepSizeUnderflow(r, state=({x}), h=r * expm1(h_try))
-        if accepted + rejected > max_steps:
-            raise StepSizeUnderflow(r, f"step budget exhausted at r={{r!r}}", state=({x}), h=r * expm1(h_try))
+        if h < underflow_step and h < h_try or accepted + rejected > max_steps:
+            message = None if h < underflow_step and h < h_try else f"step budget exhausted at r={{r!r}}"
+            raise StepSizeUnderflow(r, message, state=({x}), h=h_r if enorm <= held else r * expm1(h_try))
     return rows, accepted, rejections, h_min, h_max, r_at_h_min, interpolated
 """
 
@@ -804,12 +806,12 @@ def integrate_radial(
     from the continuous extension (``meta["rows_interpolated"]`` counts them);
     every other step ends on the next radius or short of it.  The trajectory
     holds the four states and ``system``;
-    u' and v' are derived from P and S when read.  Default grids come from
+    ``Trajectory.logs`` reads log u' and log v' from log P and log S.  Default grids come from
     ``geometric_grid`` and are shared, read-only arrays.  Raises
     ``StepSizeUnderflow`` when a step shrinks
     below 1e-14 in log r (1e-14 * r), accepted or rejected, or a startup component is 0, and
     ``Overflow`` when a component passes 1e250; both carry the radius, the last
-    accepted (u, v, P, S) and the last attempted step in r (``None`` for a refused start).
+    accepted (u, v, P, S) and the last step in r, taken or attempted (``None`` for a refused start).
     """
     if not (_TOL_MIN <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [{_TOL_MIN!r}, 1e-3], got {tol}")

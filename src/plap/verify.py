@@ -62,6 +62,8 @@ _SERIES_KEYS = ("u", "v", "du", "dv")
 _SLACK = 1e-8
 _LIMIT_THRESHOLD = 1e-2
 _IDENTITY_THRESHOLD = 3e-2
+# the limits are fitted over the grid's last decades, this many
+_LIMIT_WINDOW_DECADES = 2.0
 
 
 class GridMismatch(ValueError):
@@ -84,14 +86,14 @@ def quotient_series(traj: Trajectory, profile: PowerProfile) -> QuotientSeries:
     """The logs of a trajectory's quotients, e.g. log U = log u - log C_lam - lam log r.
 
     No profile value is formed: C_lam r^lam underflows at r0 = 1e-6 once lam >~ 43.
-    log W and log Y read the trajectory's ``log_gradients``, formed from log P
-    and log S, so a u' that is subnormal or underflows to 0 keeps a finite log.
+    The profile's logs are subtracted from ``Trajectory.logs``, whose log u'
+    and log v' are formed from log P and log S, so a u' that is subnormal or
+    underflows to 0 keeps a finite log.
     """
     lam, mu, log_c_lam, log_c_mu = profile.lam, profile.mu, profile.log_c_lam, profile.log_c_mu
     log_amp = np.array([log_c_lam, log_c_mu, math.log(lam) + log_c_lam, math.log(mu) + log_c_mu])
     expo = np.array([lam, mu, lam - 1.0, mu - 1.0])
-    log_state = np.concatenate((np.log(np.stack((traj.u, traj.v))), traj.log_gradients()))
-    return QuotientSeries(r=traj.r, log=log_state - log_amp[:, None] - expo[:, None] * np.log(traj.r))
+    return QuotientSeries(r=traj.r, log=traj.logs() - log_amp[:, None] - expo[:, None] * np.log(traj.r))
 
 
 @dataclass
@@ -161,7 +163,7 @@ class OrderingReport:
 
     passed: bool
     n_points: int
-    min_margin: dict[str, float]  # min of (A - B)/|B| per component
+    min_margin: dict[str, float]  # min of (A - B)/B per component
     r_at: dict[str, float]
 
 
@@ -174,17 +176,22 @@ def check_ordering(traj_a: Trajectory, traj_b: Trajectory) -> OrderingReport:
     over one range share every radius where their points per decade line
     up (64 and 8 per decade share every eighth radius of the finer grid).
     Raises ``GridMismatch`` when fewer than two radii are shared.
+
+    The comparison reads ``Trajectory.logs``: A dominates where the log gap
+    log A - log B is positive, and each margin (A - B)/B is expm1 of its
+    row's smallest gap, at ``r_at``.  So no float gradient enters, and a gap
+    is resolved down to about |log A| 2.2e-16 (at most 1.6e-13 for any
+    float), where A - B would have lost it with a subnormal u'.  A state 0
+    on one side gives an infinite gap; 0 on both sides a NaN one, which
+    fails.
     """
     rs, ia, ib = np.intersect1d(traj_a.r, traj_b.r, assume_unique=True, return_indices=True)
     if len(rs) < 2:
         raise GridMismatch(f"{len(rs)} shared radii, need at least two to compare on")
-    a_vals, b_vals = (
-        np.stack([getattr(traj, key)[i] for key in _SERIES_KEYS]) for traj, i in ((traj_a, ia), (traj_b, ib))
-    )
-    gap = a_vals - b_vals
-    rel = gap / np.maximum(np.abs(b_vals), 1e-300)
-    margins = dict(zip(_SERIES_KEYS, np.min(rel, axis=1).tolist()))
-    r_at = dict(zip(_SERIES_KEYS, rs[np.argmin(rel, axis=1)].tolist()))
+    with np.errstate(invalid="ignore"):  # -inf - -inf: a 0 on both sides
+        gap = traj_a.logs()[:, ia] - traj_b.logs()[:, ib]
+    margins = dict(zip(_SERIES_KEYS, np.expm1(np.min(gap, axis=1)).tolist()))
+    r_at = dict(zip(_SERIES_KEYS, rs[np.argmin(gap, axis=1)].tolist()))
     return OrderingReport(passed=bool(np.all(gap > 0.0)), n_points=len(rs), min_margin=margins, r_at=r_at)
 
 
@@ -264,12 +271,12 @@ def estimate_limits(qs: QuotientSeries) -> dict[str, LimitEstimate]:
     The fitted value at the final radius smooths integrator noise; the rate is
     diagnostic only (no convergence-rate theory backs a threshold on it).
     """
-    r = qs.r
-    if r[-1] / r[0] < 99.999:
+    r, span = qs.r, 10.0**_LIMIT_WINDOW_DECADES
+    if r[-1] / r[0] < span - 1e-3:
         raise InsufficientRange(
-            f"grid spans only {math.log10(r[-1] / r[0]):.2f} decades, need >= 2"
+            f"grid spans only {math.log10(r[-1] / r[0]):.2f} decades, need >= {_LIMIT_WINDOW_DECADES:g}"
         )
-    window = r >= r[-1] / 100.0 * (1.0 - 1e-12)  # the two-decade point, however it rounds
+    window = r >= r[-1] / span * (1.0 - 1e-12)  # the two-decade point, however it rounds
     if int(np.sum(window)) < 3:
         raise InsufficientRange("fewer than three grid points in the last two decades")
     log_r, log_q = np.log(r[window]), qs.log[:, window]
@@ -428,7 +435,7 @@ def run_verification(
             "bounds_slack": _SLACK,
             "limit_threshold": _LIMIT_THRESHOLD,
             "identity_threshold": _IDENTITY_THRESHOLD,
-            "limit_window_decades": 2.0,
+            "limit_window_decades": _LIMIT_WINDOW_DECADES,
         },
         passed=bool(passed),
     )

@@ -179,5 +179,5 @@ def sample_integration_system(rng: np.random.Generator):
 
 def g3_at_log_gradient(traj):
     """g3(u') as sum_i a_i exp(e_i log u'), log u' read from log P; a term of exponent 0 is its coefficient."""
-    log_du = traj.log_gradients()[0]
+    log_du = traj.logs()[2]
     return sum(a if e == 0.0 else a * np.exp(e * log_du) for a, e in traj.system.g3.terms)

@@ -275,7 +275,7 @@ def test_poisson_value_and_curve(poisson_traj):
     assert abs(poisson_traj.u[i1] - 7.0 / 6.0) < 1e-9
     assert np.max(np.abs(poisson_traj.u / exact - 1.0)) < 1e-10
     assert np.max(np.abs(poisson_traj.v / exact - 1.0)) < 1e-10
-    assert np.max(np.abs(poisson_traj.du - r / 3.0)) < 1e-10
+    assert np.max(np.abs(np.exp(poisson_traj.logs()[2]) - r / 3.0)) < 1e-10
 
 
 def test_trajectory_state_accessors(poisson_traj):
@@ -283,16 +283,22 @@ def test_trajectory_state_accessors(poisson_traj):
 
 
 def test_trajectory_stores_the_state_and_derives_the_gradients(p3_traj, p3_system):
-    """Four state arrays and the system; u' and v' are the flux expressions
-    bit for bit, and their logs are read from log P and log S."""
+    """Four state arrays and the system, read through ``logs``: log u and
+    log v of the states, and log u' and log v' from log P and log S, each bit
+    for bit the expression it is documented as.  They agree with the logs of
+    the float gradients formed from the fluxes."""
     assert [f.name for f in dataclasses.fields(Trajectory)] == ["r", "u", "v", "P", "S", "system", "meta"]
+    assert not any(hasattr(p3_traj, name) for name in ("du", "dv", "log_gradients"))
     assert p3_traj.system is p3_system
-    r, p, alpha = p3_traj.r, p3_system.p, p3_system.alpha
-    du = (p3_traj.P / r**p3_system.delta) ** (1.0 / (p - 1.0 - alpha))
-    dv = (p3_traj.S / r ** (p3_system.n - 1)) ** (1.0 / (p - 1.0))
-    assert p3_traj.du.tobytes() == du.tobytes()
-    assert p3_traj.dv.tobytes() == dv.tobytes()
-    np.testing.assert_allclose(p3_traj.log_gradients(), np.log([du, dv]), rtol=0.0, atol=1e-13)
+    r, p, n, alpha, delta = p3_traj.r, p3_system.p, p3_system.n, p3_system.alpha, p3_system.delta
+    logs = p3_traj.logs()
+    assert logs.shape == (4, len(r))
+    assert logs[:2].tobytes() == np.log(np.stack((p3_traj.u, p3_traj.v))).tobytes()
+    assert logs[2].tobytes() == ((np.log(p3_traj.P) - delta * np.log(r)) / (p - 1.0 - alpha)).tobytes()
+    assert logs[3].tobytes() == ((np.log(p3_traj.S) - (n - 1) * np.log(r)) / (p - 1.0)).tobytes()
+    du = (p3_traj.P / r**delta) ** (1.0 / (p - 1.0 - alpha))
+    dv = (p3_traj.S / r ** (n - 1)) ** (1.0 / (p - 1.0))
+    np.testing.assert_allclose(logs[2:], np.log([du, dv]), rtol=0.0, atol=1e-13)
 
 
 def assert_trajectory_increasing(traj):
@@ -305,8 +311,8 @@ def assert_trajectory_increasing(traj):
         assert np.all(np.diff(series) >= 0.0), f"{name} must not decrease"
         resolved = traj.r >= 1e-2
         assert np.all(np.diff(series[resolved]) > 0.0), f"{name} flat at large r"
-    for name in ("du", "dv", "P", "S"):
-        series = getattr(traj, name)
+    du, dv = np.exp(traj.logs()[2:])
+    for name, series in (("du", du), ("dv", dv), ("P", traj.P), ("S", traj.S)):
         assert np.all(series > 0.0), name
         assert np.all(np.diff(series) > 0.0), f"{name} must increase"
 
@@ -325,7 +331,7 @@ def test_monotonicity_holds_on_random_systems():
 
 def test_gradient_columns_consistent_with_value_columns(p3_traj):
     """Finite differences of u on the output grid approximate the stored u'."""
-    r, u, du = p3_traj.r, p3_traj.u, p3_traj.du
+    r, u, du = p3_traj.r, p3_traj.u, np.exp(p3_traj.logs()[2])
     window = (r > 1e-3) & (r < 500.0)
     fd = np.gradient(u, r)
     rel = np.abs(fd[window] / du[window] - 1.0)
@@ -900,9 +906,9 @@ def test_triangular_profile_is_exact(case):
 def test_triangular_solution_matches_its_closed_form(case, points_per_decade, tol):
     """u and v within tol of the closed form (at most 2.5e-10 and 5.7e-13
     measured).  The fluxes are pure powers, straight lines in log
-    variables, so u' and v' are exact to 3.3e-14, rows read from the
-    continuous extension included; only p = 4's v' at 8 per decade is held
-    to tol (3.4e-10 at tol 1e-9, 3.6e-13 at 1e-12)."""
+    variables, so u' and v', read from ``logs``, are exact to 3.6e-14, rows
+    read from the continuous extension included; only p = 4's v' at 8 per
+    decade is held to tol (3.4e-10 at tol 1e-9, 3.6e-13 at 1e-12)."""
     system, gamma, K, mu, K_v = _triangular(*case)
     traj = integrate_radial(system, 1.0, 1.0, tol, points_per_decade=points_per_decade)
     r = traj.r
@@ -914,8 +920,8 @@ def test_triangular_solution_matches_its_closed_form(case, points_per_decade, to
     }
     dv_bound = tol if (case[0], points_per_decade) == (4, 8) else 1e-13
     bounds = dict(u=tol, v=tol, du=1e-13, dv=dv_bound)
-    for name, value in exact.items():
-        err = float(np.max(np.abs(getattr(traj, name) / value - 1.0)))
+    for (name, value), log_state in zip(exact.items(), traj.logs()):
+        err = float(np.max(np.abs(np.expm1(log_state - np.log(value)))))
         assert err < bounds[name], f"{name}: rel err {err:.3e}"
 
 
@@ -1087,9 +1093,10 @@ def test_step_budget_raises_typed_where_it_stopped(monkeypatch):
     """A straight line grows its step fivefold per attempt: 1 grid interval
     of 64 per decade, then 5 (passing radii), then about 21.  With a budget of
     two attempts the third one raises after it is accepted, with its radius,
-    its state and ``h`` = r expm1(h_try), read at the radius it reached.  The
-    loop reads the budget when it is generated, so the cache is cleared on
-    both sides."""
+    its state and ``h`` the step it took, from the radius where the second
+    ended to its own (read at its own radius, r expm1(h_try) would overstate
+    that step by e^h_try).  The loop reads the budget when it is generated,
+    so the cache is cleared on both sides."""
     monkeypatch.setattr(integrator, "_MAX_STEPS", 2)
     integrator._dp_loop.cache_clear()
     try:
@@ -1103,7 +1110,7 @@ def test_step_budget_raises_typed_where_it_stopped(monkeypatch):
     assert 2.0 * r_prev < exc.radius < 1e4
     assert len(exc.state) == 1 and math.isfinite(exc.state[0])
     assert exc.state[0] == pytest.approx(exc.radius**2, rel=1e-13)
-    assert exc.h == pytest.approx(exc.radius * math.expm1(math.log(exc.radius / r_prev)), rel=1e-12)
+    assert exc.h == pytest.approx(exc.radius - r_prev, rel=1e-12)
 
 
 def _kinked_line(jump, calls=None):

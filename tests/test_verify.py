@@ -73,7 +73,7 @@ def test_log_quotients_match_the_ratios_of_state_to_profile(p3_system, p3_profil
     traj = integrate_radial(p3_system, 1.0, 1.0, tol=1e-9, r_max=1e4)
     qs = quotient_series(traj, p3_profile)
     profile = profile_eval(p3_profile, traj.r)
-    ratios = np.stack([state / ref for state, ref in zip((traj.u, traj.v, traj.du, traj.dv), profile)])
+    ratios = np.stack([state / ref for state, ref in zip(np.exp(traj.logs()), profile)])
     assert np.max(np.abs(np.exp(qs.log) / ratios - 1.0)) < 1e-13
 
 
@@ -209,6 +209,70 @@ def test_ordering_rejects_overlapping_grids_without_common_radii(p3_system, p3_p
         check_ordering(a, b)
 
 
+def _float_gradients(traj):
+    """The float u' = (P / r^delta)^(1/(p-1-alpha)) and v' = (S / r^(n-1))^(1/(p-1)),
+    as rows, formed on the test side: the checks read ``Trajectory.logs`` instead."""
+    s, r = traj.system, traj.r
+    du = (traj.P / r**s.delta) ** (1.0 / (s.p - 1.0 - s.alpha))
+    return np.stack((du, (traj.S / r ** (s.n - 1)) ** (1.0 / (s.p - 1.0))))
+
+
+def _subnormal_pair(alpha):
+    """Runs from (2, 2) and (1, 1) of the subnormal-start system, with a constant term in g3."""
+    cfg = dict(P3_CONFIG, alpha=alpha, r_max=1e4, g1=[[1.0, 0.001]], g3=[[1.0, 0.0], [1.0, 0.001]])
+    system = system_from_config(cfg)
+    return integrate_radial(system, 2.0, 2.0, 1e-9), integrate_radial(system, 1.0, 1.0, 1e-9)
+
+
+def test_ordering_reads_the_log_gap_where_the_float_gradient_is_subnormal():
+    """At alpha = 1.9754 u'(r0) is subnormal in both runs, and the float
+    (A - B)/B, guarded at 1e-300, read a du margin of 4.94e-24 there.  Every
+    margin is expm1 of its row's smallest log gap, du's is about 1.11e-5, and
+    the larger data dominate everywhere."""
+    big, small = _subnormal_pair(1.9754)
+    du_big, du_small = _float_gradients(big)[0], _float_gradients(small)[0]
+    assert 0.0 < du_small[0] < du_big[0] < 2.3e-308
+    assert np.min((du_big - du_small) / np.maximum(du_small, 1e-300)) < 1e-23
+    report = check_ordering(big, small)
+    gap = big.logs() - small.logs()
+    assert report.passed and np.all(gap > 0.0)
+    assert report.min_margin == dict(zip(("u", "v", "du", "dv"), np.expm1(np.min(gap, axis=1)).tolist()))
+    assert report.min_margin["du"] == pytest.approx(1.11e-5, rel=1e-2)
+
+
+def test_ordering_resolves_du_where_both_float_gradients_are_zero():
+    """At alpha = 1.9757 the float u' is 0 in both runs at four radii, where
+    A - B read a tie; the log gap resolves them, and the du margin is positive.
+    Only du is pinned: the dv row still ties at r0 = 1e-6, since
+    ``startup_state`` reads g3 at the float u', 0 in both runs, and so gives
+    both the same S(r0) (ROADMAP item 3)."""
+    big, small = _subnormal_pair(1.9757)
+    zero = (_float_gradients(big)[0] == 0.0) & (_float_gradients(small)[0] == 0.0)
+    assert int(np.sum(zero)) == 4
+    gap = big.logs()[2] - small.logs()[2]
+    assert np.all(gap[zero] > 0.0)
+    report = check_ordering(big, small)
+    assert report.min_margin["du"] == float(np.expm1(np.min(gap))) > 0.0
+
+
+def test_ordering_against_a_profile_that_underflows():
+    """``steep.json``'s run against its profile sampled on 8 per decade.  The
+    profile's u, v, P and S are exactly 0 at 11-12 of the 73 shared radii,
+    whose logs read -inf without a warning (warnings fail the suite), so the
+    run dominates there by an infinite gap.  Every margin is the float
+    comparison's min of (A - B)/B to 1e-12."""
+    system = system_from_config(STEEP_CONFIG)
+    traj = integrate_radial(system, 1.0, 1.0, 1e-9)
+    prof = sample_profile_trajectory(solve_profile(system), system, geometric_grid(traj.r[0], traj.r[-1], 8))
+    assert [int(np.sum(getattr(prof, name) == 0.0)) for name in "uvPS"] == [11, 11, 12, 11]
+    report = check_ordering(traj, prof)
+    assert report.passed and report.n_points == 73
+    _, ia, ib = np.intersect1d(traj.r, prof.r, assume_unique=True, return_indices=True)
+    a, b = (np.vstack((t.u[i], t.v[i], _float_gradients(t)[:, i])) for t, i in ((traj, ia), (prof, ib)))
+    float_margins = np.min((a - b) / np.maximum(np.abs(b), 1e-300), axis=1)
+    np.testing.assert_allclose(list(report.min_margin.values()), float_margins, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Two-sided derivative sandwiches
 # ---------------------------------------------------------------------------
@@ -263,11 +327,11 @@ def _reference_bounds(traj, system, tol=_SLACK):
         return EquationBounds(float(lo_m[i_lo]), float(up_m[i_up]), float(r[i_lo]), float(r[i_up]))
 
     first = eq_bounds(
-        pma / (p - 1.0) * w1 - delta / r * traj.du**pma,
+        pma / (p - 1.0) * w1 - delta / r * np.exp(pma * traj.logs()[2]),
         pma / (n * pma + alpha) * w1,
         pma / (p - 1.0) * w1,
     )
-    second = eq_bounds(w2 - (n - 1.0) / r * traj.dv ** (p - 1.0), w2 / n, w2)
+    second = eq_bounds(w2 - (n - 1.0) / r * np.exp((p - 1.0) * traj.logs()[3]), w2 / n, w2)
     margins = (first.worst_lower_margin, first.worst_upper_margin)
     margins += (second.worst_lower_margin, second.worst_upper_margin)
     return BoundsReport(first, second, tol, all(m >= -tol for m in margins))
@@ -602,7 +666,7 @@ def test_quotient_logs_are_finite_where_the_gradient_underflows():
     quotient log is finite; the log of that u' was log 0.  The run reads
     ``not_passed`` on Y, since the rates read g3(0) (not gated here)."""
     _, traj, qs = _subnormal_start_report(1.9757, [[1.0, 0.0], [1.0, 0.001]])
-    assert int(np.sum(traj.du == 0.0)) == 4 and np.all(traj.P > 0.0)
+    assert int(np.sum(_float_gradients(traj)[0] == 0.0)) == 4 and np.all(traj.P > 0.0)
     assert np.all(np.isfinite(qs.log))
 
 
@@ -613,11 +677,12 @@ def test_g3_is_read_at_log_gradient_where_the_gradient_underflows():
     it and the flux defect are what the log read gives."""
     report, traj, _ = _subnormal_start_report(1.9757, [[1.0, 0.0], [1.0, 0.001]])
     system = traj.system
-    zero = traj.du == 0.0
-    log_du = traj.log_gradients()[0]
+    du = _float_gradients(traj)[0]
+    zero = du == 0.0
+    log_du = traj.logs()[2]
     g3 = g3_at_log_gradient(traj)
     assert np.array_equal(g3, 1.0 + np.exp(0.001 * log_du))
-    assert np.all(system.g3(traj.du[zero]) == 1.0) and np.all(g3[zero] > 1.47)
+    assert np.all(system.g3(du[zero]) == 1.0) and np.all(g3[zero] > 1.47)
     r, n = traj.r, system.n
     coef = (system.p - 1.0 - system.alpha) / (system.p - 1.0)
     rhs_P = coef * r**system.delta * system.f1(r) * system.g1(traj.v)
