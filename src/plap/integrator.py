@@ -28,8 +28,8 @@ following its local power law inside the flux integrals and in u(r0).
 The step loop runs on plain Python floats: for a 4-component state, numpy's
 per-call overhead would cost several times the arithmetic itself.  The hot
 path is generated from its single sources: ``flux_rhs`` writes each
-system's power-sum terms out inline, specialised on their values where that
-is exact (a unit coefficient, an exponent of 0 or 1, a factor of 1), and
+system's power-sum terms out inline as ``c * x ** e``, leaving out only
+factors of exactly 1 (a unit coefficient, a law that is the constant 1), and
 the Dormand-Prince 5(4) stages come from the Butcher tableau, written in as
 literals, through one emitter, unrolled over the components once per
 dimension, both for the public step and for the whole adaptive loop with
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -182,6 +182,16 @@ class Trajectory:
         return np.stack((coef * r**s.delta * s.f1(r) * s.g1(self.v), r ** (s.n - 1) * s.f2(r) * s.g2(self.v) * g3))
 
 
+def _require_own_system(traj: Trajectory, system: ValidatedSystem) -> None:
+    """Raise ``ValueError`` unless ``system`` is ``traj.system`` in all but ``r_max``.
+
+    A check that reads ``traj.flux_sources()`` reads the trajectory's own
+    system; another system's p, n or alpha beside them would mix two systems.
+    ``r_max`` may differ: ``integrate_radial`` takes its own."""
+    if replace(system, r_max=traj.system.r_max) != traj.system:
+        raise ValueError(f"system {system} is not the trajectory's own system {traj.system}, r_max aside")
+
+
 @functools.lru_cache(maxsize=16)
 def geometric_grid(r0: float, r_max: float, points_per_decade: int = 64) -> np.ndarray:
     """Geometric output grid from r0 to r_max, about `points_per_decade` per decade.
@@ -267,7 +277,7 @@ def _generate(source: str, name: str, constants: dict) -> Callable:
     the code by name: ``repr`` would turn an infinite coefficient into the
     unbound name ``inf``, and a system's values as literals would cost one
     compilation per system.  The code depends only on the names, so systems
-    whose laws have the same number of terms, specialised the same way,
+    whose laws have the same number of terms and the same unit coefficients
     share one compilation.  What is the same in every compilation, such as
     the Dormand-Prince tableau, is written into ``source`` as literals.
     """
@@ -278,33 +288,23 @@ def _generate(source: str, name: str, constants: dict) -> Callable:
 
 
 def _power_sum_source(prefix: str, law, arg: str, constants: dict) -> str:
-    """Inline ``law(arg)`` with the arithmetic of ``_PowerSum.__call__``, specialised on its terms.
+    """Inline ``law(arg)`` with the arithmetic of ``_PowerSum.__call__``.
 
-    Each term ``c * x**e`` is written with what its values leave of it: no
-    ``c *`` for a coefficient of exactly 1, only ``c`` for an exponent of
-    exactly 0 (``x**0.0`` and ``x**-0.0`` are 1 for every x, NaN included),
-    and ``x`` for an exponent of exactly 1.  Each of these is exact, so every
-    term keeps its value bit for bit, and the coefficients and exponents
-    still written are bound in ``constants``.  The terms add left to right
-    from the first, ``(t0 + t1 + t2)``: ``_PowerSum`` starts from 0.0, and
-    ``0.0 + t`` differs from ``t`` only at ``t = -0.0``, which no term takes
-    at an argument in [+0.0, inf] or NaN.  The constant 1 gives ``""``, a
-    factor that ``_product_source`` leaves out.
+    Each term is written ``c * x ** e``, without ``c *`` for a coefficient of
+    exactly 1 (``1.0 * t`` is ``t``), and its coefficient and exponent are
+    bound in ``constants``.  The terms add left to right from the first,
+    ``(t0 + t1 + t2)``: ``_PowerSum`` starts from 0.0, and ``0.0 + t``
+    differs from ``t`` only at ``t = -0.0``, which no term takes at an
+    argument in [+0.0, inf] or NaN.  The constant 1 gives ``""``, a factor
+    that ``_product_source`` leaves out.
     """
     if law.terms == ((1.0, 0.0),):
         return ""
     terms = []
     for i, (coeff, expo) in enumerate(law.terms):
         c, e = f"{prefix}_c{i}", f"{prefix}_e{i}"
-        if expo == 0.0:
-            terms.append(c)
-            constants[c] = coeff
-            continue
-        if expo == 1.0:
-            term = arg
-        else:
-            term = f"{arg} ** {e}"
-            constants[e] = expo
+        constants[e] = expo
+        term = f"{arg} ** {e}"
         if coeff != 1.0:
             term = f"{c} * {term}"
             constants[c] = coeff
@@ -320,7 +320,10 @@ def _product_source(factors: Sequence[str]) -> str:
 
 
 # ``v <= 0.0`` also clamps -0.0, so g1 and g2 see v in [+0.0, inf] or NaN, as
-# ``_power_sum_source`` requires; g3 sees du >= +0.0 or NaN, f1 and f2 see r > 0
+# ``_power_sum_source`` requires: ``(-0.0) ** e`` keeps its sign for an odd
+# integer e (1.0 included), so unclamped, a sum of such terms would be -0.0
+# where ``_PowerSum``'s, from 0.0, is +0.0, and a negative v would give complex
+# powers for a non-integer e; g3 sees du >= +0.0 or NaN, f1 and f2 see r > 0
 _RHS_SOURCE = """\
 def rhs(r, y):
     u, v, P, S = y.tolist() if y.__class__ is ndarray else y
@@ -347,24 +350,23 @@ def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tupl
     is strictly positive).
 
     The callable is generated per system with the five power sums written
-    out term by term and specialised on their values (``_power_sum_source``),
-    and with every factor that is exactly 1 left out of the two products:
-    ``coef`` when alpha = 0 and a law that is the constant 1.  It computes
-    exactly what ``coef * r**delta * f1(r) * g1(v)`` and
-    ``r**(n-1) * f2(r) * g2(v) * g3(du)`` compute, bit for bit, sign of zero
-    included, and raises where they raise.
+    out term by term as ``c * x ** e`` (``_power_sum_source``), a unit
+    coefficient left out of its term and a law that is the constant 1 out of
+    its product.  ``coef`` = (p-1-alpha)/(p-1) is always a factor, 1.0 when
+    alpha = 0.  It computes exactly what ``coef * r**delta * f1(r) * g1(v)``
+    and ``r**(n-1) * f2(r) * g2(v) * g3(du)`` compute, bit for bit, sign of
+    zero included, and raises where they raise: ``x ** 1.0`` is x, ``c * x
+    ** 0.0`` is c for every x, NaN and ±0 included, and ``1.0 * x`` is x.
     """
     p, alpha = system.p, system.alpha
-    coef = (p - 1.0 - alpha) / (p - 1.0)
     constants = dict(
         ndarray=np.ndarray,
         delta=system.delta,
         n1=float(system.n - 1),
         inv_grad=1.0 / (p - 1.0 - alpha),
         inv_p1=1.0 / (p - 1.0),
+        coef=(p - 1.0 - alpha) / (p - 1.0),
     )
-    if coef != 1.0:
-        constants["coef"] = coef
     f1, g1, f2, g2, g3 = (
         _power_sum_source(name, law, arg, constants)
         for name, law, arg in (
@@ -376,7 +378,7 @@ def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tupl
         )
     )
     source = _RHS_SOURCE.format(
-        dP=_product_source(("coef" if coef != 1.0 else "", "rd", f1, g1)),
+        dP=_product_source(("coef", "rd", f1, g1)),
         dS=_product_source(("rn", f2, g2, g3)),
     )
     return _generate(source, "rhs", constants)
@@ -897,9 +899,10 @@ def flux_consistency(traj: Trajectory, system: ValidatedSystem) -> float:
     """Worst relative defect between the fluxes and quadrature of their RHS.
 
     The right-hand sides are ``traj.flux_sources()``, the sources of the
-    trajectory's own system (``system`` is that system) at the stored
-    states.  They are integrated cumulatively from the startup radius by a
-    scheme independent of the stepper, both in one quadrature pass that
+    trajectory's own system at the stored states; a ``system`` that differs
+    from it in anything but ``r_max`` raises ``ValueError``.  They are
+    integrated cumulatively from the startup radius by a scheme independent
+    of the stepper, both in one quadrature pass that
     shares each interval's fit; the defect at each grid point compares flux
     increments with the quadrature.  Converged runs score well below 1e-6; corrupting a single
     state is immediately visible.  The defect is the quadrature's own
@@ -907,6 +910,7 @@ def flux_consistency(traj: Trajectory, system: ValidatedSystem) -> float:
     defects of P and S form one (2, N) array reduced by one ``np.max``, so a
     NaN or infinite defect fails.
     """
+    _require_own_system(traj, system)
     quad = _cumulative_power_quadrature(traj.r, traj.flux_sources())
     flux = np.stack((traj.P, traj.S))
     inc = flux - flux[:, :1]

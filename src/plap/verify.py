@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrator import Trajectory, integrate_radial
+from .integrator import Trajectory, _require_own_system, integrate_radial
 from .model import ValidatedSystem
 from .profile import PowerProfile, profile_eval, solve_profile
 
@@ -231,8 +231,11 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
     enters.  A non-finite source (an overflowed growth law) gives NaN
     margins, which fail, where sigma alone would read 0 and pass.  A run from
     exact startup attains the first lower bound exactly when the weights are
-    constants.
+    constants.  A ``system`` that differs from ``traj.system`` in anything but
+    ``r_max`` raises ``ValueError``: its p, n and alpha would be set against
+    the sources of the trajectory's own system.
     """
+    _require_own_system(traj, system)
     p, n, alpha = system.p, system.n, system.alpha
     r = traj.r
     source = traj.flux_sources()

@@ -302,6 +302,20 @@ def test_convexity_bounds_detect_corrupted_gradient(p3_traj, p3_system):
     assert bent.first_equation.worst_lower_margin == pytest.approx(-0.133, abs=1e-3)
 
 
+def test_convexity_bounds_refuse_another_system(p3_system):
+    """The margins set the argument's p, n and alpha against the sources of
+    ``traj.system``; the alpha = 0.5 run checked against the alpha = 0
+    system read ``passed: False`` (first lower margin -0.133) where its own
+    reads ``True``.  Only ``r_max`` may differ."""
+    system = dataclasses.replace(p3_system, alpha=0.5)
+    traj = integrate_radial(system, 1.0, 1.0, tol=1e-9, r_max=1000.0)
+    with pytest.raises(ValueError, match="not the trajectory's own system"):
+        check_convexity_bounds(traj, p3_system)
+    own = check_convexity_bounds(traj, system)
+    assert own.passed
+    assert check_convexity_bounds(traj, dataclasses.replace(system, r_max=1e4)) == own
+
+
 def test_convexity_bounds_hold_on_random_systems():
     rng = np.random.default_rng(99)
     for _ in range(3):
@@ -696,3 +710,15 @@ def test_g3_is_read_at_log_gradient_where_the_gradient_underflows():
     inc = np.stack((traj.P - traj.P[0], traj.S - traj.S[0]))
     defect = np.abs(inc - quad)[:, 1:] / np.maximum(np.maximum(np.abs(inc), np.abs(quad)), 1e-300)[:, 1:]
     assert flux_consistency(traj, system) == float(np.max(defect))
+
+
+def test_flux_consistency_refuses_another_system(p3_traj, p3_system, poisson_system):
+    """The quadrature reads ``traj.flux_sources()``, so a ``system`` other
+    than ``traj.system`` would be ignored; it is refused, and only ``r_max``
+    may differ."""
+    with pytest.raises(ValueError, match="not the trajectory's own system"):
+        flux_consistency(p3_traj, poisson_system)
+    with pytest.raises(ValueError, match="not the trajectory's own system"):
+        flux_consistency(p3_traj, dataclasses.replace(p3_system, alpha=0.5))
+    defect = flux_consistency(p3_traj, p3_system)
+    assert flux_consistency(p3_traj, dataclasses.replace(p3_system, r_max=1e4)) == defect
