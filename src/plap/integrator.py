@@ -36,9 +36,13 @@ dimension, both for the public step and for the whole adaptive loop with
 its change of variables, error norm and step-size controller.
 
 The loop lands exactly on each grid radius, except where a step held to
-1e-14 (a tenth of the tightest ``tol``) reaches past it: such a step passes
-the radii in its way and reads them from the method's free continuous
+tol/100, clamped to [1e-14, 5e-12], reaches past it: such a step passes the
+radii in its way and reads them from the method's free continuous
 extension, whose coefficients enter the generated code like the tableau's.
+A step that passes is also capped inside DP5's stability region, by the
+spectral radius of the log rates' Jacobian at the far-field profile: on the
+straight lines that solutions approach, the error estimate is rounding
+noise and would let the step grow past that region.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .model import ValidatedSystem
+from .profile import _linearisation
 
 __all__ = [
     "StepSizeUnderflow",
@@ -126,9 +131,11 @@ class Trajectory:
     log P and log S, which stay resolved where the float u' is subnormal or
     0.  ``flux_sources`` forms the two flux equations' sources from the
     stored states, for the convexity sandwiches and the flux quadrature.
-    ``meta`` records the initial data, startup radius, tolerances, step
-    counts, rejected steps by cause (``rejections``), the grid rows read from
-    the continuous extension rather than landed on (``rows_interpolated``) and
+    ``meta`` records the initial data, startup radius, tolerances (``rtol``
+    and ``pass_tol``, the hold of steps that pass radii), the stability
+    radius ``kappa`` that caps those steps, step counts, rejected steps by
+    cause (``rejections``), the grid rows read from the continuous
+    extension rather than landed on (``rows_interpolated``) and
     right-hand-side evaluations of the run.  A default-grid trajectory shares its read-only
     ``r`` with every other run on the same grid (see ``geometric_grid``).
     """
@@ -558,11 +565,47 @@ _UNDERFLOW_STEP = 1e-14
 _MAX_STEPS = 2_000_000
 # the tightest ``tol`` that ``integrate_radial`` accepts
 _TOL_MIN = 1e-13
-# the tolerance an attempt that passes grid radii is held to, a tenth of the
-# tightest ``tol``: held to 1e-13 itself, such attempts grow into steps whose
-# rounding noise reaches 1e-13, and runs on exact straight lines read up to
-# 1.2e-13 (log state) and 2.0e-13 (v') off their closed forms
-_PASS_TOL = _TOL_MIN / 10
+# An attempt that passes grid radii is held to tol/100, clamped to
+# [_PASS_FLOOR, _PASS_CEILING] (``_pass_tol``).  The floor is a tenth of the
+# tightest ``tol``: held to 1e-13 itself, runs on exact straight lines read
+# up to 1.2e-13 off their closed forms, from rounding noise alone.  The
+# factor 1/100 pays for DP5's free extension, whose error the estimate does
+# not bound: read with no hold it lost 1.1 digits on the benchmark's
+# ``sweep``.  The ceiling keeps the loop within its pinned 4e-11 of DOP853
+# on Poisson at tol 1e-9 (3.8e-11), which a ceiling of 1e-11 broke (5.7e-11).
+_PASS_FLOOR = _TOL_MIN / 10
+_PASS_CEILING = 5e-12
+# A pass step h is capped so that h kappa max_m(rho_m / s_m) <= _STABLE_REACH,
+# with kappa the spectral radius of the log-rate Jacobian at the profile,
+# s the rates there and rho the attempt's own (``_stability_weights``).
+# Without a cap the controller grows the step on straight lines until
+# amplified rounding noise reaches the hold.  DP5 is stable to 3.31 on the
+# negative real axis (Hairer and Wanner, Solving ODEs II, IV.2), but runs
+# started on the Poisson and coupled_p3 profiles strayed up to 3.4e-13 from
+# them with a cap at 3.3 and 6.3e-12 at 4.0, against 3.8e-14 at 2.0.
+_STABLE_REACH = 2.0
+
+
+def _pass_tol(tol: float) -> float:
+    """The tolerance an attempt that passes grid radii is held to: tol/100 in [1e-14, 5e-12]."""
+    return min(max(tol / 100.0, _PASS_FLOOR), _PASS_CEILING)
+
+
+def _stability_weights(system: ValidatedSystem) -> tuple[float, tuple[float, ...]]:
+    """kappa and the step loop's per-component weights kappa / (2 s_m).
+
+    ``profile._linearisation`` gives the rates s on the profile of the
+    system's pure-power companion and the Jacobian J there; kappa is J's
+    spectral radius, one ``eigvals`` of a 4x4.  A pass step h is then capped
+    to h max_m(w_m rho_m) <= 1 on the attempt's rates rho.  A kappa that is
+    not finite (J beyond the float range) gives infinite weights, which turn
+    passing off: every radius is landed on."""
+    s, J = _linearisation(system)
+    kappa = float(np.max(np.abs(np.linalg.eigvals(J)))) if np.isfinite(J).all() else math.inf
+    if not kappa < math.inf:
+        return kappa, (math.inf,) * len(s)
+    return kappa, tuple((kappa / _STABLE_REACH / s).tolist())
+
 
 # The adaptive loop, written out per component by ``_dp_loop``.  It steps
 # ``y{m}`` = log x_m against t = log r and keeps the radius ``r`` and the
@@ -585,13 +628,18 @@ _PASS_TOL = _TOL_MIN / 10
 # landing test.
 #
 # Each estimate proposes two next steps by one formula: ``h`` against ``tol``
-# and ``h_pass`` against ``pass_tol`` (1e-14), whose factor is h's times
-# ``pass_scale`` = (1e-14 / tol)^0.2 before the clamp.  Where ``h_pass`` reaches
-# past the next grid radius, short of the last, the attempt is ``h_pass``, or
-# the rest of the way to the last radius, and is held to 1e-14 (``held`` is
-# 1e-14 / tol against the scaled estimate); the rows it passes are read from
-# the continuous extension (``_dp_dense_lines``), then ``exp``.  Such an
-# attempt that fails is rejected as ``error`` and the next one lands.
+# and ``h_pass`` against ``pass_tol`` (``_pass_tol``), whose factor is h's
+# times ``pass_scale`` = (pass_tol / tol)^0.2 before the clamp.  Where
+# ``h_pass`` reaches past the next grid radius, short of the last, it is
+# capped to h_pass * reach <= 1, where ``reach`` = max(0.0, w0 * k1_0, ...)
+# weighs the rates at the start by ``weights`` (``_stability_weights``; zeros
+# cap nothing, infinities cap every pass to 0).  Only here is the cap
+# evaluated, so attempts that land pay nothing for it.  If ``h_pass`` still
+# reaches past, the attempt is ``h_pass``, or the rest of the way to the last
+# radius, and is held to ``pass_tol`` (``held`` is pass_tol / tol against the
+# scaled estimate); the rows it passes are read from the continuous
+# extension (``_dp_dense_lines``), then ``exp``.  Such an attempt that fails
+# is rejected as ``error`` and the next one lands.
 # Otherwise the attempt is ``h`` or the rest of the way to the next radius,
 # held to ``tol``, as when every radius was landed on.  One block sets both
 # proposals, then the branches only keep their books, and one test of the
@@ -601,8 +649,9 @@ _PASS_TOL = _TOL_MIN / 10
 # numpy row assignments cost about 0.7 us, a list of row tuples and its
 # ``np.array`` about 0.5 us, the flat list and its ``np.array`` about 0.3 us.
 _LOOP_SOURCE = """\
-def loop(f, radii, times, x, tol):
+def loop(f, radii, times, x, tol, pass_tol, weights):
     {x} = x
+    {w} = weights
     {y} = [log(v) for v in x]
     r, t = radii[0], times[0]
 {k1}
@@ -627,6 +676,12 @@ def loop(f, radii, times, x, tol):
             target = times[i]
             continue
         passing = h_pass > remaining and i < last
+        if passing:
+            reach = 0.0
+{reach}
+            if h_pass * reach > 1.0:
+                h_pass = 1.0 / reach
+                passing = h_pass > remaining
         if passing:
             held = pass_ratio
             land = t_end - t
@@ -706,6 +761,10 @@ _NORM_LINES = """\
                 enorm = err_{m}
             elif -err_{m} > enorm:
                 enorm = -err_{m}"""
+# one component's part of ``reach = max(0.0, w0 * k1_0, ...)`` in the loop
+_REACH_LINES = """\
+            if w{m} * k1_{m} > reach:
+                reach = w{m} * k1_{m}"""
 
 
 @functools.lru_cache(maxsize=16)
@@ -731,17 +790,18 @@ def _dp_loop(dim: int) -> Callable:
         limit=math.log(_OVERFLOW),
         underflow_step=_UNDERFLOW_STEP,
         max_steps=_MAX_STEPS,
-        pass_tol=_PASS_TOL,
     )
     stages = _dp_stage_lines(dim, "t", "h_try", functools.partial(_log_rate_lines, dim))
     row = "exp(y{m} + h_try * (theta * (q0_{m} + theta * (q1_{m} + theta * (q2_{m} + theta * q3_{m})))))"
     source = _LOOP_SOURCE.format(
         x=_unpack("x", dim),
         y=_unpack("y", dim),
+        w=_unpack("w", dim),
         k1="\n".join(f"    {line}" for line in _log_rate_lines(dim, 1, "t", "y")),
         stages="\n".join(f"        {line}" for line in stages),
         finite=f"({_each('s7_{m} + err_{m}', dim, ' + ')}) * 0.0 == 0.0",
         norm=_each(_NORM_LINES, dim, "\n"),
+        reach=_each(_REACH_LINES, dim, "\n"),
         dense="\n".join(f"                {line}" for line in _dp_dense_lines(dim)),
         rows=_each(row, dim, ", ") + ",",
         y_is_s7=_each("y{m} = s7_{m}", dim, "; "),
@@ -757,15 +817,20 @@ def _step_loop(
     grid: np.ndarray,
     y0: Sequence[float],
     tol: float,
+    weights: Optional[Sequence[float]] = None,
 ) -> tuple[np.ndarray, int, dict, float, float, float, int]:
     """Adaptive stepping of y' = f(r, y) in log variables, sampled on every grid radius.
 
     ``_dp_loop`` steps log y against log r and holds the error estimate of every
-    component of log y to ``tol``, a relative tolerance on y, and to 1e-14 on an
-    attempt that passes grid radii: one passes them where the step that 1e-14
-    allows reaches past the next radius, and its rows are read from the
-    Dormand-Prince continuous extension.  Every other attempt ends on the next
-    radius or short of it, and the last radius is always landed on.  A start outside
+    component of log y to ``tol``, a relative tolerance on y, and to
+    ``_pass_tol(tol)`` = tol/100 in [1e-14, 5e-12] on an attempt that passes
+    grid radii: one passes them where the step that hold allows, capped to
+    h max_m(w_m rho_m) <= 1 on the per-component ``weights`` w and the rates
+    rho at the attempt's start, reaches past the next radius, and its rows are
+    read from the Dormand-Prince continuous extension.  ``weights`` defaults
+    to zeros, no cap; ``integrate_radial`` passes ``_stability_weights``.
+    Every other attempt ends on the next radius or short of it, and the last
+    radius is always landed on.  A start outside
     (0, 1e250] raises at the first radius with ``h = None``: ``Overflow`` for a NaN
     or large component, else ``StepSizeUnderflow``.  A step the controller shrinks
     below 1e-14 in log r, accepted or rejected, raises ``StepSizeUnderflow`` where
@@ -784,8 +849,9 @@ def _step_loop(
         failure = StepSizeUnderflow if all(v <= _OVERFLOW for v in x) else Overflow  # NaN too
         message = f"startup state {tuple(x)} refused, a component is outside (0, 1e250], at r={radii[0]}"
         raise failure(float(radii[0]), message, state=tuple(x))
+    weights = [0.0] * len(x) if weights is None else weights
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows, *record = _dp_loop(len(x))(f, radii.tolist(), np.log(radii).tolist(), x, tol)
+        rows, *record = _dp_loop(len(x))(f, radii.tolist(), np.log(radii).tolist(), x, tol, _pass_tol(tol), weights)
     return (np.array(rows).reshape(-1, len(x)), *record)
 
 
@@ -803,10 +869,15 @@ def integrate_radial(
 
     ``(log u, log v, log P, log S)`` is stepped against log r, and ``tol``
     (1e-13 to 1e-3) is an absolute tolerance on those logs, so a relative one
-    on u, v, P and S.  A step whose error estimate allows a step at 1e-14 past
-    the next grid radius takes it, held to 1e-14, and reads the radii it passes
-    from the continuous extension (``meta["rows_interpolated"]`` counts them);
-    every other step ends on the next radius or short of it.  The trajectory
+    on u, v, P and S.  A step whose error estimate allows a step past the next
+    grid radius at ``meta["pass_tol"]`` = tol/100, clamped to [1e-14, 5e-12],
+    takes it, held to that, and reads the radii it passes from the continuous
+    extension (``meta["rows_interpolated"]`` counts them); every other step
+    ends on the next radius or short of it.  Such a step is capped so that
+    h kappa max_m(rho_m / s_m) <= 2, inside DP5's real stability interval
+    (3.31), with rho the rates at its start, s those on the far-field
+    profile of the system's pure-power companion and ``meta["kappa"]`` the
+    spectral radius of the log rates' Jacobian there.  The trajectory
     holds the four states and ``system``;
     ``Trajectory.logs`` reads log u' and log v' from log P and log S.  Default grids come from
     ``geometric_grid`` and are shared, read-only arrays.  Raises
@@ -821,7 +892,10 @@ def integrate_radial(
     r_start = float(r0 if r0 is not None else 1e-6 * min(1.0, r_end))
     grid = geometric_grid(r_start, r_end, points_per_decade)
     start = startup_state(system, a, b, r_start)
-    ys, accepted, rejections, h_min, h_max, r_at_h_min, interpolated = _step_loop(flux_rhs(system), grid, start, tol)
+    kappa, weights = _stability_weights(system)
+    ys, accepted, rejections, h_min, h_max, r_at_h_min, interpolated = _step_loop(
+        flux_rhs(system), grid, start, tol, weights
+    )
     rejected = sum(rejections.values())
 
     # the four state columns are rows of one contiguous block, so a kept
@@ -839,6 +913,8 @@ def integrate_radial(
             "b": b,
             "r0": r_start,
             "rtol": tol,
+            "pass_tol": _pass_tol(tol),
+            "kappa": kappa,
             "steps_accepted": accepted,
             "steps_rejected": rejected,
             "rejections": rejections,

@@ -90,6 +90,54 @@ def _pure_power_weights(system: ValidatedSystem) -> tuple[float, float, float, f
     return c1, m1, c2, m2
 
 
+def _exponents(system: ValidatedSystem, m1: float, m2: float) -> tuple[float, float]:
+    """lam and mu of the profile of the companion system with weights r^m1 and r^m2.
+
+    The one place the exponent formula of ``solve_profile`` is written: the
+    2x2 system there, solved by Cramer's rule over the subcriticality margin."""
+    p, alpha = system.p, system.alpha
+    k1, k2, k3 = system.k1, system.k2, system.k3
+    det = system.existence_margin
+    lam = ((p - alpha + m1) * (p - 1.0 - k2) + k1 * (p - k3 + m2)) / det
+    mu = ((p - 1.0 - alpha) * (p + m2) + k3 * (1.0 + m1)) / det
+    return lam, mu
+
+
+def _linearisation(system: ValidatedSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The log rates s on the profile and the log-rate Jacobian J = diag(s) A there.
+
+    On the profile the rates dY/dt of the logs Y = log (u, v, P, S) against
+    t = log r are the constants
+
+        s = (lam, mu, delta + (p-1-alpha)(lam-1), n-1 + (p-1)(mu-1)),
+
+    and for pure-power laws the Jacobian of the rates at any state with rates
+    rho is diag(rho) A, with
+
+        A = [[-1, 0, 1/(p-1-alpha), 0], [0, -1, 0, 1/(p-1)], [0, k1, -1, 0], [0, k2, k3/(p-1-alpha), -1]].
+
+    -lam is always an eigenvalue of J: u enters no rate.  Both are read from
+    the companion pure-power system, the weights' top exponents and the laws'
+    degrees, so a multi-term weight, which ``solve_profile`` refuses, gets
+    its far field's.  A value beyond the float range gives non-finite
+    entries; nothing raises.
+    """
+    p, n, alpha = system.p, system.n, system.alpha
+    grad = p - 1.0 - alpha
+    lam, mu = _exponents(system, system.f1.terms[-1][1], system.f2.terms[-1][1])
+    s = np.array([lam, mu, system.delta + grad * (lam - 1.0), n - 1.0 + (p - 1.0) * (mu - 1.0)])
+    A = np.array(
+        [
+            [-1.0, 0.0, 1.0 / grad, 0.0],
+            [0.0, -1.0, 0.0, 1.0 / (p - 1.0)],
+            [0.0, system.k1, -1.0, 0.0],
+            [0.0, system.k2, system.k3 / grad, -1.0],
+        ]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return s, s[:, None] * A
+
+
 def solve_profile(system: ValidatedSystem) -> PowerProfile:
     """Exponents, amplitudes and p-Laplace factors of the far-field profile.
 
@@ -116,8 +164,7 @@ def solve_profile(system: ValidatedSystem) -> PowerProfile:
     p, n, alpha = system.p, system.n, system.alpha
     k1, k2, k3 = system.k1, system.k2, system.k3
     det = system.existence_margin
-    lam = ((p - alpha + m1) * (p - 1.0 - k2) + k1 * (p - k3 + m2)) / det
-    mu = ((p - 1.0 - alpha) * (p + m2) + k3 * (1.0 + m1)) / det
+    lam, mu = _exponents(system, m1, m2)
     if not (lam > 1.0 and mu > 1.0):  # guaranteed algebraically; guard anyway
         raise ArithmeticError(f"profile exponents out of range: lam={lam}, mu={mu}")
     b_lam = lam * (p - 1.0) + n - p

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import pickle
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from scipy.integrate._ivp.rk import RK45
 from plap import (
     CoefficientFunction,
     Nonlinearity,
+    NotPurePowerCoefficients,
     Overflow,
     StepSizeUnderflow,
     Trajectory,
@@ -34,6 +37,7 @@ from plap import (
 )
 from plap import integrator
 from plap.integrator import _DP_A, _DP_C, _DP_DENSE, _DP_ERR, _step_loop, dormand_prince_step
+from plap.profile import _linearisation
 from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, g3_at_log_gradient, sample_integration_system
 
 
@@ -368,10 +372,15 @@ def test_integrate_radial_validates_inputs(poisson_system):
         integrate_radial(poisson_system, -1.0, 1.0)
 
 
-def test_integrate_radial_meta(poisson_traj):
+def test_integrate_radial_meta(poisson_traj, p3_traj):
     meta = poisson_traj.meta
     assert meta["a"] == 1.0 and meta["b"] == 1.0
     assert meta["rtol"] == 1e-9
+    # passes are held to tol/100 clamped to [1e-14, 5e-12]; kappa is the
+    # spectral radius of the log-rate Jacobian at the profile: -2, -2, -3, -3
+    assert meta["pass_tol"] == p3_traj.meta["pass_tol"] == 5e-12
+    assert meta["kappa"] == 3.0
+    assert p3_traj.meta["kappa"] == pytest.approx(5.8396, abs=1e-4)
     assert meta["r0"] == pytest.approx(1e-6)
     assert meta["steps_accepted"] > 0
     # the first and last radii are always landed on
@@ -683,8 +692,8 @@ def _reference_dense(y, h, k, theta):
 
 def _reference_proposal(h_try, enorm, scale=1.0, factors=None):
     """The next step that an estimate scaled by ``tol`` proposes, with the
-    factor times ``scale`` before the clamp: (1e-14 / tol)^0.2 makes it the
-    proposal against 1e-14."""
+    factor times ``scale`` before the clamp: (pass_tol / tol)^0.2 makes it
+    the proposal against pass_tol."""
     if enorm == 0.0:
         return h_try * 5.0
     if math.isfinite(enorm):
@@ -708,18 +717,21 @@ def _log_rates(f, r, logs):
         return np.full(len(logs), math.nan)
 
 
-def _reference_propagate(f, grid, y0, tol, factors=None):
+def _reference_propagate(f, grid, y0, tol, factors=None, weights=None):
     """The step loop on numpy arrays: log y against log r, sampled on every grid radius.
 
-    Each estimate proposes ``h`` against ``tol`` and ``h_pass`` against 1e-14.
-    Where ``h_pass`` reaches past the next radius, short of the last, the attempt
-    goes that far or to the last radius, held to 1e-14, and the radii it passes
-    are read from the continuous extension; when it fails, the next attempt
-    lands.  Otherwise the attempt is ``h`` or the rest of the way to the next
-    radius, held to ``tol``.  Returns the states, the accepted and rejected
-    attempts and the rows read from the extension.  A ``factors`` list
-    collects the step factor of ``h`` on every attempt whose estimate is
-    finite and nonzero, as ``min(5.0, max(0.1, ...))`` clamps it."""
+    Each estimate proposes ``h`` against ``tol`` and ``h_pass`` against
+    pass_tol = tol/100 clamped to [1e-14, 5e-12].  Where ``h_pass`` reaches
+    past the next radius, short of the last, it is capped to
+    h_pass max(0, w_m k1_m) <= 1 on the ``weights`` w (zeros, no cap, by
+    default) and the rates k1 at the start; if it still reaches past, the
+    attempt goes that far or to the last radius, held to pass_tol, and the
+    radii it passes are read from the continuous extension; when it fails,
+    the next attempt lands.  Otherwise the attempt is ``h`` or the rest of the
+    way to the next radius, held to ``tol``.  Returns the states, the
+    accepted and rejected attempts and the rows read from the extension.  A
+    ``factors`` list collects the step factor of ``h`` on every attempt whose
+    estimate is finite and nonzero, as ``min(5.0, max(0.1, ...))`` clamps it."""
     times = np.log(np.asarray(grid, dtype=float))
     x = np.asarray(y0, dtype=float)
     if not np.all((0.0 < x) & (x <= 1e250)):
@@ -729,6 +741,8 @@ def _reference_propagate(f, grid, y0, tol, factors=None):
     out[0] = x
     r, t = float(grid[0]), float(times[0])
     last, t_end = len(grid) - 1, float(times[-1])
+    pass_tol = min(max(tol / 100.0, 1e-14), 5e-12)
+    weights = np.zeros(len(y)) if weights is None else np.asarray(weights, dtype=float)
 
     def rates(t, logs):
         return _log_rates(f, math.exp(t), logs)
@@ -746,6 +760,11 @@ def _reference_propagate(f, grid, y0, tol, factors=None):
                 continue
             passing = h_pass > remaining and i < last
             if passing:
+                reach = max([0.0, *(weights * k1)])
+                if h_pass * reach > 1.0:
+                    h_pass = 1.0 / reach
+                    passing = h_pass > remaining
+            if passing:
                 h_try = min(h_pass, t_end - t)
                 lands = h_try == t_end - t
             else:
@@ -757,8 +776,8 @@ def _reference_propagate(f, grid, y0, tol, factors=None):
             if np.all(np.isfinite(y_new)) and np.all(np.isfinite(err)):
                 enorm = float(np.max(np.abs(err))) / tol
             h = _reference_proposal(h_try, enorm, factors=factors)
-            h_pass = _reference_proposal(h_try, enorm, (1e-14 / tol) ** 0.2)
-            if enorm <= (1e-14 / tol if passing else 1.0):
+            h_pass = _reference_proposal(h_try, enorm, (pass_tol / tol) ** 0.2)
+            if enorm <= (pass_tol / tol if passing else 1.0):
                 if lands:
                     j = last if passing else i
                     r_new, t_new = float(grid[j]), float(times[j])
@@ -787,7 +806,8 @@ def _reference_trajectory(system, tol, r_max, points_per_decade):
     """States, accepted and rejected steps of ``integrate_radial(system, 1, 1, ...)`` from the numpy loop."""
     grid = geometric_grid(1e-6 * min(1.0, r_max), r_max, points_per_decade)
     start = startup_state(system, 1.0, 1.0, float(grid[0]))
-    return _reference_propagate(_reference_rhs(system), grid, [start.u, start.v, start.P, start.S], tol)
+    y0 = [start.u, start.v, start.P, start.S]
+    return _reference_propagate(_reference_rhs(system), grid, y0, tol, weights=integrator._stability_weights(system)[1])
 
 
 # the pure-power system of the ROADMAP baseline, with every growth law and
@@ -906,11 +926,11 @@ def test_triangular_profile_is_exact(case):
 @pytest.mark.parametrize("points_per_decade", [8, 64])
 @pytest.mark.parametrize("case", TRIANGULAR_CASES, ids=TRIANGULAR_IDS)
 def test_triangular_solution_matches_its_closed_form(case, points_per_decade, tol):
-    """u and v within tol of the closed form (at most 2.5e-10 and 5.7e-13
+    """u and v within tol of the closed form (at most 2.6e-10 and 5.7e-13
     measured).  The fluxes are pure powers, straight lines in log
-    variables, so u' and v', read from ``logs``, are exact to 3.6e-14, rows
+    variables, so u' and v', read from ``logs``, are exact to 2.8e-14, rows
     read from the continuous extension included; only p = 4's v' at 8 per
-    decade is held to tol (3.4e-10 at tol 1e-9, 3.6e-13 at 1e-12)."""
+    decade is held to tol (3.6e-10 at tol 1e-9, 3.4e-13 at 1e-12)."""
     _assert_matches_closed_form(case, points_per_decade, tol)
 
 
@@ -964,24 +984,104 @@ def test_triangular_v_with_mu_below_2_matches_its_closed_form(points_per_decade)
 def test_step_loop_started_on_the_profile_stays_on_it(config, r0, r_max, tol):
     """For pure powers the profile is an exact solution and a straight line
     in log variables, on which Dormand-Prince is exact: from the profile
-    state at r0 the states stay on the profile to rounding (2.6e-14
-    measured), rows read from the continuous extension included.  The
-    estimates are rounding noise, so most attempts pass grid radii, and the
-    run makes fewer attempts than there are radii (33-88 where 80 and 96
-    landings were made).  Whether a noisy estimate clears 1e-14 varies with
-    ``tol`` by rounding, so the counts are bounded, not pinned; every
-    rejected attempt was held to 1e-14 (2-8 per run), none is non-finite."""
+    state at r0 the states stay on the profile to rounding (7.1e-15 to
+    3.8e-14 measured), rows read from the continuous extension included.
+    The estimates are rounding noise, so most attempts pass grid radii, and
+    the run makes fewer attempts than there are radii (36-83 where 80 and 96
+    landings were made).  The system's weights cap every pass step inside
+    DP5's stability region, so the noise is not amplified: no attempt is
+    rejected at tol 1e-9 (held to 5e-12), where uncapped runs strayed
+    2.9e-12 to 5.7e-12 and rejected 5-16.  Whether a noisy estimate clears
+    the 1e-14 that tol 1e-12 holds passes to varies by rounding, so there the
+    count is bounded, not pinned (0 measured); none is non-finite."""
     system = system_from_config(config)
     profile = solve_profile(system)
     grid = geometric_grid(r0, r_max, 8)
     start = sample_profile_trajectory(profile, system, grid[:1])
     exact = sample_profile_trajectory(profile, system, grid)
     y0 = [start.u[0], start.v[0], start.P[0], start.S[0]]
-    ys, accepted, rejections, *_, interpolated = _step_loop(flux_rhs(system), grid, y0, tol)
+    _, weights = integrator._stability_weights(system)
+    ys, accepted, rejections, *_, interpolated = _step_loop(flux_rhs(system), grid, y0, tol, weights)
     assert float(np.max(np.abs(np.log(ys.T / np.vstack([exact.u, exact.v, exact.P, exact.S]))))) <= 1e-13
     assert accepted + rejections["error"] < len(grid) - 1 and rejections["nonfinite"] == 0
+    if tol == 1e-9:
+        assert rejections["error"] == 0
     # every radius after the first is landed on or read from the extension
     assert interpolated > 0 and len(grid) - 1 - interpolated <= accepted
+
+
+CONFIG_FILES = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def _config_file_system(path):
+    config = json.loads(path.read_text())
+    config.pop("sweep", None)
+    return system_from_config(config)
+
+
+def test_profile_jacobian_of_coupled_p3(p3_system):
+    """J = diag(s) A at coupled_p3's profile, s = (8/3, 7/3, 16/3, 14/3): its
+    eigenvalues are -2.667, -1.277 and -5.53 +- 1.88i, and kappa, their
+    largest modulus, gives the loop's weights kappa / (2 s)."""
+    s, J = _linearisation(p3_system)
+    assert s == pytest.approx([8 / 3, 7 / 3, 16 / 3, 14 / 3], rel=1e-15)
+    eig = np.sort_complex(np.linalg.eigvals(J))
+    assert eig == pytest.approx([-5.528 - 1.882j, -5.528 + 1.882j, -8 / 3, -1.2773], abs=1e-3)
+    kappa, weights = integrator._stability_weights(p3_system)
+    assert kappa == pytest.approx(abs(eig[0]), rel=1e-14) and kappa == pytest.approx(5.8396, abs=1e-4)
+    assert weights == pytest.approx(kappa / (2.0 * s), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [*(_config_file_system(path) for path in CONFIG_FILES), *(_triangular(*case)[0] for case in TRIANGULAR_CASES)],
+    ids=[*(path.stem for path in CONFIG_FILES), *(f"triangular_{name}" for name in TRIANGULAR_IDS)],
+)
+def test_minus_lambda_is_an_eigenvalue_of_the_profile_jacobian(system):
+    """u enters no rate, so (1, 0, 0, 0) is an eigenvector of J with
+    eigenvalue -lambda: the translation u -> u + c maps solutions to
+    solutions.  The rates s start with solve_profile's lambda and mu."""
+    s, J = _linearisation(system)
+    profile = solve_profile(system)
+    assert (s[0], s[1]) == (profile.lam, profile.mu)
+    assert float(np.min(np.abs(np.linalg.eigvals(J) + profile.lam))) <= 1e-14 * profile.lam
+
+
+def test_multi_term_weight_gets_the_cap_of_its_top_exponent_companion():
+    """f1 = 0.7 + 1.3 r^1.5 has no closed-form profile, but its far field is
+    that of f1 = 1.3 r^1.5: kappa and the weights are that companion's, and
+    the run records that kappa."""
+    system = system_from_config(MULTI_TERM_CONFIG)
+    companion = system_from_config(dict(MULTI_TERM_CONFIG, f1=[[1.3, 1.5]]))
+    with pytest.raises(NotPurePowerCoefficients):
+        solve_profile(system)
+    kappa, weights = integrator._stability_weights(system)
+    assert (kappa, weights) == integrator._stability_weights(companion)
+    assert all(0.0 < w < math.inf for w in weights)
+    assert integrate_radial(system, 1.0, 1.0, r_max=10.0).meta["kappa"] == kappa
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_kappa_that_is_not_finite_turns_passing_off(monkeypatch, p3_system, bad):
+    """A Jacobian beyond the float range gives kappa = inf and infinite
+    weights: every pass step is capped to 0, so every radius is landed on,
+    as the numpy mirror lands, and nothing raises."""
+    original = integrator._linearisation
+
+    def beyond_range(system):
+        s, J = original(system)
+        J[2, 1] = bad
+        return s, J
+
+    monkeypatch.setattr(integrator, "_linearisation", beyond_range)
+    assert integrator._stability_weights(p3_system) == (math.inf, (math.inf,) * 4)
+    traj = integrate_radial(p3_system, 1.0, 1.0, 1e-9, r_max=1e3)
+    meta = traj.meta
+    assert meta["kappa"] == math.inf and meta["rows_interpolated"] == 0
+    assert meta["steps_accepted"] >= len(traj) - 1
+    expected, accepted, rejected, interpolated = _reference_trajectory(p3_system, 1e-9, 1e3, 64)
+    assert np.array_equal(np.column_stack((traj.u, traj.v, traj.P, traj.S)), expected)
+    assert (meta["steps_accepted"], meta["steps_rejected"], interpolated) == (accepted, rejected, 0)
 
 
 def test_step_count_on_tight_coarse_run(p3_system):
@@ -1056,23 +1156,24 @@ def _settling_rates(dim):
 @pytest.mark.parametrize("dim", [1, 2, 4, 7])
 def test_step_loop_matches_numpy_reference_in_any_dimension(dim):
     """The loop is generated per dimension; each one is the reference loop.
-    The settling case takes every branch of the step-size clamp: a first
-    step of 8 in log r floored to a tenth, a short landing followed by a
-    capped fivefold step, and factors in between."""
+    Together the cases take every branch of the step-size clamp: the
+    settling case's first step of 8 in log r floored to a tenth, a short
+    step's estimate capped at a fivefold step (on the 41-radius grid in
+    dimensions 1, 2 and 7), and factors in between."""
     y0 = np.linspace(0.5, 1.5, dim)
+    factors = []
     # the coarse grids' first steps are too long and rejected on the error
     for f, grid, tol in (
         (_toy_rates(dim), np.linspace(1.0, 5.0, 41), 1e-12),
         (_toy_rates(dim), np.array([1.0, 3.0, 7.0]), 1e-7),
         (_settling_rates(dim), np.exp([0.0, 8.0, 8.01, 12.0]), 1e-9),
     ):
-        factors = []
         expected, accepted, rejected, _ = _reference_propagate(f, grid, y0, tol, factors)
         ys, got_accepted, rejections, *_ = _step_loop(f, grid, y0, tol)
         assert np.array_equal(ys, expected)
         assert (got_accepted, sum(rejections.values())) == (accepted, rejected)
         assert rejected > 0
-    # the settling case's factors: the floor, the cap and the interior
+    # the factors of all three cases: the floor, the cap and the interior
     assert 0.1 in factors and 5.0 in factors and any(0.1 < factor < 5.0 for factor in factors)
     # the last component reaches zero at r = 1 + y0[-1]: the step shrinks to underflow
     drift, grid = _toy_rates(dim, drift=True), np.array([1.0, 4.0])
@@ -1165,23 +1266,33 @@ def _attempt_ends(calls):
     return [math.log(calls[1 + 6 * a + 4]) for a in range((len(calls) - 1) // 6)]
 
 
-def test_attempt_that_passes_a_radius_is_held_to_1e_14():
-    """The second attempt, log r from 1 to 6, crosses a kink of 1e-9 in the
-    log rate.  Where it passes a grid radius (1.5) it is held to 1e-14, so it
-    is rejected as ``error`` and the next attempt lands on 1.5.  Where no
-    radius lies in between, the same attempt is held to ``tol`` and accepted.
-    The last radius is landed on and held to ``tol``, even where the 1e-14
-    step reaches past it."""
-    for grid, ends, rejections in (
-        ([0.0, 1.0, 1.5, 10.0], [1.0, 6.0, 1.5, 4.0, 10.0], {"error": 1, "nonfinite": 0}),
-        ([0.0, 1.0, 10.0], [1.0, 6.0, 10.0], {"error": 0, "nonfinite": 0}),
-        ([0.0, 1.0, 4.0], [1.0, 4.0], {"error": 0, "nonfinite": 0}),
+@pytest.mark.parametrize(
+    "tol, hold", [(1e-13, 1e-14), (1e-11, 1e-11 / 100), (1e-9, 5e-12)], ids=["floor", "tol_over_100", "ceiling"]
+)
+def test_attempt_that_passes_a_radius_is_held_to_the_pass_tolerance(tol, hold):
+    """The second attempt, log r from 1 to 6, crosses a kink in the log rate,
+    and its error estimate is 0.0062 times the kink.  Where it passes a grid
+    radius (1.5) it is held to tol/100 clamped to [1e-14, 5e-12]: with a kink
+    of 200 times that hold (an estimate of 1.23 holds) it is rejected as
+    ``error`` and the next attempt lands on 1.5; with 130 times (0.80 holds)
+    it is accepted and reads 1.5 from the continuous extension.  Where no
+    radius lies in between, the 200-times attempt is held to ``tol`` and
+    accepted.  The last radius is landed on and held to ``tol``, even where
+    the pass step reaches past it."""
+    assert integrator._pass_tol(tol) == hold
+    for kink, grid, first_ends, rejected, interpolated in (
+        (200 * hold, [0.0, 1.0, 1.5, 10.0], [1.0, 6.0, 1.5, 4.0], 1, 0),
+        (130 * hold, [0.0, 1.0, 1.5, 10.0], [1.0, 6.0, 10.0], 0, 1),
+        (200 * hold, [0.0, 1.0, 10.0], [1.0, 6.0, 10.0], 0, 0),
+        (200 * hold, [0.0, 1.0, 4.0], [1.0, 4.0], 0, 0),
     ):
         calls = []
-        ys, accepted, got, *_, interpolated = _step_loop(_kinked_line(1e-9, calls), np.exp(grid), [1.0], 1e-9)
-        assert [round(t, 12) for t in _attempt_ends(calls)] == ends
-        assert (got, accepted, interpolated) == (rejections, len(ends) - sum(rejections.values()), 0)
-        expected, *_ = _reference_propagate(_kinked_line(1e-9), np.exp(grid), [1.0], 1e-9)
+        ys, accepted, got, *_, got_interpolated = _step_loop(_kinked_line(kink, calls), np.exp(grid), [1.0], tol)
+        ends = [round(t, 12) for t in _attempt_ends(calls)]
+        assert ends[: len(first_ends)] == first_ends and ends[-1] == grid[-1]
+        assert got == {"error": rejected, "nonfinite": 0}
+        assert (accepted, got_interpolated) == (len(ends) - rejected, interpolated)
+        expected, *_ = _reference_propagate(_kinked_line(kink), np.exp(grid), [1.0], tol)
         assert np.array_equal(ys, expected)
 
 
