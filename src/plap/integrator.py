@@ -60,7 +60,6 @@ from .profile import _linearisation
 __all__ = [
     "StepSizeUnderflow",
     "Overflow",
-    "State",
     "Trajectory",
     "geometric_grid",
     "startup_state",
@@ -113,7 +112,9 @@ class Overflow(_IntegrationFailure):
 class State(NamedTuple):
     """The state (u, v, P, S) at one radius, as the step loop starts from it.
 
-    A failure carries its last accepted state as a plain tuple, not a ``State``."""
+    ``startup_state`` returns it; callers read its fields and need not name
+    it, so it is not public.  A failure carries its last accepted state as a
+    plain tuple, not a ``State``."""
 
     u: float
     v: float

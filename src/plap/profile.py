@@ -16,14 +16,15 @@ to a pure power,
 
     Lp[C r^lam] = sign(lam C) |lam C|^(p-1) (lam (p-1) + n - p) r^((p-1) lam - p),
 
-implemented by ``p_laplace_power``.
+implemented by ``_p_laplace_power``.  ``verify.sample_profile_trajectory``
+samples the profile on a radial grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +33,9 @@ from .model import ValidatedSystem
 __all__ = [
     "NotPurePowerCoefficients",
     "PowerProfile",
-    "p_laplace_power",
     "solve_profile",
-    "profile_eval",
     "profile_residual",
 ]
-
-Scalar = Union[float, np.ndarray]
 
 
 class NotPurePowerCoefficients(ValueError):
@@ -63,7 +60,7 @@ class PowerProfile:
     b_mu: float
 
 
-def p_laplace_power(coeff: float, lam: float, p: float, n: int) -> tuple[float, float]:
+def _p_laplace_power(coeff: float, lam: float, p: float, n: int) -> tuple[float, float]:
     """Radial p-Laplacian of ``coeff * r^lam`` as a single power of r.
 
     Returns ``(amplitude, exponent)`` with
@@ -183,20 +180,6 @@ def solve_profile(system: ValidatedSystem) -> PowerProfile:
     )
 
 
-def profile_eval(profile: PowerProfile, r: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """Profile values and gradients ``(u0, v0, u0', v0')`` at radius ``r >= 0``.
-
-    Both exponents exceed 1, so values and gradients vanish at the origin.
-    An amplitude beyond the float range raises ``OverflowError``.
-    """
-    c_lam, c_mu = math.exp(profile.log_c_lam), math.exp(profile.log_c_mu)
-    u0 = c_lam * r**profile.lam
-    v0 = c_mu * r**profile.mu
-    du0 = profile.lam * c_lam * r ** (profile.lam - 1.0)
-    dv0 = profile.mu * c_mu * r ** (profile.mu - 1.0)
-    return u0, v0, du0, dv0
-
-
 def profile_residual(
     profile: PowerProfile,
     system: ValidatedSystem,
@@ -223,8 +206,8 @@ def profile_residual(
     k1, k2, k3 = system.k1, system.k2, system.k3
     lam, mu, log_c_lam, log_c_mu = profile.lam, profile.mu, profile.log_c_lam, profile.log_c_mu
 
-    amp1, expo1 = p_laplace_power(1.0, lam, p, n)
-    amp2, expo2 = p_laplace_power(1.0, mu, p, n)
+    amp1, expo1 = _p_laplace_power(1.0, lam, p, n)
+    amp2, expo2 = _p_laplace_power(1.0, mu, p, n)
     if not (amp1 > 0.0 and amp2 > 0.0):
         return math.inf  # not even the right sign structure
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .integrator import Trajectory, _require_own_system, integrate_radial
 from .model import ValidatedSystem
-from .profile import PowerProfile, profile_eval, solve_profile
+from .profile import PowerProfile, solve_profile
 
 __all__ = [
     "GridMismatch",
@@ -328,9 +328,18 @@ def check_limit_identities(
 def sample_profile_trajectory(
     profile: PowerProfile, system: ValidatedSystem, grid: np.ndarray
 ) -> Trajectory:
-    """The profile packaged as a trajectory (exact states, no stepping): its fluxes, from which u' and v' are read."""
+    """The profile packaged as a trajectory (exact states, no stepping): its fluxes, from which u' and v' are read.
+
+    Every state vanishes at ``r = 0``, since both exponents exceed 1.  An
+    amplitude beyond the float range raises ``OverflowError``; read
+    ``profile.log_c_lam`` and ``log_c_mu`` there.
+    """
     grid = np.asarray(grid, dtype=float)
-    u0, v0, du0, dv0 = profile_eval(profile, grid)
+    c_lam, c_mu = math.exp(profile.log_c_lam), math.exp(profile.log_c_mu)
+    u0 = c_lam * grid**profile.lam
+    v0 = c_mu * grid**profile.mu
+    du0 = profile.lam * c_lam * grid ** (profile.lam - 1.0)
+    dv0 = profile.mu * c_mu * grid ** (profile.mu - 1.0)
     return Trajectory(
         r=grid,
         u=u0,

@@ -934,9 +934,11 @@ def test_triangular_solution_matches_its_closed_form(case, points_per_decade, to
     _assert_matches_closed_form(case, points_per_decade, tol)
 
 
-def _assert_matches_closed_form(case, points_per_decade, tol):
-    """The run from (1, 1) against ``_triangular``'s closed form, u and v
-    held to tol, u' and v' to 1e-13, except p = 4's v' at 8 per decade."""
+def _closed_form_errors(case, points_per_decade, tol):
+    """The run from (1, 1) against ``_triangular``'s closed form: the largest
+    relative errors of u, v, u' and v', v's startup truncation
+    K_v r0^mu / mu (the integral of v' over [0, r0] that holding v(r0) at b
+    drops) and the run's ``meta``."""
     system, gamma, K, mu, K_v = _triangular(*case)
     traj = integrate_radial(system, 1.0, 1.0, tol, points_per_decade=points_per_decade)
     r = traj.r
@@ -946,11 +948,73 @@ def _assert_matches_closed_form(case, points_per_decade, tol):
         "du": K * r**gamma,
         "dv": K_v * r ** (mu - 1),
     }
+    errors = {
+        name: float(np.max(np.abs(np.expm1(log_state - np.log(value)))))
+        for (name, value), log_state in zip(exact.items(), traj.logs())
+    }
+    return errors, K_v * r[0] ** mu / mu, traj.meta
+
+
+def _assert_matches_closed_form(case, points_per_decade, tol):
+    """u and v held to tol, u' and v' to 1e-13, except p = 4's v' at 8 per decade."""
     dv_bound = tol if (case[0], points_per_decade) == (4, 8) else 1e-13
     bounds = dict(u=tol, v=tol, du=1e-13, dv=dv_bound)
-    for (name, value), log_state in zip(exact.items(), traj.logs()):
-        err = float(np.max(np.abs(np.expm1(log_state - np.log(value)))))
+    for name, err in _closed_form_errors(case, points_per_decade, tol)[0].items():
         assert err < bounds[name], f"{name}: rel err {err:.3e}"
+
+
+@st.composite
+def _triangular_cases(draw):
+    """``TRIANGULAR_CASES``' shape over the whole range: p in [1.2, 4], n in
+    2..5, alpha in [0, 0.9 (p-1)], m1 and m2 in [0, 2] and k3 >= 0, each
+    range cut so that lambda = gamma + 1 and mu are at most 12."""
+    p = draw(st.floats(1.2, 4.0))
+    m1 = draw(st.floats(0.0, min(2.0, 11.0 * (p - 1.0) - 1.0)))
+    alpha = draw(st.floats(0.0, max(0.0, min(0.9 * (p - 1.0), p - 1.0 - (m1 + 1.0) / 11.0))))
+    m2 = draw(st.floats(0.0, min(2.0, 11.0 * p - 12.0)))
+    gamma = (m1 + 1.0) / (p - 1.0 - alpha)
+    k3 = draw(st.floats(0.0, max(0.0, (12.0 * (p - 1.0) - p - m2) / gamma)))
+    coefficient = st.floats(0.1, 10.0)
+    return p, draw(st.integers(2, 5)), alpha, [[draw(coefficient), m1]], [[draw(coefficient), m2]], k3
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_triangular_cases())
+def test_drawn_triangular_solution_matches_its_closed_form(case):
+    """At tol 1e-9, u and u' within tol of the closed form at 8 and 64 per
+    decade, v' too and v within tol plus its startup truncation (past tol
+    when mu is small: 1e-8 near mu = 4/3).  Steps that land on radii are not
+    capped at DP5's stability interval, so where one output interval in
+    log r times ``meta["kappa"]`` exceeds 3.31, v and v' are not held: there
+    they stray past tol, as the pinned case below shows.  Of 1000 draws,
+    548 had such steps at 8 per decade; v strayed past its bound on 10 of
+    them, by at most 1.23 tol, and every other draw stayed within 0.93 of
+    its bounds (v' reached 1.14 tol on another sample)."""
+    tol = 1e-9
+    for points_per_decade in (8, 64):
+        errors, truncation, meta = _closed_form_errors(case, points_per_decade, tol)
+        bounds = dict(u=tol, v=tol + truncation, du=tol, dv=tol)
+        if math.log(10.0) / points_per_decade * meta["kappa"] > 3.31:  # DP5's real stability interval
+            del bounds["v"], bounds["dv"]
+        for name, bound in bounds.items():
+            assert errors[name] < bound, f"{name} at {points_per_decade} per decade: rel err {errors[name]:.3e}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="landing steps are not capped at DP5's stability interval: h kappa = 4.89 at 8 per decade",
+)
+def test_triangular_v_with_unstable_landing_steps_matches_its_closed_form():
+    """mu = 10.33 and kappa = 17 = n-1 + (p-1)(mu-1): every 8-per-decade
+    landing step, ln(10)/8 in log r, has h kappa = 4.89, past DP5's 3.31.
+    The error estimate lets them through on the near-straight far field,
+    and v strays 1.18e-9 from the closed form at tol 1e-9 (u 1.9e-10,
+    v' 7.7e-10).  At 64 per decade the same system holds all four to tol."""
+    case = (2.5, 4, 0.5, [[2.0, 1.0]], [[4.0, 1.0]], 6.0)
+    errors, truncation, _ = _closed_form_errors(case, 8, 1e-9)
+    for name, err in errors.items():
+        assert err < 1e-9 + (truncation if name == "v" else 0.0), f"{name}: rel err {err:.3e}"
 
 
 # mu = 1.655, where the four cases above have mu 3.2 to 5.5

@@ -38,7 +38,6 @@ def test_public_names_are_the_submodules_names_once():
         "Overflow",
         "PowerProfile",
         "QuotientSeries",
-        "State",
         "StepSizeUnderflow",
         "Trajectory",
         "ValidatedSystem",
@@ -56,8 +55,6 @@ def test_public_names_are_the_submodules_names_once():
         "geometric_grid",
         "integrate_fixed_grid",
         "integrate_radial",
-        "p_laplace_power",
-        "profile_eval",
         "profile_residual",
         "quotient_series",
         "run_verification",

@@ -11,12 +11,12 @@ import sympy as sp
 from plap import (
     NotPurePowerCoefficients,
     PowerProfile,
-    p_laplace_power,
-    profile_eval,
     profile_residual,
+    sample_profile_trajectory,
     solve_profile,
     system_from_config,
 )
+from plap.profile import _p_laplace_power
 from conftest import P3_CONFIG, sample_profile_system
 
 
@@ -49,7 +49,7 @@ def symbolic_radial_operator(coeff, lam, p, n):
 )
 def test_single_power_operator_matches_sympy(coeff, lam, p, n):
     expr, r = symbolic_radial_operator(coeff, lam, p, n)
-    amp, expo = p_laplace_power(float(coeff), float(lam), float(p), int(n))
+    amp, expo = _p_laplace_power(float(coeff), float(lam), float(p), int(n))
     ratio = sp.simplify(expr * r ** (-sp.Rational(str(sp.nsimplify(expo)))))
     assert sp.diff(ratio, r) == 0, f"operator output not a pure power: {expr}"
     assert float(ratio) == pytest.approx(amp, rel=1e-12)
@@ -57,20 +57,20 @@ def test_single_power_operator_matches_sympy(coeff, lam, p, n):
 
 def test_single_power_operator_spot_values():
     # classical Laplacian of r^2 in dimension 3
-    assert p_laplace_power(1.0, 2.0, 2.0, 3) == (6.0, 0.0)
+    assert _p_laplace_power(1.0, 2.0, 2.0, 3) == (6.0, 0.0)
     # harmonic decreasing power: amplitude exactly zero
-    amp, expo = p_laplace_power(1.0, -1.0, 2.0, 3)
+    amp, expo = _p_laplace_power(1.0, -1.0, 2.0, 3)
     assert amp == 0.0 and expo == -3.0
     # degenerate diffusion, p=3 in the plane
-    assert p_laplace_power(1.0, 2.0, 3.0, 2) == (12.0, 1.0)
+    assert _p_laplace_power(1.0, 2.0, 3.0, 2) == (12.0, 1.0)
 
 
 def test_single_power_operator_signed_amplitudes():
     """Sign handling on decreasing powers, both sides of the harmonic slope."""
     # shallower than harmonic: flux -r^(1/2)/2 still decreasing, amplitude < 0
-    assert p_laplace_power(1.0, -0.5, 2.0, 3) == (-0.25, -2.5)
+    assert _p_laplace_power(1.0, -0.5, 2.0, 3) == (-0.25, -2.5)
     # steeper than harmonic: r^(-3) is subharmonic away from the origin
-    assert p_laplace_power(1.0, -3.0, 2.0, 3) == (6.0, -5.0)
+    assert _p_laplace_power(1.0, -3.0, 2.0, 3) == (6.0, -5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +207,15 @@ def test_multi_term_weights_are_refused():
 
 
 # ---------------------------------------------------------------------------
-# Evaluation helper
+# The profile sampled on a grid
 # ---------------------------------------------------------------------------
 
 
-def test_profile_eval_values_and_gradients(p3_profile):
+def test_sampled_profile_values_and_gradients(p3_profile, p3_system):
     r = 2.5
-    u0, v0, du0, dv0 = profile_eval(p3_profile, r)
+    sampled = sample_profile_trajectory(p3_profile, p3_system, [r])
+    (u0,), (v0,) = sampled.u, sampled.v
+    (du0,), (dv0,) = np.exp(sampled.logs()[2:])
     assert u0 == pytest.approx(math.exp(p3_profile.log_c_lam) * r**p3_profile.lam, rel=1e-15)
     assert v0 == pytest.approx(math.exp(p3_profile.log_c_mu) * r**p3_profile.mu, rel=1e-15)
     # logarithmic-derivative identities of pure powers
@@ -221,6 +223,6 @@ def test_profile_eval_values_and_gradients(p3_profile):
     assert dv0 * r / v0 == pytest.approx(p3_profile.mu, rel=1e-13)
 
 
-def test_profile_eval_vanishes_at_origin(p3_profile):
-    u0, v0, du0, dv0 = profile_eval(p3_profile, 0.0)
-    assert (u0, v0, du0, dv0) == (0.0, 0.0, 0.0, 0.0)
+def test_sampled_profile_vanishes_at_origin(p3_profile, p3_system):
+    sampled = sample_profile_trajectory(p3_profile, p3_system, [0.0])
+    assert (sampled.u[0], sampled.v[0], sampled.P[0], sampled.S[0]) == (0.0, 0.0, 0.0, 0.0)
