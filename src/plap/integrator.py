@@ -132,12 +132,10 @@ class Trajectory:
     log P and log S, which stay resolved where the float u' is subnormal or
     0.  ``flux_sources`` forms the two flux equations' sources from the
     stored states, for the convexity sandwiches and the flux quadrature.
-    ``meta`` records the initial data, startup radius, tolerances (``rtol``
-    and ``pass_tol``, the hold of steps that pass radii), the stability
-    radius ``kappa`` that caps those steps, step counts, rejected steps by
-    cause (``rejections``), the grid rows read from the continuous
-    extension rather than landed on (``rows_interpolated``) and
-    right-hand-side evaluations of the run.  A default-grid trajectory shares its read-only
+    ``meta`` holds the initial data ``a`` and ``b``, the startup radius
+    ``r0``, the tolerance ``rtol`` and the stability radius ``kappa`` that
+    caps steps passing radii, then the step loop's run record, whose keys
+    ``_step_loop`` lists.  A default-grid trajectory shares its read-only
     ``r`` with every other run on the same grid (see ``geometric_grid``).
     """
 
@@ -649,6 +647,10 @@ def _stability_weights(system: ValidatedSystem) -> tuple[float, tuple[float, ...
 # and ``_step_loop`` builds one array from it at the end.  Per grid radius,
 # numpy row assignments cost about 0.7 us, a list of row tuples and its
 # ``np.array`` about 0.5 us, the flat list and its ``np.array`` about 0.3 us.
+# The loop returns ``rows`` and its run record, the dict whose keys
+# ``_step_loop`` lists, built once at the end; its ``rhs_evals`` counts the
+# first evaluation and ``evals`` per attempt, the stages after the first
+# (FSAL), which ``_dp_loop`` writes in from ``_DP_A``.
 _LOOP_SOURCE = """\
 def loop(f, radii, times, x, tol, pass_tol, weights):
     {x} = x
@@ -753,7 +755,17 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
         if h < underflow_step and h < h_try or accepted + rejected > max_steps:
             message = None if h < underflow_step and h < h_try else f"step budget exhausted at r={{r!r}}"
             raise StepSizeUnderflow(r, message, state=({x}), h=h_r if enorm <= held else r * expm1(h_try))
-    return rows, accepted, rejections, h_min, h_max, r_at_h_min, interpolated
+    return rows, {{
+        "pass_tol": pass_tol,
+        "steps_accepted": accepted,
+        "steps_rejected": rejected,
+        "rejections": rejections,
+        "h_min": h_min,
+        "h_max": h_max,
+        "r_at_h_min": r_at_h_min,
+        "rows_interpolated": interpolated,
+        "rhs_evals": 1 + {evals} * (accepted + rejected),
+    }}
 """
 
 # one component's part of ``enorm = max(0.0, abs(err_0), ...)`` in the loop
@@ -778,7 +790,9 @@ def _dp_loop(dim: int) -> Callable:
     finiteness test (one sum), the max error norm (comparisons, no ``abs`` or
     ``max``), the rows read from the extension and the overflow tests are
     unrolled over the components in ``_LOOP_SOURCE``.  Only the loop's runtime names are bound, so every
-    system of one dimension shares it.
+    system of one dimension shares it.  The evaluations per attempt,
+    ``len(_DP_A) - 1`` (the first stage is reused, FSAL), are written in as
+    a literal, from which the loop's run record counts ``rhs_evals``.
     """
     constants = dict(
         inf=math.inf,
@@ -809,6 +823,7 @@ def _dp_loop(dim: int) -> Callable:
         x_is_x7=_each("x{m} = x7_{m}", dim, "; "),
         k1_is_k7=_each("k1_{m} = k7_{m}", dim, "; "),
         overflow=_each("y{m} > limit", dim, " or "),
+        evals=len(_DP_A) - 1,
     )
     return _generate(source, "loop", constants)
 
@@ -819,7 +834,7 @@ def _step_loop(
     y0: Sequence[float],
     tol: float,
     weights: Optional[Sequence[float]] = None,
-) -> tuple[np.ndarray, int, dict, float, float, float, int]:
+) -> tuple[np.ndarray, dict]:
     """Adaptive stepping of y' = f(r, y) in log variables, sampled on every grid radius.
 
     ``_dp_loop`` steps log y against log r and holds the error estimate of every
@@ -835,14 +850,24 @@ def _step_loop(
     (0, 1e250] raises at the first radius with ``h = None``: ``Overflow`` for a NaN
     or large component, else ``StepSizeUnderflow``.  A step the controller shrinks
     below 1e-14 in log r, accepted or rejected, raises ``StepSizeUnderflow`` where
-    it stopped, as does a run past the step budget.  Returns the states on the grid
-    as one (N, dim) array, built once from the flat list of rows the loop
-    collects, the accepted step count, the rejected steps by cause, the
-    smallest and largest accepted step in r with the radius the smallest one
-    started from (``inf``, ``0.0``, ``nan`` when none was accepted), and the
-    number of rows read from the extension.  The causes are ``error``
-    (the estimate exceeded the tolerance the attempt was held to) and ``nonfinite``
-    (a stage left the range of floats, or the new state or its estimate was not finite).
+    it stopped, as does a run past the step budget.
+
+    Returns the states on the grid as one (N, dim) array, built once from the
+    flat list of rows the loop collects, and the loop's run record, the dict
+    that ``integrate_radial`` puts into ``Trajectory.meta`` as it is:
+
+    - ``pass_tol``: the hold of an attempt that passes radii, ``_pass_tol(tol)``;
+    - ``steps_accepted`` and ``steps_rejected``: the attempts accepted and rejected;
+    - ``rejections``: the rejected attempts by cause, adding up to
+      ``steps_rejected``: ``error`` (the estimate exceeded the tolerance the
+      attempt was held to) and ``nonfinite`` (a stage left the range of
+      floats, or the new state or its estimate was not finite);
+    - ``h_min``, ``h_max`` and ``r_at_h_min``: the smallest and largest
+      accepted step in r and the radius the smallest one started from
+      (``inf``, ``0.0``, ``nan`` when none was accepted);
+    - ``rows_interpolated``: the rows read from the extension;
+    - ``rhs_evals``: the calls of ``f``, one first, then one per stage after
+      the first of every attempt, as ``_dp_loop`` forms it from the tableau.
     """
     radii = np.asarray(grid, dtype=float)
     x = np.asarray(y0, dtype=float).tolist()
@@ -852,8 +877,8 @@ def _step_loop(
         raise failure(float(radii[0]), message, state=tuple(x))
     weights = [0.0] * len(x) if weights is None else weights
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows, *record = _dp_loop(len(x))(f, radii.tolist(), np.log(radii).tolist(), x, tol, _pass_tol(tol), weights)
-    return (np.array(rows).reshape(-1, len(x)), *record)
+        rows, record = _dp_loop(len(x))(f, radii.tolist(), np.log(radii).tolist(), x, tol, _pass_tol(tol), weights)
+    return np.array(rows).reshape(-1, len(x)), record
 
 
 def integrate_radial(
@@ -880,7 +905,9 @@ def integrate_radial(
     profile of the system's pure-power companion and ``meta["kappa"]`` the
     spectral radius of the log rates' Jacobian there.  The trajectory
     holds the four states and ``system``;
-    ``Trajectory.logs`` reads log u' and log v' from log P and log S.  Default grids come from
+    ``Trajectory.logs`` reads log u' and log v' from log P and log S.  Its
+    ``meta`` holds ``a``, ``b``, ``r0``, ``rtol`` and ``kappa``, then the
+    run record that ``_step_loop`` returns, ``rhs_evals`` included.  Default grids come from
     ``geometric_grid`` and are shared, read-only arrays.  Raises
     ``StepSizeUnderflow`` when a step shrinks
     below 1e-14 in log r (1e-14 * r), accepted or rejected, or a startup component is 0, and
@@ -894,39 +921,12 @@ def integrate_radial(
     grid = geometric_grid(r_start, r_end, points_per_decade)
     start = startup_state(system, a, b, r_start)
     kappa, weights = _stability_weights(system)
-    ys, accepted, rejections, h_min, h_max, r_at_h_min, interpolated = _step_loop(
-        flux_rhs(system), grid, start, tol, weights
-    )
-    rejected = sum(rejections.values())
-
+    ys, record = _step_loop(flux_rhs(system), grid, start, tol, weights)
     # the four state columns are rows of one contiguous block, so a kept
     # trajectory holds four arrays and nothing more
     u, v, P, S = ys.T.copy()
-    return Trajectory(
-        r=grid,
-        u=u,
-        v=v,
-        P=P,
-        S=S,
-        system=system,
-        meta={
-            "a": a,
-            "b": b,
-            "r0": r_start,
-            "rtol": tol,
-            "pass_tol": _pass_tol(tol),
-            "kappa": kappa,
-            "steps_accepted": accepted,
-            "steps_rejected": rejected,
-            "rejections": rejections,
-            "h_min": h_min,
-            "h_max": h_max,
-            "r_at_h_min": r_at_h_min,
-            "rows_interpolated": interpolated,
-            # one startup evaluation, then six per attempted step (FSAL)
-            "rhs_evals": 1 + 6 * (accepted + rejected),
-        },
-    )
+    meta = {"a": a, "b": b, "r0": r_start, "rtol": tol, "kappa": kappa, **record}
+    return Trajectory(r=grid, u=u, v=v, P=P, S=S, system=system, meta=meta)
 
 
 # ----------------------------------------------------------------------------

@@ -408,13 +408,16 @@ def _counting_flux_rhs(monkeypatch):
 def test_meta_counts_rhs_evaluations(monkeypatch, p3_system):
     calls = _counting_flux_rhs(monkeypatch)
     rejected = 0
-    # the second run rejects steps, which cost six evaluations each as well
+    # the first run passes radii and the second rejects steps, attempts that
+    # cost six evaluations each as well
     for tol, ppd in ((1e-9, 64), (1e-6, 1)):
         calls.clear()
         meta = integrate_radial(p3_system, 1.0, 1.0, tol, r_max=1e4, points_per_decade=ppd).meta
         steps = meta["steps_accepted"] + meta["steps_rejected"]
         assert meta["rhs_evals"] == len(calls) == 1 + 6 * steps
         rejected += meta["steps_rejected"]
+        if ppd == 64:
+            assert meta["rows_interpolated"] > 0
     assert rejected > 0
 
 
@@ -486,8 +489,8 @@ def test_rejection_causes_on_overshooting_first_step(f, grid, y0, expected):
     state can leave (0, inf) in log variables, so nothing is rejected on
     positivity; a stage that leaves the range of floats is a non-finite
     rejection, never an exception."""
-    ys, accepted, rejections, *_ = _step_loop(f, np.array(grid), y0, 1e6)
-    assert (accepted, rejections) == (expected[0], {"error": 0, "nonfinite": expected[1]})
+    ys, record = _step_loop(f, np.array(grid), y0, 1e6)
+    assert (record["steps_accepted"], record["rejections"]) == (expected[0], {"error": 0, "nonfinite": expected[1]})
     assert np.all((0.0 < ys[-1]) & (ys[-1] < math.inf))
 
 
@@ -1065,7 +1068,8 @@ def test_step_loop_started_on_the_profile_stays_on_it(config, r0, r_max, tol):
     exact = sample_profile_trajectory(profile, system, grid)
     y0 = [start.u[0], start.v[0], start.P[0], start.S[0]]
     _, weights = integrator._stability_weights(system)
-    ys, accepted, rejections, *_, interpolated = _step_loop(flux_rhs(system), grid, y0, tol, weights)
+    ys, record = _step_loop(flux_rhs(system), grid, y0, tol, weights)
+    accepted, rejections, interpolated = record["steps_accepted"], record["rejections"], record["rows_interpolated"]
     assert float(np.max(np.abs(np.log(ys.T / np.vstack([exact.u, exact.v, exact.P, exact.S]))))) <= 1e-13
     assert accepted + rejections["error"] < len(grid) - 1 and rejections["nonfinite"] == 0
     if tol == 1e-9:
@@ -1233,9 +1237,10 @@ def test_step_loop_matches_numpy_reference_in_any_dimension(dim):
         (_settling_rates(dim), np.exp([0.0, 8.0, 8.01, 12.0]), 1e-9),
     ):
         expected, accepted, rejected, _ = _reference_propagate(f, grid, y0, tol, factors)
-        ys, got_accepted, rejections, *_ = _step_loop(f, grid, y0, tol)
+        ys, record = _step_loop(f, grid, y0, tol)
         assert np.array_equal(ys, expected)
-        assert (got_accepted, sum(rejections.values())) == (accepted, rejected)
+        assert (record["steps_accepted"], record["steps_rejected"]) == (accepted, rejected)
+        assert sum(record["rejections"].values()) == rejected
         assert rejected > 0
     # the factors of all three cases: the floor, the cap and the interior
     assert 0.1 in factors and 5.0 in factors and any(0.1 < factor < 5.0 for factor in factors)
@@ -1269,6 +1274,32 @@ def test_collapse_costs_what_the_floor_says(dim):
     assert len(calls) <= 5000
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+def test_step_loop_counts_its_rhs_evaluations(dim):
+    """The loop's own record counts every call of ``f``: the first
+    evaluation, then the stages after the first of every attempt, landing,
+    passing radii or rejected.  The toy cases of
+    ``test_step_loop_matches_numpy_reference_in_any_dimension`` reject
+    attempts on the error and read rows from the continuous extension."""
+    rejected = interpolated = 0
+    for f, grid, tol in (
+        (_toy_rates(dim), np.linspace(1.0, 5.0, 41), 1e-12),
+        (_toy_rates(dim), np.array([1.0, 3.0, 7.0]), 1e-7),
+        (_settling_rates(dim), np.exp([0.0, 8.0, 8.01, 12.0]), 1e-9),
+    ):
+        calls = []
+
+        def counted(r, y, f=f):
+            calls.append(r)
+            return f(r, y)
+
+        _, record = _step_loop(counted, grid, np.linspace(0.5, 1.5, dim), tol)
+        assert record["rhs_evals"] == len(calls)
+        rejected += record["steps_rejected"]
+        interpolated += record["rows_interpolated"]
+    assert rejected > 0 and interpolated > 0
+
+
 def test_step_size_record_on_known_steps():
     """y = r^2 is a straight line in log variables, so the error estimate is
     at rounding level and each step in log r is five times the last unless
@@ -1279,12 +1310,13 @@ def test_step_size_record_on_known_steps():
     ``test_step_loop_matches_numpy_reference_in_any_dimension`` miss."""
     grid = np.exp([0.0, 1.0, 1.5, 10.0])
     line = lambda r, y: [2.0 * y[0] / r]
-    ys, accepted, _, h_min, h_max, r_at_h_min, interpolated = _step_loop(line, grid, [1.0], 1e-9)
+    ys, record = _step_loop(line, grid, [1.0], 1e-9)
+    accepted, interpolated = record["steps_accepted"], record["rows_interpolated"]
     expected, expected_accepted, _, expected_interpolated = _reference_propagate(line, grid, [1.0], 1e-9)
     assert np.array_equal(ys, expected) and (accepted, interpolated) == (expected_accepted, expected_interpolated)
-    assert (accepted, interpolated) == (3, 1) and r_at_h_min == 1.0
-    assert h_min == pytest.approx(math.e - 1.0, rel=1e-12)
-    assert h_max == pytest.approx(grid[-1] - math.exp(6.0), rel=1e-12)
+    assert (accepted, interpolated) == (3, 1) and record["r_at_h_min"] == 1.0
+    assert record["h_min"] == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert record["h_max"] == pytest.approx(grid[-1] - math.exp(6.0), rel=1e-12)
 
 
 def test_step_budget_raises_typed_where_it_stopped(monkeypatch):
@@ -1351,11 +1383,11 @@ def test_attempt_that_passes_a_radius_is_held_to_the_pass_tolerance(tol, hold):
         (200 * hold, [0.0, 1.0, 4.0], [1.0, 4.0], 0, 0),
     ):
         calls = []
-        ys, accepted, got, *_, got_interpolated = _step_loop(_kinked_line(kink, calls), np.exp(grid), [1.0], tol)
+        ys, record = _step_loop(_kinked_line(kink, calls), np.exp(grid), [1.0], tol)
         ends = [round(t, 12) for t in _attempt_ends(calls)]
         assert ends[: len(first_ends)] == first_ends and ends[-1] == grid[-1]
-        assert got == {"error": rejected, "nonfinite": 0}
-        assert (accepted, got_interpolated) == (len(ends) - rejected, interpolated)
+        assert record["rejections"] == {"error": rejected, "nonfinite": 0} and record["pass_tol"] == hold
+        assert (record["steps_accepted"], record["rows_interpolated"]) == (len(ends) - rejected, interpolated)
         expected, *_ = _reference_propagate(_kinked_line(kink), np.exp(grid), [1.0], tol)
         assert np.array_equal(ys, expected)
 
@@ -1367,8 +1399,8 @@ def test_line_over_ten_decades_takes_a_handful_of_attempts():
     continuous extension.  Each row's log is 2 log r to rounding."""
     grid = geometric_grid(1.0, 1e10)
     line = lambda r, y: [2.0 * y[0] / r]
-    ys, accepted, rejections, *_, interpolated = _step_loop(line, grid, [1.0], 1e-9)
-    assert (accepted, sum(rejections.values()), interpolated) == (5, 0, len(grid) - 3)
+    ys, record = _step_loop(line, grid, [1.0], 1e-9)
+    assert (record["steps_accepted"], record["steps_rejected"], record["rows_interpolated"]) == (5, 0, len(grid) - 3)
     log_err = np.abs(np.log(ys[:, 0]) - 2.0 * np.log(grid))
     assert float(np.max(log_err)) <= 4 * np.spacing(2.0 * math.log(1e10))
 
@@ -1381,12 +1413,13 @@ def test_short_landing_does_not_trip_the_floor():
     so the run goes on to the end."""
     grid = np.exp([0.0, 1.0, 1.0 + 6 * 2.0**-52, 10.0])
     calls = []
-    ys, accepted, rejections, h_min, *_ = _step_loop(_kinked_line(1e-9, calls), grid, [1.0], 1e-9)
+    ys, record = _step_loop(_kinked_line(1e-9, calls), grid, [1.0], 1e-9)
     expected, expected_accepted, _, _ = _reference_propagate(_kinked_line(1e-9), grid, [1.0], 1e-9)
-    assert np.array_equal(ys, expected) and accepted == expected_accepted == 25
+    assert np.array_equal(ys, expected) and record["steps_accepted"] == expected_accepted == 25
     ends = _attempt_ends(calls)
-    assert rejections == {"error": 1, "nonfinite": 0} and ends[:2] == [1.0, 6.0] and 0.0 < ends[2] - 1.0 < 2e-15
-    assert h_min < 1e-14 * math.e
+    assert record["rejections"] == {"error": 1, "nonfinite": 0}
+    assert ends[:2] == [1.0, 6.0] and 0.0 < ends[2] - 1.0 < 2e-15
+    assert record["h_min"] < 1e-14 * math.e
 
 
 def test_step_size_record_in_meta(p3_system):
