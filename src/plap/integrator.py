@@ -634,19 +634,21 @@ def _stability_weights(system: ValidatedSystem) -> tuple[float, tuple[float, ...
 # weighs the rates at the start by ``weights`` (``_stability_weights``; zeros
 # cap nothing, infinities cap every pass to 0).  Only here is the cap
 # evaluated, so attempts that land pay nothing for it.  If ``h_pass`` still
-# reaches past, the attempt is ``h_pass``, or the rest of the way to the last
-# radius, and is held to ``pass_tol`` (``held`` is pass_tol / tol against the
-# scaled estimate); the rows it passes are read from the continuous
-# extension (``_dp_dense_lines``), then ``exp``.  Such an attempt that fails
-# is rejected as ``error`` and the next one lands.
-# Otherwise the attempt is ``h`` or the rest of the way to the next radius,
-# held to ``tol``, as when every radius was landed on.  One block sets both
-# proposals, then the branches only keep their books, and one test of the
-# 1e-14 floor covers every ``h`` the controller shrinks, accepted or
-# rejected.  The grid rows go one after another into the flat list ``rows``,
-# and ``_step_loop`` builds one array from it at the end.  Per grid radius,
-# numpy row assignments cost about 0.7 us, a list of row tuples and its
-# ``np.array`` about 0.5 us, the flat list and its ``np.array`` about 0.3 us.
+# reaches past, the attempt passes: it tries ``h_pass``, held to ``pass_tol``
+# (``held`` is pass_tol / tol against the scaled estimate), towards the last
+# radius; the rows it passes are read from the continuous extension
+# (``_dp_dense_lines``), then ``exp``.  Such an attempt that fails is
+# rejected as ``error`` and the next one lands.  Otherwise it tries ``h``,
+# held to ``tol``, towards the next radius, ``times[i]``.  One rule ends every
+# attempt: it lands on its end radius ``times[end]`` exactly when
+# ``times[end] - t <= h_try``, and then ``h_try`` is that rest of the way.
+# One block sets both proposals, then the branches only keep their books,
+# and one test of the 1e-14 floor covers every ``h`` the controller shrinks,
+# accepted or rejected.  The grid rows go one after another into the flat
+# list ``rows``, and ``_step_loop`` builds one array from it at the end.  Per
+# grid radius, numpy row assignments cost about 0.7 us, a list of row tuples
+# and its ``np.array`` about 0.5 us, the flat list and its ``np.array`` about
+# 0.3 us.
 # The loop returns ``rows`` and its run record, the dict whose keys
 # ``_step_loop`` lists, built once at the end; its ``rhs_evals`` counts the
 # first evaluation and ``evals`` per attempt, the stages after the first
@@ -659,7 +661,6 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
     r, t = radii[0], times[0]
 {k1}
     last = len(times) - 1
-    t_end = times[last]
     pass_ratio = pass_tol / tol
     pass_scale = pass_ratio**0.2
     h, h_pass = times[1] - t, 0.0
@@ -668,15 +669,13 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
     h_min, h_max, r_at_h_min = inf, 0.0, nan
     rows = [{x}]
     i = 1
-    target = times[1]
     while True:
-        remaining = target - t
+        remaining = times[i] - t
         if remaining <= (-t if t < 0.0 else t) * 1e-15:
             rows += ({x})
             if i == last:
                 break
             i += 1
-            target = times[i]
             continue
         passing = h_pass > remaining and i < last
         if passing:
@@ -686,18 +685,12 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
                 h_pass = 1.0 / reach
                 passing = h_pass > remaining
         if passing:
-            held = pass_ratio
-            land = t_end - t
-            if h_pass < land:
-                h_try, land = h_pass, 0
-            else:
-                h_try, land = land, last
+            held, end, h_try = pass_ratio, last, h_pass
         else:
-            held = 1.0
-            if remaining <= h:
-                h_try, land = remaining, i
-            else:
-                h_try, land = h, 0
+            held, end, h_try = 1.0, i, h
+        land = 0
+        if times[end] - t <= h_try:
+            h_try, land = times[end] - t, end
 {stages}
         enorm = inf
         if {finite}:
@@ -734,7 +727,6 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
                     rows += ({rows})
                     i += 1
                 interpolated += i - first
-                target = times[i]
             h_r = r_new - r
             if h_r < h_min:
                 h_min, r_at_h_min = h_r, r
@@ -845,8 +837,11 @@ def _step_loop(
     rho at the attempt's start, reaches past the next radius, and its rows are
     read from the Dormand-Prince continuous extension.  ``weights`` defaults
     to zeros, no cap; ``integrate_radial`` passes ``_stability_weights``.
-    Every other attempt ends on the next radius or short of it, and the last
-    radius is always landed on.  A start outside
+    Every other attempt is held to ``tol``.  One rule ends both: an attempt
+    lands on its end radius, the last for one that passes and the next for
+    any other, exactly when the rest of the way there is at most its step,
+    and then takes that rest as its step, so the last radius is always
+    landed on.  A start outside
     (0, 1e250] raises at the first radius with ``h = None``: ``Overflow`` for a NaN
     or large component, else ``StepSizeUnderflow``.  A step the controller shrinks
     below 1e-14 in log r, accepted or rejected, raises ``StepSizeUnderflow`` where
@@ -899,7 +894,9 @@ def integrate_radial(
     grid radius at ``meta["pass_tol"]`` = tol/100, clamped to [1e-14, 5e-12],
     takes it, held to that, and reads the radii it passes from the continuous
     extension (``meta["rows_interpolated"]`` counts them); every other step
-    ends on the next radius or short of it.  Such a step is capped so that
+    is held to ``tol``.  Either lands on its end radius, the last for a step
+    that passes and the next for any other, exactly when the rest of the way
+    there is no longer than the step.  A step that passes is capped so that
     h kappa max_m(rho_m / s_m) <= 2, inside DP5's real stability interval
     (3.31), with rho the rates at its start, s those on the far-field
     profile of the system's pure-power companion and ``meta["kappa"]`` the
@@ -913,6 +910,14 @@ def integrate_radial(
     below 1e-14 in log r (1e-14 * r), accepted or rejected, or a startup component is 0, and
     ``Overflow`` when a component passes 1e250; both carry the radius, the last
     accepted (u, v, P, S) and the last step in r, taken or attempted (``None`` for a refused start).
+
+    The benchmark relies on how the rates are evaluated: every call looks
+    ``flux_rhs`` up through ``plap.integrator``, and the loop calls the
+    callable it returns once per stage, ``1 + 6 * attempts`` times in all.
+    ``bench/spans.py`` counts RHS evaluations by wrapping that callable, and
+    ``bench/test_bench.py`` and ``test_benchmark_hooks_accept_numpy_states``
+    assert the count is positive.  A loop that evaluates the rates without it
+    waits until the benchmark reads ``meta["rhs_evals"]`` instead.
     """
     if not (_TOL_MIN <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [{_TOL_MIN!r}, 1e-3], got {tol}")

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plap import (
     GridMismatch,
@@ -674,6 +676,70 @@ def test_subnormal_start_gradient_passes_or_fails_typed(alpha):
         return
     assert report.passed
 
+
+
+def _log_uniform(draw, lo, hi):
+    return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+
+
+def _near(draw, share):
+    """``share`` pushed to within 10^-3 to 10^-1 of 1 on about half the draws."""
+    return 1.0 - 10.0 ** -draw(st.floats(1.0, 3.0)) if draw(st.booleans()) else share
+
+
+@st.composite
+def _admissible_instances(draw):
+    """An admissible instance and its a, b, tol and r_max, at most 60 in lambda and mu.
+
+    p in [1.2, 4] and n in 2..5.  alpha is (p-1)(1 - 10^-u) with u in
+    [1, 3] on about half the draws, else up to 0.9 (p-1); k1 k3 is within
+    10^-3 to 10^-1 of the gate (p-1-alpha)(p-1-k2) on about half, else up to
+    0.9 of it.  m1 and m2 lie in [0, 2], and g1 and g3 sometimes carry a
+    lower term.  a and b lie in [0.1, 10], tol in [1e-9, 1e-6] and r_max in
+    [1e2, 1e4]."""
+    p = draw(st.floats(1.2, 4.0))
+    alpha = (p - 1.0) * _near(draw, draw(st.floats(0.0, 0.9)))
+    k2 = (p - 1.0) * draw(st.floats(0.0, 0.7))
+    product = (p - 1.0 - alpha) * (p - 1.0 - k2) * _near(draw, draw(st.floats(0.0, 0.9)))
+    split = math.exp(draw(st.floats(-0.7, 0.7)))
+    k1, k3 = math.sqrt(product) * split, math.sqrt(product) / split
+
+    def law(k):
+        if k > 0.05 and draw(st.booleans()):
+            return [[draw(st.floats(0.1, 1.0)), k * draw(st.floats(0.0, 0.8))], [1.0, k]]
+        return [[1.0, k]]
+
+    cfg = {
+        "p": p,
+        "n": draw(st.integers(2, 5)),
+        "alpha": alpha,
+        "r_max": _log_uniform(draw, 1e2, 1e4),
+        "f1": [[draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 2.0))]],
+        "f2": [[draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 2.0))]],
+        "g1": law(k1),
+        "g2": [[1.0, k2]],
+        "g3": law(k3),
+    }
+    system = system_from_config(cfg)
+    profile = solve_profile(system)
+    assume(profile.lam <= 60.0 and profile.mu <= 60.0)
+    a, b = _log_uniform(draw, 0.1, 10.0), _log_uniform(draw, 0.1, 10.0)
+    return system, a, b, _log_uniform(draw, 1e-9, 1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_admissible_instances())
+def test_admissible_region_reports_or_fails_typed(instance):
+    """Every admissible instance either gets a report, passed or not, or
+    raises ``StepSizeUnderflow`` or ``Overflow`` at a finite positive radius;
+    any other exception or numpy warning fails."""
+    system, a, b, tol = instance
+    try:
+        report, _, _ = run_verification(system, a, b, tol, points_per_decade=8)
+    except (StepSizeUnderflow, Overflow) as exc:
+        assert 0.0 < exc.radius < math.inf
+        return
+    json.dumps(report.to_dict(), allow_nan=False)
 
 def test_quotient_logs_are_finite_where_the_gradient_underflows():
     """With a constant term in g3 the run gets past r0, and u' underflows to 0
