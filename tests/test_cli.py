@@ -416,6 +416,10 @@ def _reject_constant(name: str) -> None:
     + [
         pytest.param("profile", "coupled_p3.json", {key: [[weight, 0.0]]}, id=f"profile-{key}={weight:g}")
         for key, weight in (("f1", 1e-300), ("f2", 1e-300), ("f1", 1e300))
+    ]
+    + [
+        pytest.param("verify", "coupled_p3.json", {"r_max": 1e4}, id="verify-coupled_p3-r_max=1e4"),
+        pytest.param("verify", "coupled_p3.json", {"r_max": 1e4, "a": 1e-12}, id="verify-coupled_p3-a=1e-12"),
     ],
 )
 def test_fresh_process_writes_standard_json_and_nothing_on_stderr(
@@ -424,7 +428,8 @@ def test_fresh_process_writes_standard_json_and_nothing_on_stderr(
     """Amplitudes of 4e-202 and 4e198 enter the profile residual in logs, so
     it is neither ``Infinity`` nor an ``OverflowError``.  On ``steep.json``
     (lambda about 50.7, C_lambda about 2e-87) the profile underflows near r0
-    but the quotients are formed in logs: no warning, no ``NaN``."""
+    but the quotients are formed in logs: no warning, no ``NaN``.  Every
+    ``verify`` report carries the limits of all four quotients."""
     cfg = write_config(base, json.loads((CONFIGS / base).read_text()), **overrides)
     flags = ["--series-out", str(tmp_path / "series.csv")] if command == "verify" else []
     proc = _fresh_cli(command, "--config", cfg, *flags)
@@ -432,6 +437,8 @@ def test_fresh_process_writes_standard_json_and_nothing_on_stderr(
     doc = json.loads(proc.stdout, parse_constant=_reject_constant)
     if command == "profile":
         assert doc["residual"] < 1e-12
+    else:
+        assert set(doc["limits"]) == {"u", "v", "du", "dv"}
 
 
 @pytest.mark.parametrize("r_max", ["1e-3", "1e-5"])
@@ -446,7 +453,25 @@ def test_steep_limit_fit_reads_the_profile_exponent(tmp_path, r_max):
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     lam = solve_profile(system_from_config(json.loads((CONFIGS / "steep.json").read_text()))).lam
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert set(report["limits"]) == {"u", "v", "du", "dv"}
     assert report["limits"]["u"]["rate"] == pytest.approx(lam, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "base, flags",
+    [("coupled_p3.json", ["--rmax", "1e4"]), ("steep.json", [])],
+    ids=["coupled_p3-r_max=1e4", "steep"],
+)
+def test_integrate_gradient_cells_are_finite_and_positive(tmp_path, base, flags):
+    """du and dv are u' and v' read from log P and log S, and most rows come
+    from the continuous extension (441 of 641 on ``coupled_p3`` at r_max
+    1e4, 392 of 577 on ``steep.json``, whose kappa of 87.6 is the largest
+    of the shipped configs)."""
+    out = tmp_path / "traj.csv"
+    assert main(["integrate", "--config", str(CONFIGS / base), *flags, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        cells = [float(row[key]) for row in csv.DictReader(fh) for key in ("du", "dv")]
+    assert cells and all(math.isfinite(cell) and cell > 0.0 for cell in cells)
 
 
 @pytest.mark.parametrize(

@@ -741,6 +741,52 @@ def test_admissible_region_reports_or_fails_typed(instance):
         return
     json.dumps(report.to_dict(), allow_nan=False)
 
+
+# an admissible draw of the strategy above, at a loose tol
+_LOOSE_TOL_CONFIG = {
+    "p": 1.284,
+    "n": 5,
+    "alpha": 0.1896,
+    "r_max": 6015,
+    "f1": [[1.415, 1.605]],
+    "f2": [[0.665, 0.844]],
+    "g1": [[1, 0.0168]],
+    "g2": [[1, 0.0554]],
+    "g3": [[1, 0.0184]],
+}
+
+
+@pytest.mark.parametrize(
+    "points_per_decade, tol",
+    [
+        pytest.param(
+            8,
+            4.4e-7,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="the fixed 1e-8 monotonicity slack sits below the step error that tol 4.4e-7 "
+                "allows at 8 points per decade: U rises by 2.66e-7 at r = 4523",
+            ),
+        ),
+        (64, 4.4e-7),
+        (8, 1e-9),
+    ],
+    ids=["8-tol=4.4e-7", "64-tol=4.4e-7", "8-tol=1e-9"],
+)
+def test_loose_tol_instance_passes(points_per_decade, tol):
+    """Ordering and the sandwiches pass, and every limit is within 1.7e-8 of
+    1.  At 8 points per decade and tol 4.4e-7 U still rises by 2.66e-7, far
+    above ``_SLACK``; at tol 1e-9 the rise is 6.76e-10, so it scales with
+    ``tol``, and at 64 points per decade U decreases."""
+    report, _, _ = run_verification(
+        system_from_config(_LOOSE_TOL_CONFIG), 1.866, 0.688, tol, points_per_decade=points_per_decade
+    )
+    assert report.ordering.passed and report.convexity_bounds.passed
+    assert all(abs(est.value - 1.0) < 1.7e-8 for est in report.limits.values())
+    assert report.passed
+
+
 def test_quotient_logs_are_finite_where_the_gradient_underflows():
     """With a constant term in g3 the run gets past r0, and u' underflows to 0
     at four grid radii while P stays positive.  Read from log P, every
