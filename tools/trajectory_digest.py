@@ -26,7 +26,9 @@ otherwise:
 A run prints its label, the SHA-256 of its r, u, v, P and S bytes and its
 sorted ``meta``; a run that raises ``StepSizeUnderflow`` or ``Overflow``
 prints the exception's class, message, radius, state and h instead.  Any
-other exception stops the digest.
+other exception stops the digest.  Each of the 12 config runs prints one
+more line, its label and the ``repr`` of ``plap.flux_consistency`` on it,
+so the ``integrate_radial`` runs print 282 lines.
 
 Then the 21 runs of ``CLI_RUNS`` go through ``plap.cli.main`` in-process,
 in a scratch directory: ``profile``, ``integrate``, ``verify --series-out``
@@ -74,9 +76,11 @@ def sha(data: bytes) -> str:
 
 def run_lines(plap, gen) -> list[str]:
     """One line per run: its trajectory's digest and meta, or its typed failure."""
-    runs = []  # (label, config, r_max, grid densities); a config without a, b or tol runs at 1, 1, 1e-9
+    # (label, config, r_max, grid densities, print flux_consistency); a config
+    # without a, b or tol runs at 1, 1, 1e-9
+    runs = []
     for path in CONFIGS:
-        runs.append((f"config {path.stem}", json.loads(path.read_text(encoding="utf-8")), None, (8, 64, 256)))
+        runs.append((f"config {path.stem}", json.loads(path.read_text(encoding="utf-8")), None, (8, 64, 256), True))
     for seed in SEEDS:
         pools = {
             "tight-coarse": gen.instance_pool(seed, 10, (1e-12, 1e-11), True),
@@ -84,13 +88,13 @@ def run_lines(plap, gen) -> list[str]:
         }
         for name, pool in pools.items():
             for index, cfg in enumerate(pool):
-                runs.append((f"pool {name} seed={seed} #{index}", cfg, R_MAX, (8, 64, 256)))
+                runs.append((f"pool {name} seed={seed} #{index}", cfg, R_MAX, (8, 64, 256), False))
     for seed in SEEDS:
         for index, cfg in enumerate(gen.sweep_points(gen.sweep_config(seed))):
             if gen.admissible(cfg):
-                runs.append((f"sweep seed={seed} #{index}", cfg, R_MAX, (8, 64)))
+                runs.append((f"sweep seed={seed} #{index}", cfg, R_MAX, (8, 64), False))
     lines = []
-    for label, cfg, r_max, densities in runs:
+    for label, cfg, r_max, densities, flux in runs:
         system = plap.system_from_config(cfg)
         a, b, tol = cfg.get("a", 1.0), cfg.get("b", 1.0), cfg.get("tol", 1e-9)
         for ppd in densities:
@@ -104,6 +108,8 @@ def run_lines(plap, gen) -> list[str]:
                 continue
             data = b"".join(column.tobytes() for column in (traj.r, traj.u, traj.v, traj.P, traj.S))
             lines.append(f"{label} ppd={ppd} {sha(data)} {sorted(traj.meta.items())!r}")
+            if flux:
+                lines.append(f"{label} ppd={ppd} flux_consistency {plap.flux_consistency(traj, system)!r}")
     return lines
 
 
