@@ -13,8 +13,7 @@ turn both equations into plain quadratures of positive integrands:
 
 with the gradients recovered algebraically,
 ``u' = (P / r^delta)^(1/(p-1-alpha))`` and ``v' = (S / r^(n-1))^(1/(p-1))``.
-This flux form (``flux_rhs``) stays smooth through the degenerate origin, and
-the independent consistency check integrates the fluxes as quadratures.
+This flux form (``flux_rhs``) stays smooth through the degenerate origin.
 
 The adaptive loop steps ``Y = log y`` against ``t = log r``, with the rates
 ``dY_m/dt = r f_m(r, y) / y_m`` from the flux form.  The far-field profile
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -67,7 +66,6 @@ __all__ = [
     "integrate_radial",
     "dormand_prince_step",
     "integrate_fixed_grid",
-    "flux_consistency",
 ]
 
 
@@ -127,11 +125,9 @@ class Trajectory:
     """Solution of ``system`` sampled on a strictly increasing radial grid.
 
     The state arrays ``u, v, P, S`` are aligned with ``r``; they are all a
-    trajectory stores, and it is read through two derived views.  ``logs``
-    gives log u, log v, log u' and log v', the gradients' logs read from
-    log P and log S, which stay resolved where the float u' is subnormal or
-    0.  ``flux_sources`` forms the two flux equations' sources from the
-    stored states, for the convexity sandwiches and the flux quadrature.
+    trajectory stores, and it is read through one derived view, ``logs``:
+    log u, log v, log u' and log v', the gradients' logs read from log P and
+    log S, which stay resolved where the float u' is subnormal or 0.
     ``meta`` holds the initial data ``a`` and ``b``, the startup radius
     ``r0``, the tolerance ``rtol`` and the stability radius ``kappa`` that
     caps steps passing radii, then the step loop's run record, whose keys
@@ -165,37 +161,6 @@ class Trajectory:
             log_P, log_S = np.log(self.P), np.log(self.S)
         log_du = (log_P - s.delta * log_r) / (s.p - 1.0 - s.alpha)
         return np.concatenate((log_uv, [log_du, (log_S - (s.n - 1) * log_r) / (s.p - 1.0)]))
-
-    def flux_sources(self) -> np.ndarray:
-        """The sources of the flux equations P' = source_P and S' = source_S,
-        as the rows of one (2, N) array:
-
-            source_P = (p-1-alpha)/(p-1) r^delta f1(r) g1(v)
-            source_S = r^(n-1) f2(r) g2(v) g3(u')
-
-        g3(u') is read as sum_i a_i exp(e_i log u'), with log u' the third
-        row of ``logs``, so each term stays resolved where the float u' is
-        subnormal or 0, where ``g3(du)`` would keep only the constant terms; a
-        term of exponent 0 is its coefficient.  The only place the sources
-        are formed: ``check_convexity_bounds`` and ``flux_consistency`` read
-        them here."""
-        s, r = self.system, self.r
-        log_du = self.logs()[2]
-        g3 = 0.0
-        for coeff, expo in s.g3.terms:
-            g3 = g3 + (coeff if expo == 0.0 else coeff * np.exp(expo * log_du))
-        coef = (s.p - 1.0 - s.alpha) / (s.p - 1.0)
-        return np.stack((coef * r**s.delta * s.f1(r) * s.g1(self.v), r ** (s.n - 1) * s.f2(r) * s.g2(self.v) * g3))
-
-
-def _require_own_system(traj: Trajectory, system: ValidatedSystem) -> None:
-    """Raise ``ValueError`` unless ``system`` is ``traj.system`` in all but ``r_max``.
-
-    A check that reads ``traj.flux_sources()`` reads the trajectory's own
-    system; another system's p, n or alpha beside them would mix two systems.
-    ``r_max`` may differ: ``integrate_radial`` takes its own."""
-    if replace(system, r_max=traj.system.r_max) != traj.system:
-        raise ValueError(f"system {system} is not the trajectory's own system {traj.system}, r_max aside")
 
 
 @functools.lru_cache(maxsize=16)
@@ -933,68 +898,3 @@ def integrate_radial(
     meta = {"a": a, "b": b, "r0": r_start, "rtol": tol, "kappa": kappa, **record}
     return Trajectory(r=grid, u=u, v=v, P=P, S=S, system=system, meta=meta)
 
-
-# ----------------------------------------------------------------------------
-# Independent flux consistency check
-# ----------------------------------------------------------------------------
-
-
-# the 6-point Gauss-Legendre rule on [-1, 1], np.polynomial.legendre.leggauss(6)
-# bit for bit, written out so the check never imports numpy.polynomial
-_GAUSS_NODES = np.array([-0.93246951420315194, -0.66120938646626448, -0.23861918608319690,
-                         0.23861918608319690, 0.66120938646626448, 0.93246951420315194])
-_GAUSS_WEIGHTS = np.array([0.17132449237917027, 0.36076157304813872, 0.46791393457269104,
-                           0.46791393457269104, 0.36076157304813872, 0.17132449237917027])
-
-
-def _cumulative_power_quadrature(r: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Cumulative integrals of a (K, N) stack of positive, power-law-like integrands over r.
-
-    Works in x = log r: each integrand is lifted to psi = log(values * r) and a
-    local cubic fit of psi (four neighbouring nodes) is integrated per
-    interval with 6-point Gauss-Legendre.  The nodes are the same for every
-    row, so each interval makes one ``np.polyfit`` call with a K-column
-    right-hand side and the rows share it.  Exact to rounding for pure powers
-    of r, and high-order for the smooth log-curvature of validated runs: the
-    truncation error falls as about h^4 in the grid spacing h, so the grid's
-    points per decade, not the stepper's tolerance, set the defect it leaves.
-    """
-    x = np.log(r)
-    psi = np.log(np.maximum(values, 1e-300)) + x
-    # an infinite psi would make the least-squares solve rescale every row's
-    # right-hand side by 1/inf; as NaN it spoils only its own row
-    psi[np.isinf(psi)] = np.nan
-    out = np.zeros(psi.shape)
-    count = len(r)
-    for i in range(count - 1):
-        lo = max(0, i - 1)
-        hi = min(count, i + 3)
-        xc = x[lo:hi] - x[i]
-        coeffs = np.polyfit(xc, psi[:, lo:hi].T, deg=len(xc) - 1)
-        half = 0.5 * (x[i + 1] - x[i])
-        local = half * (_GAUSS_NODES + 1.0)  # map [-1, 1] onto [0, x_{i+1}-x_i]
-        out[:, i + 1] = out[:, i] + half * (_GAUSS_WEIGHTS @ np.exp(np.polyval(coeffs, local[:, None])))
-    return out
-
-
-def flux_consistency(traj: Trajectory, system: ValidatedSystem) -> float:
-    """Worst relative defect between the fluxes and quadrature of their RHS.
-
-    The right-hand sides are ``traj.flux_sources()``, the sources of the
-    trajectory's own system at the stored states; a ``system`` that differs
-    from it in anything but ``r_max`` raises ``ValueError``.  They are
-    integrated cumulatively from the startup radius by a scheme independent
-    of the stepper, both in one quadrature pass that
-    shares each interval's fit; the defect at each grid point compares flux
-    increments with the quadrature.  Converged runs score well below 1e-6; corrupting a single
-    state is immediately visible.  The defect is the quadrature's own
-    truncation, so it depends on the points per decade, not on ``tol``.  The
-    defects of P and S form one (2, N) array reduced by one ``np.max``, so a
-    NaN or infinite defect fails.
-    """
-    _require_own_system(traj, system)
-    quad = _cumulative_power_quadrature(traj.r, traj.flux_sources())
-    flux = np.stack((traj.P, traj.S))
-    inc = flux - flux[:, :1]
-    denom = np.maximum(np.maximum(np.abs(inc), np.abs(quad)), 1e-300)
-    return float(np.max(np.abs(inc - quad)[:, 1:] / denom[:, 1:]))

@@ -16,6 +16,10 @@ positive initial data:
 * all four quotients share a common limit structure at infinity tied
   together by two power-balance identities.
 
+``flux_consistency`` checks the integration itself: it integrates the flux
+equations' sources at the stored states by a quadrature independent of the
+stepper and compares the result with the stored fluxes.
+
 The quotients are held as logs, log U = log u - log C_lam - lam log r and
 so on, since C_lam r^lam underflows near r0 on steep profiles; each check
 reads its quantity from the logs through ``expm1``.
@@ -28,12 +32,12 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .integrator import Trajectory, _require_own_system, integrate_radial
+from .integrator import Trajectory, integrate_radial
 from .model import ValidatedSystem
 from .profile import PowerProfile, solve_profile
 
@@ -48,6 +52,7 @@ __all__ = [
     "check_quotient_ordering",
     "check_ordering",
     "check_convexity_bounds",
+    "flux_consistency",
     "estimate_limits",
     "check_limit_identities",
     "sample_profile_trajectory",
@@ -195,6 +200,35 @@ def check_ordering(traj_a: Trajectory, traj_b: Trajectory) -> OrderingReport:
     return OrderingReport(passed=bool(np.all(gap > 0.0)), n_points=len(rs), min_margin=margins, r_at=r_at)
 
 
+def _fluxes_and_sources(traj: Trajectory, system: ValidatedSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The fluxes (P, S) and the sources of their equations P' = source_P and
+    S' = source_S, as two (2, N) arrays:
+
+        source_P = (p-1-alpha)/(p-1) r^delta f1(r) g1(v)
+        source_S = r^(n-1) f2(r) g2(v) g3(u')
+
+    g3(u') is read as sum_i a_i exp(e_i log u'), with log u' the third row of
+    ``Trajectory.logs``, so each term stays resolved where the float u' is
+    subnormal or 0, where ``g3(du)`` would keep only the constant terms; a
+    term of exponent 0 is its coefficient.  The only place the sources are
+    formed: ``check_convexity_bounds`` and ``flux_consistency`` read them
+    here.  They are the sources of the trajectory's own system, so a
+    ``system`` that differs from ``traj.system`` in anything but ``r_max``
+    raises ``ValueError``: its p, n or alpha beside them would mix two
+    systems.  ``r_max`` may differ: ``integrate_radial`` takes its own.
+    """
+    s, r = traj.system, traj.r
+    if replace(system, r_max=s.r_max) != s:
+        raise ValueError(f"system {system} is not the trajectory's own system {s}, r_max aside")
+    log_du = traj.logs()[2]
+    g3 = 0.0
+    for coeff, expo in s.g3.terms:
+        g3 = g3 + (coeff if expo == 0.0 else coeff * np.exp(expo * log_du))
+    coef = (s.p - 1.0 - s.alpha) / (s.p - 1.0)
+    source = np.stack((coef * r**s.delta * s.f1(r) * s.g1(traj.v), r ** (s.n - 1) * s.f2(r) * s.g2(traj.v) * g3))
+    return np.stack((traj.P, traj.S)), source
+
+
 @dataclass
 class EquationBounds:
     worst_lower_margin: float  # min of 1 - c - sigma; negative = violation
@@ -215,7 +249,7 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
     """Check the two-sided sandwiches on the flux derivatives.
 
     With the flux sources source_P = (p-1-alpha)/(p-1) r^delta f1(r) g1(v)
-    and source_S = r^(n-1) f2(r) g2(v) g3(u') (``Trajectory.flux_sources``),
+    and source_S = r^(n-1) f2(r) g2(v) g3(u') (``_fluxes_and_sources``),
     and the fluxes P = r^delta (u')^(p-1-alpha) and S = r^(n-1) (v')^(p-1),
     the exact relations
 
@@ -235,11 +269,10 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
     ``r_max`` raises ``ValueError``: its p, n and alpha would be set against
     the sources of the trajectory's own system.
     """
-    _require_own_system(traj, system)
+    flux, source = _fluxes_and_sources(traj, system)
     p, n, alpha = system.p, system.n, system.alpha
     r = traj.r
-    source = traj.flux_sources()
-    sigma = np.array([[system.delta], [n - 1.0]]) * np.stack((traj.P, traj.S)) / (r * source)
+    sigma = np.array([[system.delta], [n - 1.0]]) * flux / (r * source)
     sigma = np.where(np.isfinite(source), sigma, np.nan)
     lower = 1.0 - np.array([[(p - 1.0) / (n * (p - 1.0 - alpha) + alpha)], [1.0 / n]]) - sigma
     worst_lower, worst_upper = np.min(lower, axis=1).tolist(), np.min(sigma, axis=1).tolist()
@@ -247,6 +280,66 @@ def check_convexity_bounds(traj: Trajectory, system: ValidatedSystem, tol: float
     first, second = map(EquationBounds, worst_lower, worst_upper, r_lower, r_upper)
     passed = all(m >= -tol for m in worst_lower + worst_upper)
     return BoundsReport(first_equation=first, second_equation=second, slack=tol, passed=passed)
+
+
+# the 6-point Gauss-Legendre rule on [-1, 1], np.polynomial.legendre.leggauss(6)
+# bit for bit, written out so the check never imports numpy.polynomial
+_GAUSS_NODES = np.array([-0.93246951420315194, -0.66120938646626448, -0.23861918608319690,
+                         0.23861918608319690, 0.66120938646626448, 0.93246951420315194])
+_GAUSS_WEIGHTS = np.array([0.17132449237917027, 0.36076157304813872, 0.46791393457269104,
+                           0.46791393457269104, 0.36076157304813872, 0.17132449237917027])
+
+
+def _cumulative_power_quadrature(r: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Cumulative integrals of a (K, N) stack of positive, power-law-like integrands over r.
+
+    Works in x = log r: each integrand is lifted to psi = log(values * r) and a
+    local cubic fit of psi (four neighbouring nodes) is integrated per
+    interval with 6-point Gauss-Legendre.  The nodes are the same for every
+    row, so each interval makes one ``np.polyfit`` call with a K-column
+    right-hand side and the rows share it.  Exact to rounding for pure powers
+    of r, and high-order for the smooth log-curvature of validated runs: the
+    truncation error falls as about h^4 in the grid spacing h, so the grid's
+    points per decade, not the stepper's tolerance, set the defect it leaves.
+    """
+    x = np.log(r)
+    psi = np.log(np.maximum(values, 1e-300)) + x
+    # an infinite psi would make the least-squares solve rescale every row's
+    # right-hand side by 1/inf; as NaN it spoils only its own row
+    psi[np.isinf(psi)] = np.nan
+    out = np.zeros(psi.shape)
+    count = len(r)
+    for i in range(count - 1):
+        lo = max(0, i - 1)
+        hi = min(count, i + 3)
+        xc = x[lo:hi] - x[i]
+        coeffs = np.polyfit(xc, psi[:, lo:hi].T, deg=len(xc) - 1)
+        half = 0.5 * (x[i + 1] - x[i])
+        local = half * (_GAUSS_NODES + 1.0)  # map [-1, 1] onto [0, x_{i+1}-x_i]
+        out[:, i + 1] = out[:, i] + half * (_GAUSS_WEIGHTS @ np.exp(np.polyval(coeffs, local[:, None])))
+    return out
+
+
+def flux_consistency(traj: Trajectory, system: ValidatedSystem) -> float:
+    """Worst relative defect between the fluxes and quadrature of their RHS.
+
+    The right-hand sides are the sources of the trajectory's own system at
+    the stored states (``_fluxes_and_sources``); a ``system`` that differs
+    from it in anything but ``r_max`` raises ``ValueError``.  They are
+    integrated cumulatively from the startup radius by a scheme independent
+    of the stepper, both in one quadrature pass that shares each interval's
+    fit; the defect at each grid point compares flux increments with the
+    quadrature.  Converged runs score well below 1e-6; corrupting a single
+    state is immediately visible.  The defect is the quadrature's own
+    truncation, so it depends on the points per decade, not on ``tol``.  The
+    defects of P and S form one (2, N) array reduced by one ``np.max``, so a
+    NaN or infinite defect fails.
+    """
+    flux, source = _fluxes_and_sources(traj, system)
+    quad = _cumulative_power_quadrature(traj.r, source)
+    inc = flux - flux[:, :1]
+    denom = np.maximum(np.maximum(np.abs(inc), np.abs(quad)), 1e-300)
+    return float(np.max(np.abs(inc - quad)[:, 1:] / denom[:, 1:]))
 
 
 @dataclass

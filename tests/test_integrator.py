@@ -35,7 +35,7 @@ from plap import (
     startup_state,
     system_from_config,
 )
-from plap import integrator
+from plap import integrator, verify
 from plap.integrator import _DP_A, _DP_C, _DP_DENSE, _DP_ERR, _step_loop, dormand_prince_step
 from plap.profile import _linearisation
 from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, g3_at_log_gradient, sample_integration_system
@@ -1574,8 +1574,8 @@ def test_underflow_when_the_startup_powers_of_r0_underflow():
 
 def test_gauss_legendre_constants_are_leggauss_bit_for_bit():
     nodes, weights = np.polynomial.legendre.leggauss(6)
-    assert integrator._GAUSS_NODES.tobytes() == nodes.tobytes()
-    assert integrator._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+    assert verify._GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert verify._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def _flux_integrands(traj, system):
@@ -1595,10 +1595,10 @@ def test_quadrature_rows_share_a_fit_without_mixing(config, points_per_decade):
     system = system_from_config(config)
     traj = integrate_radial(system, 1.0, 1.0, 1e-9, points_per_decade=points_per_decade)
     values = _flux_integrands(traj, system)
-    both = integrator._cumulative_power_quadrature(traj.r, values)
+    both = verify._cumulative_power_quadrature(traj.r, values)
     assert both.shape == values.shape
     for i in range(2):
-        alone = integrator._cumulative_power_quadrature(traj.r, values[i : i + 1])[0]
+        alone = verify._cumulative_power_quadrature(traj.r, values[i : i + 1])[0]
         np.testing.assert_allclose(both[i], alone, rtol=1e-13, atol=0.0)
 
 
@@ -1606,7 +1606,7 @@ def test_quadrature_is_exact_for_two_pure_powers_in_one_call():
     r = geometric_grid(1e-6, 1e4, 64)
     coeffs = np.array([[3.0], [0.5]])
     powers = np.array([[2.0], [0.7]])
-    got = integrator._cumulative_power_quadrature(r, coeffs * r**powers)
+    got = verify._cumulative_power_quadrature(r, coeffs * r**powers)
     exact = coeffs * (r ** (powers + 1) - r[0] ** (powers + 1)) / (powers + 1)
     assert got[:, 0].tolist() == [0.0, 0.0]
     np.testing.assert_allclose(got[:, 1:], exact[:, 1:], rtol=1e-13, atol=0.0)
@@ -1620,9 +1620,9 @@ def test_nonfinite_sample_spoils_only_its_own_row(row, bad):
     r = geometric_grid(1e-6, 1e4, 64)
     values = np.stack((3.0 * r**2, 0.5 * r**0.7))
     values[row, len(r) // 2] = bad
-    got = integrator._cumulative_power_quadrature(r, values)
+    got = verify._cumulative_power_quadrature(r, values)
     other = 1 - row
-    alone = integrator._cumulative_power_quadrature(r, values[other : other + 1])[0]
+    alone = verify._cumulative_power_quadrature(r, values[other : other + 1])[0]
     assert np.all(np.isfinite(got[other]))
     np.testing.assert_allclose(got[other], alone, rtol=1e-13, atol=0.0)
     assert np.isnan(got[row, -1])

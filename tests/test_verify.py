@@ -34,7 +34,7 @@ from plap import (
     solve_profile,
     system_from_config,
 )
-from plap import integrator
+from plap import verify
 from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK, BoundsReport, EquationBounds
 from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, g3_at_log_gradient, sample_integration_system
 
@@ -641,6 +641,22 @@ def test_tiny_second_datum_passes_or_fails_typed(p3_system):
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")), ids=lambda path: path.stem
+)
+def test_verdict_and_v_w_y_do_not_depend_on_a(path):
+    """u enters no rate, so (u + c, v) solves the system whenever (u, v)
+    does: the verdict and V, W and Y are the same at the config's own a and
+    at a = 1e-300.  Not bit for bit, since log u is in the step's error
+    norm: the logs of V, W and Y differ by at most 8.9e-12 (``steep``)."""
+    cfg = json.loads(path.read_text())
+    system, b, tol = system_from_config(cfg), cfg.get("b", 1.0), cfg.get("tol", 1e-9)
+    own, _, qs_own = run_verification(system, cfg.get("a", 1.0), b, tol)
+    tiny, _, qs_tiny = run_verification(system, 1e-300, b, tol)
+    assert own.passed == tiny.passed
+    np.testing.assert_allclose(qs_tiny.log[1:], qs_own.log[1:], rtol=0.0, atol=1e-10)
+
+
 def _subnormal_start_report(alpha, g3):
     cfg = dict(P3_CONFIG, alpha=alpha, r_max=1e4, g1=[[1.0, 0.001]], g3=g3)
     return run_verification(system_from_config(cfg), 1.0, 1.0, 1e-9)
@@ -814,21 +830,21 @@ def test_g3_is_read_at_log_gradient_where_the_gradient_underflows():
     coef = (system.p - 1.0 - system.alpha) / (system.p - 1.0)
     rhs_P = coef * r**system.delta * system.f1(r) * system.g1(traj.v)
     rhs_S = r ** (n - 1) * system.f2(r) * system.g2(traj.v) * g3
-    assert np.array_equal(traj.flux_sources(), np.stack((rhs_P, rhs_S)))
+    assert np.array_equal(verify._fluxes_and_sources(traj, system)[1], np.stack((rhs_P, rhs_S)))
     sigma2 = (n - 1.0) * traj.S / (r * rhs_S)
     second = report.convexity_bounds.second_equation
     assert second.r_at_upper in r[zero]
     assert second.worst_upper_margin == float(np.min(sigma2))
-    quad = integrator._cumulative_power_quadrature(r, np.stack((rhs_P, rhs_S)))
+    quad = verify._cumulative_power_quadrature(r, np.stack((rhs_P, rhs_S)))
     inc = np.stack((traj.P - traj.P[0], traj.S - traj.S[0]))
     defect = np.abs(inc - quad)[:, 1:] / np.maximum(np.maximum(np.abs(inc), np.abs(quad)), 1e-300)[:, 1:]
     assert flux_consistency(traj, system) == float(np.max(defect))
 
 
 def test_flux_consistency_refuses_another_system(p3_traj, p3_system, poisson_system):
-    """The quadrature reads ``traj.flux_sources()``, so a ``system`` other
-    than ``traj.system`` would be ignored; it is refused, and only ``r_max``
-    may differ."""
+    """The quadrature reads the sources of ``traj.system`` from
+    ``_fluxes_and_sources``, so a ``system`` other than ``traj.system`` would
+    be ignored; it is refused, and only ``r_max`` may differ."""
     with pytest.raises(ValueError, match="not the trajectory's own system"):
         flux_consistency(p3_traj, poisson_system)
     with pytest.raises(ValueError, match="not the trajectory's own system"):
