@@ -371,17 +371,12 @@ _DP_A = (
 )
 # difference between the 5th and the embedded 4th order weights
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# the free 4th-order continuous extension (Hairer, Norsett and Wanner,
-# Solving ODEs I, II.6): y(t + theta h) = y + h sum_j k_j b_j(theta), with
-# b_j(theta) = sum_q _DP_DENSE[j][q] theta^(q+1); scipy's ``RK45.P``, as reprs
-_DP_DENSE = (
-    (1.0, -2.8535800653862835, 3.0717434641059005, -1.1270175653862835),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 4.023133379230305, -6.249321565289, 2.675424484351598),
-    (0.0, -3.7324019615885042, 10.068970589843675, -5.685526961588504),
-    (0.0, 2.5548038301849423, -6.399112377351017, 3.5219323679207912),
-    (0.0, -1.3744241142186024, 3.272657752246729, -1.7672812570757455),
-    (0.0, 1.3824689317781436, -3.764937863556287, 2.382468931778144),
+# the free 4th-order continuous extension in DOPRI5's form (Hairer, Norsett and
+# Wanner, Solving ODEs I, II.6; CONTD5 in dopri5.f): the weights d_j of its
+# quartic term, the last column of scipy's ``RK45.P`` (``_dp_dense_lines``)
+_DP_D = (
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
 )
 
 
@@ -429,15 +424,25 @@ def _dp_stage_lines(dim: int, t: str, h: str, evaluate: Callable) -> list[str]:
     return lines
 
 
-def _dp_dense_lines(dim: int) -> list[str]:
-    """The continuous extension's coefficient sums of one step, as source lines.
+def _dp_dense_lines(dim: int, h: str) -> list[str]:
+    """The continuous extension's coefficients of one step, as source lines.
 
-    ``q{q}_m`` is column q of ``_DP_DENSE`` against the stages ``k1_m`` to
-    ``k7_m``, written by ``_weighted_sum`` as the stages are, so the value
-    at ``theta`` is ``y_m + h * (theta * (q0_m + theta * (q1_m + theta *
-    (q2_m + theta * q3_m))))``, Horner's form of y + h sum_j k_j b_j(theta).
+    They read the state ``y{m}``, the 5th-order solution ``s7_{m}``, the
+    stages ``k1_{m}`` to ``k7_{m}`` (FSAL) and the step named ``h``, and
+    leave DOPRI5's four coefficients per component:
+
+        c1 = s7 - y,  c2 = h k1 - c1,  c3 = c1 - h k7 - c2,  c4 = h sum_j d_j k_j
+
+    with the ``_DP_D`` weights written by ``_weighted_sum`` as the tableau's
+    are.  The value at ``theta`` is then ``y + theta * (c1 + (1 - theta) *
+    (c2 + theta * (c3 + (1 - theta) * c4)))``, which is y + h sum_j k_j
+    b_j(theta) with scipy's ``RK45.P`` rows as the b_j, exactly in rational
+    arithmetic: a quartic that is s7 at theta = 1 and has slope h k1 at 0
+    and h k7 at 1, and d_j as its theta^4 weights.
     """
-    return [f"q{q}_{m} = {_weighted_sum([row[q] for row in _DP_DENSE], m)}" for q in range(4) for m in range(dim)]
+    line = "c1_{m} = s7_{m} - y{m}; c2_{m} = {h} * k1_{m} - c1_{m}; c3_{m} = c1_{m} - {h} * k7_{m} - c2_{m}"
+    lines = [line.format(m=m, h=h) for m in range(dim)]
+    return lines + [f"c4_{m} = {h} * ({_weighted_sum(_DP_D, m)})" for m in range(dim)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -601,13 +606,15 @@ def _stability_weights(system: ValidatedSystem) -> tuple[float, tuple[float, ...
 # evaluated, so attempts that land pay nothing for it.  If ``h_pass`` still
 # reaches past, the attempt passes: it tries ``h_pass``, held to ``pass_tol``
 # (``held`` is pass_tol / tol against the scaled estimate), towards the last
-# radius; the rows it passes are read from the continuous extension
-# (``_dp_dense_lines``), then ``exp``.  Such an attempt that fails is
-# rejected as ``error`` and the next one lands.  Otherwise it tries ``h``,
-# held to ``tol``, towards the next radius, ``times[i]``.  One rule ends every
-# attempt: it lands on its end radius ``times[end]`` exactly when
-# ``times[end] - t <= h_try``, and then ``h_try`` is that rest of the way.
-# One block sets both proposals, then the branches only keep their books,
+# radius; the rows it passes are read from the continuous extension in
+# DOPRI5's form: ``_dp_dense_lines`` forms its four coefficients per component
+# once per accepted attempt that passes, and each row costs ``eta`` = 1 -
+# theta, then one nested product and ``exp`` per component.  Such an attempt
+# that fails is rejected as ``error`` and the next one lands.  Otherwise it
+# tries ``h``, held to ``tol``, towards the next radius, ``times[i]``.  One
+# rule ends every attempt: it lands on its end radius ``times[end]`` exactly
+# when ``times[end] - t <= h_try``, and then ``h_try`` is that rest of the
+# way.  One block sets both proposals, then the branches only keep their books,
 # and one test of the 1e-14 floor covers every ``h`` the controller shrinks,
 # accepted or rejected.  The grid rows go one after another into the flat
 # list ``rows``, and ``_step_loop`` builds one array from it at the end.  Per
@@ -689,6 +696,7 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
                 first = i
                 while i < last and times[i] < t_new:
                     theta = (times[i] - t) / h_try
+                    eta = 1.0 - theta
                     rows += ({rows})
                     i += 1
                 interpolated += i - first
@@ -764,7 +772,7 @@ def _dp_loop(dim: int) -> Callable:
         max_steps=_MAX_STEPS,
     )
     stages = _dp_stage_lines(dim, "t", "h_try", functools.partial(_log_rate_lines, dim))
-    row = "exp(y{m} + h_try * (theta * (q0_{m} + theta * (q1_{m} + theta * (q2_{m} + theta * q3_{m})))))"
+    row = "exp(y{m} + theta * (c1_{m} + eta * (c2_{m} + theta * (c3_{m} + eta * c4_{m}))))"
     source = _LOOP_SOURCE.format(
         x=_unpack("x", dim),
         y=_unpack("y", dim),
@@ -774,7 +782,7 @@ def _dp_loop(dim: int) -> Callable:
         finite=f"({_each('s7_{m} + err_{m}', dim, ' + ')}) * 0.0 == 0.0",
         norm=_each(_NORM_LINES, dim, "\n"),
         reach=_each(_REACH_LINES, dim, "\n"),
-        dense="\n".join(f"                {line}" for line in _dp_dense_lines(dim)),
+        dense="\n".join(f"                {line}" for line in _dp_dense_lines(dim, "h_try")),
         rows=_each(row, dim, ", ") + ",",
         y_is_s7=_each("y{m} = s7_{m}", dim, "; "),
         x_is_x7=_each("x{m} = x7_{m}", dim, "; "),

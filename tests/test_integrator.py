@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from plap import (
     system_from_config,
 )
 from plap import integrator, verify
-from plap.integrator import _DP_A, _DP_C, _DP_DENSE, _DP_ERR, _step_loop, dormand_prince_step
+from plap.integrator import _DP_A, _DP_C, _DP_D, _DP_ERR, _step_loop, dormand_prince_step
 from plap.profile import _linearisation
 from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, g3_at_log_gradient, sample_integration_system
 
@@ -203,11 +204,54 @@ def test_startup_rejects_nonpositive_inputs(poisson_system):
 # ---------------------------------------------------------------------------
 
 
+# scipy's ``RK45.P`` as the rationals ``scipy/integrate/_ivp/rk.py`` writes:
+# row j holds the weights of theta to theta^4 for stage j
+_RK45_P_EXACT = [
+    [Fraction(w) for w in row.split()]
+    for row in (
+        "1 -8048581381/2820520608 8663915743/2820520608 -12715105075/11282082432",
+        "0 0 0 0",
+        "0 131558114200/32700410799 -68118460800/10900136933 87487479700/32700410799",
+        "0 -1754552775/470086768 14199869525/1410260304 -10690763975/1880347072",
+        "0 127303824393/49829197408 -318862633887/49829197408 701980252875/199316789632",
+        "0 -282668133/205662961 2019193451/616988883 -1453857185/822651844",
+        "0 40617522/29380423 -110615467/29380423 69997945/29380423",
+    )
+]
+
+
 def test_continuous_extension_is_scipys_rk45_dense_output_bit_for_bit():
-    """``_DP_DENSE`` is ``RK45.P``; at theta = 1 it gives the 5th-order weights."""
-    assert _DP_DENSE == tuple(map(tuple, RK45.P.tolist()))
-    b1 = [sum(row) for row in _DP_DENSE]
-    assert b1 == pytest.approx(list(_DP_A[6]) + [0.0], abs=1e-15)
+    """DOPRI5's form of the continuous extension, c1 = s7 - y, c2 = h k1 - c1,
+    c3 = c1 - h k7 - c2 and c4 = h sum_j d_j k_j, read at
+    y + theta (c1 + (1 - theta)(c2 + theta (c3 + (1 - theta) c4))), is
+    scipy's ``RK45.P`` stage by stage in exact rational arithmetic: with
+    y = 0, h = 1 and k the j-th unit stage, its quartic in theta is row j of
+    the rationals that ``RK45.P`` rounds, and the d_j (``_DP_D``) are their
+    last column.  The quartic has slope k1 at theta = 0 and k7 (FSAL) at
+    theta = 1, and at theta = 1 it gives the 5th-order weights."""
+    assert [[float(w) for w in row] for row in _RK45_P_EXACT] == RK45.P.tolist()
+    assert _DP_D == tuple(float(row[3]) for row in _RK45_P_EXACT)
+    b = [Fraction(w) for w in "35/384 0 500/1113 125/192 -2187/6784 11/84 0".split()]
+    assert tuple(map(float, b)) == (*_DP_A[6], 0.0)
+
+    def plus(c, poly):  # c + poly, coefficients from theta^0 up
+        return [c + poly[0], *poly[1:]]
+
+    def theta_times(poly):
+        return [0, *poly]
+
+    def eta_times(poly):  # (1 - theta) poly
+        return [c - d for c, d in zip([*poly, 0], [0, *poly])]
+
+    for j, row in enumerate(_RK45_P_EXACT):
+        k1, k7 = int(j == 0), int(j == 6)
+        c1 = b[j]
+        c2 = k1 - c1
+        c3 = c1 - k7 - c2
+        poly = theta_times(plus(c1, eta_times(plus(c2, theta_times(plus(c3, eta_times([row[3]])))))))
+        assert poly == [0, *row]
+        assert poly[1] == k1 and sum(q * w for q, w in enumerate(poly)) == k7
+        assert sum(poly) == b[j]
 
 
 def test_embedded_step_error_estimate_on_scalar_problem():
@@ -680,17 +724,27 @@ def _reference_step(f, r, y, h, k1, stages=None):
     return y_new, h * err, k[6]
 
 
-def _reference_dense(y, h, k, theta):
-    """y + h sum_j k_j b_j(theta) in Horner's form, each coefficient summed
-    left to right over the nonzero entries of its ``_DP_DENSE`` column."""
-    q = []
-    for col in range(4):
-        weights = [(w[col], kj) for w, kj in zip(_DP_DENSE, k) if w[col] != 0.0]
-        acc = weights[0][0] * weights[0][1]
-        for w, kj in weights[1:]:
-            acc = acc + w * kj
-        q.append(acc)
-    return y + h * (theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3]))))
+def _reference_dense(y, y_new, h, k, theta):
+    """The continuous extension in DOPRI5's form, as the loop writes it: c4 =
+    h sum_j d_j k_j summed left to right over the nonzero ``_DP_D``, then
+    y + theta (c1 + eta (c2 + theta (c3 + eta c4))) with eta = 1 - theta."""
+    c1 = y_new - y
+    c2 = h * k[0] - c1
+    c3 = c1 - h * k[6] - c2
+    acc = _DP_D[0] * k[0]
+    for d, kj in zip(_DP_D[1:], k[1:]):
+        if d != 0.0:
+            acc = acc + d * kj
+    c4 = h * acc
+    eta = 1.0 - theta
+    return y + theta * (c1 + eta * (c2 + theta * (c3 + eta * c4)))
+
+
+def _rk45_dense(y, h, k, theta):
+    """The same extension as y + h sum_j k_j b_j(theta), Horner's form in theta
+    over the coefficient rows of scipy's ``RK45.P``."""
+    q = np.array(k).T @ RK45.P
+    return y + h * (theta * (q[:, 0] + theta * (q[:, 1] + theta * (q[:, 2] + theta * q[:, 3]))))
 
 
 def _reference_proposal(h_try, enorm, scale=1.0, factors=None):
@@ -720,7 +774,7 @@ def _log_rates(f, r, logs):
         return np.full(len(logs), math.nan)
 
 
-def _reference_propagate(f, grid, y0, tol, factors=None, weights=None):
+def _reference_propagate(f, grid, y0, tol, factors=None, weights=None, dense_gaps=None):
     """The step loop on numpy arrays: log y against log r, sampled on every grid radius.
 
     Each estimate proposes ``h`` against ``tol`` and ``h_pass`` against
@@ -734,7 +788,9 @@ def _reference_propagate(f, grid, y0, tol, factors=None, weights=None):
     way to the next radius, held to ``tol``.  Returns the states, the
     accepted and rejected attempts and the rows read from the extension.  A
     ``factors`` list collects the step factor of ``h`` on every attempt whose
-    estimate is finite and nonzero, as ``min(5.0, max(0.1, ...))`` clamps it."""
+    estimate is finite and nonzero, as ``min(5.0, max(0.1, ...))`` clamps it.
+    A ``dense_gaps`` list collects, for every row read from the extension, the
+    largest difference in log between its DOPRI5 form and ``RK45.P``'s."""
     times = np.log(np.asarray(grid, dtype=float))
     x = np.asarray(y0, dtype=float)
     if not np.all((0.0 < x) & (x <= 1e250)):
@@ -788,7 +844,10 @@ def _reference_propagate(f, grid, y0, tol, factors=None, weights=None):
                     r_new, t_new = math.exp(t + h_try), t + h_try
                 while passing and i < last and times[i] < t_new:
                     theta = (float(times[i]) - t) / h_try
-                    out[i] = [math.exp(v) for v in _reference_dense(y, h_try, k, theta)]
+                    logs = _reference_dense(y, y_new, h_try, k, theta)
+                    if dense_gaps is not None:
+                        dense_gaps.append(float(np.max(np.abs(logs - _rk45_dense(y, h_try, k, theta)))))
+                    out[i] = [math.exp(v) for v in logs]
                     interpolated += 1
                     i += 1
                 r, t = r_new, t_new
@@ -805,12 +864,13 @@ def _reference_propagate(f, grid, y0, tol, factors=None, weights=None):
     return out, accepted, rejected, interpolated
 
 
-def _reference_trajectory(system, tol, r_max, points_per_decade):
+def _reference_trajectory(system, tol, r_max, points_per_decade, dense_gaps=None):
     """States, accepted and rejected steps of ``integrate_radial(system, 1, 1, ...)`` from the numpy loop."""
     grid = geometric_grid(1e-6 * min(1.0, r_max), r_max, points_per_decade)
     start = startup_state(system, 1.0, 1.0, float(grid[0]))
     y0 = [start.u, start.v, start.P, start.S]
-    return _reference_propagate(_reference_rhs(system), grid, y0, tol, weights=integrator._stability_weights(system)[1])
+    weights = integrator._stability_weights(system)[1]
+    return _reference_propagate(_reference_rhs(system), grid, y0, tol, weights=weights, dense_gaps=dense_gaps)
 
 
 # the pure-power system of the ROADMAP baseline, with every growth law and
@@ -833,10 +893,13 @@ MIXED_POWER_CONFIG = dict(
 )
 def test_integrate_radial_matches_numpy_reference_bit_for_bit(config, tol, r_max, points_per_decade):
     """The generated right-hand side and loop against ``_reference_rhs`` in
-    ``_reference_propagate``: the same states and step counts, to the bit."""
+    ``_reference_propagate``: the same states and step counts, to the bit.
+    The rows read from the continuous extension agree with ``RK45.P``'s
+    Horner form to 1e-13 in log."""
     system = system_from_config(config)
     traj = integrate_radial(system, 1.0, 1.0, tol, r_max=r_max, points_per_decade=points_per_decade)
-    expected, accepted, rejected, interpolated = _reference_trajectory(system, tol, r_max, points_per_decade)
+    gaps = []
+    expected, accepted, rejected, interpolated = _reference_trajectory(system, tol, r_max, points_per_decade, gaps)
     assert np.array_equal(np.column_stack((traj.u, traj.v, traj.P, traj.S)), expected)
     meta = traj.meta
     assert (meta["steps_accepted"], meta["steps_rejected"], meta["rows_interpolated"]) == (
@@ -844,6 +907,7 @@ def test_integrate_radial_matches_numpy_reference_bit_for_bit(config, tol, r_max
         rejected,
         interpolated,
     )
+    assert len(gaps) == interpolated and max(gaps, default=0.0) <= 1e-13
     if points_per_decade == 1:
         assert rejected > 0
     if config in (P3_CONFIG, SWEEP_LIKE_CONFIG) and points_per_decade == 64:
