@@ -590,21 +590,24 @@ def _stability_weights(system: ValidatedSystem) -> tuple[float, tuple[float, ...
 # where per-term tests would pass it on to the error norm, which rejects it
 # for its error (h * 0.1), or, on an estimate within ``tol``, to the overflow
 # test.  The error norm is the largest component, so each log is held to
-# ``tol``.  Comparisons form it, ``max(0.0, abs(err_0), ...)`` without the
+# ``tol``.  Comparisons form it, ``max(1e-300, abs(err_0), ...)`` without the
 # builtin calls, and clamp the step factor as ``min(5.0, max(0.1, ...))``
 # would; on finite operands they give the same floats, and only finite
-# estimates reach them.  ``-t if t < 0.0 else t`` is ``abs(t)`` in the
-# landing test.
+# estimates reach them.  The floor 1e-300 keeps ``enorm**-0.2`` defined on a
+# zero estimate (exact on straight lines), where a float 0.0 would raise;
+# any estimate that small clamps both factors to exactly 5.0.
+# ``-t if t < 0.0 else t`` is ``abs(t)`` in the landing test.
 #
 # Each estimate proposes two next steps by one formula: ``h`` against ``tol``
 # and ``h_pass`` against ``pass_tol`` (``_pass_tol``), whose factor is h's
-# times ``pass_scale`` = (pass_tol / tol)^0.2 before the clamp.  Where
-# ``h_pass`` reaches past the next grid radius, short of the last, it is
-# capped to h_pass * reach <= 1, where ``reach`` = max(0.0, w0 * k1_0, ...)
-# weighs the rates at the start by ``weights`` (``_stability_weights``; zeros
-# cap nothing, infinities cap every pass to 0).  Only here is the cap
-# evaluated, so attempts that land pay nothing for it.  If ``h_pass`` still
-# reaches past, the attempt passes: it tries ``h_pass``, held to ``pass_tol``
+# times ``pass_scale`` = (pass_tol / tol)^0.2 before the clamp.  Every attempt
+# first caps ``h_pass`` to h_pass * reach <= 1, where ``reach`` = max(0.0,
+# w0 * k1_0, ...) weighs the rates at its start by ``weights``
+# (``_stability_weights``; zeros cap nothing, infinities cap every pass to
+# 0).  An attempt that does not pass never reads ``h_pass``, and the
+# controller sets it anew after every attempt.  If the capped ``h_pass``
+# reaches past the next grid radius, short of the last, the attempt passes:
+# it tries ``h_pass``, held to ``pass_tol``
 # (``held`` is pass_tol / tol against the scaled estimate), towards the last
 # radius; the rows it passes are read from the continuous extension in
 # DOPRI5's form: ``_dp_dense_lines`` forms its four coefficients per component
@@ -649,13 +652,11 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
                 break
             i += 1
             continue
-        passing = h_pass > remaining and i < last
-        if passing:
-            reach = 0.0
+        reach = 0.0
 {reach}
-            if h_pass * reach > 1.0:
-                h_pass = 1.0 / reach
-                passing = h_pass > remaining
+        if h_pass * reach > 1.0:
+            h_pass = 1.0 / reach
+        passing = h_pass > remaining and i < last
         if passing:
             held, end, h_try = pass_ratio, last, h_pass
         else:
@@ -666,12 +667,10 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
 {stages}
         enorm = inf
         if {finite}:
-            enorm = 0.0
+            enorm = 1e-300
 {norm}
             enorm = enorm / tol
-        if enorm == 0.0:
-            h = h_pass = h_try * 5.0
-        elif enorm < inf:
+        if enorm < inf:
             factor = 0.8 * enorm**-0.2
             factor_pass = factor * pass_scale
             if factor < 0.1:
@@ -733,7 +732,7 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
     }}
 """
 
-# one component's part of ``enorm = max(0.0, abs(err_0), ...)`` in the loop
+# one component's part of ``enorm = max(1e-300, abs(err_0), ...)`` in the loop
 _NORM_LINES = """\
             if err_{m} > enorm:
                 enorm = err_{m}
@@ -741,8 +740,8 @@ _NORM_LINES = """\
                 enorm = -err_{m}"""
 # one component's part of ``reach = max(0.0, w0 * k1_0, ...)`` in the loop
 _REACH_LINES = """\
-            if w{m} * k1_{m} > reach:
-                reach = w{m} * k1_{m}"""
+        if w{m} * k1_{m} > reach:
+            reach = w{m} * k1_{m}"""
 
 
 @functools.lru_cache(maxsize=16)
@@ -805,11 +804,12 @@ def _step_loop(
     ``_dp_loop`` steps log y against log r and holds the error estimate of every
     component of log y to ``tol``, a relative tolerance on y, and to
     ``_pass_tol(tol)`` = tol/100 in [1e-14, 5e-12] on an attempt that passes
-    grid radii: one passes them where the step that hold allows, capped to
+    grid radii.  Each attempt caps the step that hold allows once, to
     h max_m(w_m rho_m) <= 1 on the per-component ``weights`` w and the rates
-    rho at the attempt's start, reaches past the next radius, and its rows are
-    read from the Dormand-Prince continuous extension.  ``weights`` defaults
-    to zeros, no cap; ``integrate_radial`` passes ``_stability_weights``.
+    rho at its start, and passes where the capped step reaches past the next
+    radius, short of the last; the rows it passes are read from the
+    Dormand-Prince continuous extension.  ``weights`` defaults to zeros, no
+    cap; ``integrate_radial`` passes ``_stability_weights``.
     Every other attempt is held to ``tol``.  One rule ends both: an attempt
     lands on its end radius, the last for one that passes and the next for
     any other, exactly when the rest of the way there is at most its step,

@@ -772,34 +772,73 @@ _LOOSE_TOL_CONFIG = {
 }
 
 
+def _unstable_landing(points_per_decade, h_kappa, reading):
+    """A strict xfail: the landing steps of this grid run past DP5's real stability limit."""
+    return pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=f"landing steps on {points_per_decade} points per decade run at h kappa = {h_kappa}, past "
+        f"DP5's real stability limit 3.31 (ROADMAP item 13(d)): {reading}",
+    )
+
+
 @pytest.mark.parametrize(
     "points_per_decade, tol",
     [
-        pytest.param(
-            8,
-            4.4e-7,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="the fixed 1e-8 monotonicity slack sits below the step error that tol 4.4e-7 "
-                "allows at 8 points per decade: U rises by 2.66e-7 at r = 4523",
-            ),
-        ),
+        pytest.param(8, 4.4e-7, marks=_unstable_landing(8, 8.83, "U rises by 2.66e-7 at r = 4523")),
+        pytest.param(16, 4.4e-7, marks=_unstable_landing(16, 4.41, "U rises by 2.92e-7 at r = 296")),
+        (24, 4.4e-7),
         (64, 4.4e-7),
         (8, 1e-9),
     ],
-    ids=["8-tol=4.4e-7", "64-tol=4.4e-7", "8-tol=1e-9"],
+    ids=["8-tol=4.4e-7", "16-tol=4.4e-7", "24-tol=4.4e-7", "64-tol=4.4e-7", "8-tol=1e-9"],
 )
 def test_loose_tol_instance_passes(points_per_decade, tol):
     """Ordering and the sandwiches pass, and every limit is within 1.7e-8 of
-    1.  At 8 points per decade and tol 4.4e-7 U still rises by 2.66e-7, far
-    above ``_SLACK``; at tol 1e-9 the rise is 6.76e-10, so it scales with
-    ``tol``, and at 64 points per decade U decreases."""
+    1.  kappa is 30.68, so a step that lands on the next radius runs at
+    h kappa = 30.68 ln(10) / points_per_decade: 8.83 at 8, 4.41 at 16 and
+    2.94 at 24.  Past DP5's real stability limit 3.31, U rises by 2.66e-7 at
+    8 per decade and tol 4.4e-7, and by 2.92e-7 at 16, though each landing
+    step halved.  From 24 per decade, at the same tol, U decreases (worst
+    increase -2.8e-13).  So the rise is the error of unstable landing steps,
+    not a floor that tol sets against ``_SLACK``; at tol 1e-9 it is 6.76e-10,
+    below the slack."""
     report, _, _ = run_verification(
         system_from_config(_LOOSE_TOL_CONFIG), 1.866, 0.688, tol, points_per_decade=points_per_decade
     )
     assert report.ordering.passed and report.convexity_bounds.passed
     assert all(abs(est.value - 1.0) < 1.7e-8 for est in report.limits.values())
+    assert report.passed
+
+
+# another admissible draw of the strategy above: kappa 14.21
+_UNSTABLE_ORDERING_CONFIG = {
+    "p": 1.993,
+    "n": 5,
+    "alpha": 0.1445,
+    "r_max": 1556,
+    "f1": [[0.7084, 1.571]],
+    "f2": [[0.8968, 1.436]],
+    "g1": [[1, 0.5477]],
+    "g2": [[1, 0.007258]],
+    "g3": [[0.8192, 0.02019], [1, 0.529]],
+}
+
+
+@pytest.mark.parametrize(
+    "points_per_decade",
+    [pytest.param(8, marks=_unstable_landing(8, 4.09, "min_gap_u reads -1.924e-7")), 16],
+)
+def test_unstable_landing_instance_orders_its_quotients(points_per_decade):
+    """Unstable landing steps flip the ordering check too.  At 8 per decade
+    (h kappa 4.09) the gradient quotient W rises above the value quotient U:
+    min_gap_u, the least (U - W) / U, reads -1.924e-7 against the slack
+    1e-8.  At 16 (h kappa 2.04) the same run at tol 2.69e-7 passes, with
+    min_gap_u +7.75e-8."""
+    report, _, _ = run_verification(
+        system_from_config(_UNSTABLE_ORDERING_CONFIG), 0.1840, 1.777, 2.69e-7, points_per_decade=points_per_decade
+    )
+    assert report.ordering.passed
     assert report.passed
 
 
