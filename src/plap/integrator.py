@@ -32,7 +32,10 @@ factors of exactly 1 (a unit coefficient, a law that is the constant 1), and
 the Dormand-Prince 5(4) stages come from the Butcher tableau, written in as
 literals, through one emitter, unrolled over the components once per
 dimension, both for the public step and for the whole adaptive loop with
-its change of variables, error norm and step-size controller.
+its change of variables, error norm and step-size controller.  Generated
+code takes every number as a ``repr`` literal and runs in this module's
+namespace (``_compile``): each distinct system costs one compilation of
+about 90 us, cached by source text in 64 entries.
 
 The loop lands exactly on each grid radius, except where a step held to
 tol/100, clamped to [1e-14, 5e-12], reaches past it: such a step passes the
@@ -49,9 +52,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from math import exp, expm1, inf, log, nan  # noqa: F401 - free names of the generated code
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy import ndarray  # noqa: F401 - a free name of the generated flux_rhs
 
 from .model import ValidatedSystem
 from .profile import _linearisation
@@ -234,36 +239,28 @@ def startup_state(system: ValidatedSystem, a: float, b: float, r0: float) -> Sta
 
 
 @functools.lru_cache(maxsize=64)
-def _compile_factory(factory: str, name: str) -> Callable:
-    """Compile a ``_bind`` factory once per source text; ``_generate`` binds it."""
-    namespace: dict = {}
-    exec(compile(factory, f"<generated {name}>", "exec"), namespace)
-    return namespace["_bind"]
+def _compile(source: str, name: str) -> Callable:
+    """The function ``name`` that ``source`` defines, compiled once per source text.
 
-
-def _generate(source: str, name: str, constants: dict) -> Callable:
-    """Compile ``source``, which defines ``name``, with ``constants`` bound as names.
-
-    The constants become closure cells of the compiled function and enter
-    the code by name: ``repr`` would turn an infinite coefficient into the
-    unbound name ``inf``, and a system's values as literals would cost one
-    compilation per system.  The code depends only on the names, so systems
-    whose laws have the same number of terms and the same unit coefficients
-    share one compilation.  What is the same in every compilation, such as
-    the Dormand-Prince tableau, is written into ``source`` as literals.
+    The one rule of generated code: every number is a ``repr`` literal, which
+    gives each finite float back exactly, and the code runs in this module's
+    namespace, so its only free names are ``exp``, ``expm1``, ``log``,
+    ``inf``, ``nan``, ``ndarray``, ``Overflow`` and ``StepSizeUnderflow``.
+    So each distinct system costs one compilation of its ``flux_rhs``, about
+    90 us, cached by source text in 64 entries; the loop and the stepper are
+    the same for every system of one dimension.
     """
-    params = ", ".join(constants)
-    body = "".join(f"    {line}\n" for line in source.splitlines())
-    factory = f"def _bind({params}):\n{body}    return {name}\n"
-    return _compile_factory(factory, name)(**constants)
+    defined: dict = {}
+    exec(compile(source, f"<generated {name}>", "exec"), globals(), defined)
+    return defined[name]
 
 
-def _power_sum_source(prefix: str, law, arg: str, constants: dict) -> str:
+def _power_sum_source(law, arg: str) -> str:
     """Inline ``law(arg)`` with the arithmetic of ``_PowerSum.__call__``.
 
-    Each term is written ``c * x ** e``, without ``c *`` for a coefficient of
-    exactly 1 (``1.0 * t`` is ``t``), and its coefficient and exponent are
-    bound in ``constants``.  The terms add left to right from the first,
+    Each term is written ``c * x ** e`` with ``c`` and ``e`` as ``repr``
+    literals, without ``c *`` for a coefficient of exactly 1 (``1.0 * t`` is
+    ``t``).  The terms add left to right from the first,
     ``(t0 + t1 + t2)``: ``_PowerSum`` starts from 0.0, and ``0.0 + t``
     differs from ``t`` only at ``t = -0.0``, which no term takes at an
     argument in [+0.0, inf] or NaN.  The constant 1 gives ``""``, a factor
@@ -271,15 +268,7 @@ def _power_sum_source(prefix: str, law, arg: str, constants: dict) -> str:
     """
     if law.terms == ((1.0, 0.0),):
         return ""
-    terms = []
-    for i, (coeff, expo) in enumerate(law.terms):
-        c, e = f"{prefix}_c{i}", f"{prefix}_e{i}"
-        constants[e] = expo
-        term = f"{arg} ** {e}"
-        if coeff != 1.0:
-            term = f"{c} * {term}"
-            constants[c] = coeff
-        terms.append(term)
+    terms = (f"{arg} ** {e!r}" if c == 1.0 else f"{c!r} * {arg} ** {e!r}" for c, e in law.terms)
     return f"({' + '.join(terms)})"
 
 
@@ -294,16 +283,17 @@ def _product_source(factors: Sequence[str]) -> str:
 # ``_power_sum_source`` requires: ``(-0.0) ** e`` keeps its sign for an odd
 # integer e (1.0 included), so unclamped, a sum of such terms would be -0.0
 # where ``_PowerSum``'s, from 0.0, is +0.0, and a negative v would give complex
-# powers for a non-integer e; g3 sees du >= +0.0 or NaN, f1 and f2 see r > 0
+# powers for a non-integer e; g3 sees du >= +0.0 or NaN, f1 and f2 see r > 0.
+# ``flux_rhs`` writes the system's numbers in as ``repr`` literals.
 _RHS_SOURCE = """\
 def rhs(r, y):
     u, v, P, S = y.tolist() if y.__class__ is ndarray else y
     if v <= 0.0:
         v = 0.0
-    rd = r**delta
-    rn = r**n1
-    du = (P / rd) ** inv_grad if P > 0.0 else 0.0
-    dv = (S / rn) ** inv_p1 if S > 0.0 else 0.0
+    rd = r**{delta!r}
+    rn = r**{n1!r}
+    du = (P / rd) ** {inv_grad!r} if P > 0.0 else 0.0
+    dv = (S / rn) ** {inv_p1!r} if S > 0.0 else 0.0
     return (du, dv, {dP}, {dS})
 """
 
@@ -323,36 +313,29 @@ def flux_rhs(system: ValidatedSystem) -> Callable[[float, Sequence[float]], tupl
     The callable is generated per system with the five power sums written
     out term by term as ``c * x ** e`` (``_power_sum_source``), a unit
     coefficient left out of its term and a law that is the constant 1 out of
-    its product.  ``coef`` = (p-1-alpha)/(p-1) is always a factor, 1.0 when
-    alpha = 0.  It computes exactly what ``coef * r**delta * f1(r) * g1(v)``
+    its product.  Every number, ``delta``, the exponents 1/(p-1-alpha) and
+    1/(p-1) and ``coef`` = (p-1-alpha)/(p-1) included, is a ``repr``
+    literal, so each distinct system is one compilation of about 90 us
+    (``_compile``).  ``coef`` is always a factor, 1.0 when alpha = 0.  It
+    computes exactly what ``coef * r**delta * f1(r) * g1(v)``
     and ``r**(n-1) * f2(r) * g2(v) * g3(du)`` compute, bit for bit, sign of
     zero included, and raises where they raise: ``x ** 1.0`` is x, ``c * x
     ** 0.0`` is c for every x, NaN and ±0 included, and ``1.0 * x`` is x.
     """
-    p, alpha = system.p, system.alpha
-    constants = dict(
-        ndarray=np.ndarray,
-        delta=system.delta,
+    p, alpha = float(system.p), float(system.alpha)
+    f1, g1, f2, g2, g3 = (
+        _power_sum_source(law, arg)
+        for law, arg in ((system.f1, "r"), (system.g1, "v"), (system.f2, "r"), (system.g2, "v"), (system.g3, "du"))
+    )
+    source = _RHS_SOURCE.format(
+        delta=float(system.delta),
         n1=float(system.n - 1),
         inv_grad=1.0 / (p - 1.0 - alpha),
         inv_p1=1.0 / (p - 1.0),
-        coef=(p - 1.0 - alpha) / (p - 1.0),
-    )
-    f1, g1, f2, g2, g3 = (
-        _power_sum_source(name, law, arg, constants)
-        for name, law, arg in (
-            ("f1", system.f1, "r"),
-            ("g1", system.g1, "v"),
-            ("f2", system.f2, "r"),
-            ("g2", system.g2, "v"),
-            ("g3", system.g3, "du"),
-        )
-    )
-    source = _RHS_SOURCE.format(
-        dP=_product_source(("coef", "rd", f1, g1)),
+        dP=_product_source((repr((p - 1.0 - alpha) / (p - 1.0)), "rd", f1, g1)),
         dS=_product_source(("rn", f2, g2, g3)),
     )
-    return _generate(source, "rhs", constants)
+    return _compile(source, "rhs")
 
 
 # ----------------------------------------------------------------------------
@@ -383,9 +366,8 @@ _DP_D = (
 def _weighted_sum(weights: Sequence[float], m: int) -> str:
     """``(w1) * k1_m + (w2) * k2_m + ...`` over the nonzero weights, left to right.
 
-    The weights are written as parenthesised ``repr`` literals: the tableau is
-    finite and fixed, ``repr`` gives each float back exactly, and a literal is
-    read as a constant rather than a closure cell."""
+    The weights are written as parenthesised ``repr`` literals, like every
+    number in generated code (``_compile``)."""
     return " + ".join(f"({w!r}) * k{j}_{m}" for j, w in enumerate(weights, 1) if w != 0.0)
 
 
@@ -461,7 +443,7 @@ def _dp_stepper(dim: int) -> Callable:
         *(f"    {line}" for line in _dp_stage_lines(dim, "r", "h", evaluate)),
         f"    return [{_unpack('s7_', dim)}], [{_unpack('err_', dim)}], k7",
     ]
-    return _generate("\n".join(lines), "step", {})
+    return _compile("\n".join(lines), "step")
 
 
 def dormand_prince_step(
@@ -716,8 +698,8 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
             rejections["error" if enorm < inf else "nonfinite"] += 1
             if passing:
                 h_pass = 0.0
-        if h < underflow_step and h < h_try or accepted + rejected > max_steps:
-            message = None if h < underflow_step and h < h_try else f"step budget exhausted at r={{r!r}}"
+        if h < {underflow_step!r} and h < h_try or accepted + rejected > {max_steps!r}:
+            message = None if h < {underflow_step!r} and h < h_try else f"step budget exhausted at r={{r!r}}"
             raise StepSizeUnderflow(r, message, state=({x}), h=h_r if enorm <= held else r * expm1(h_try))
     return rows, {{
         "pass_tol": pass_tol,
@@ -753,23 +735,14 @@ def _dp_loop(dim: int) -> Callable:
     radius, and the continuous extension from ``_dp_dense_lines``; the
     finiteness test (one sum), the max error norm (comparisons, no ``abs`` or
     ``max``), the rows read from the extension and the overflow tests are
-    unrolled over the components in ``_LOOP_SOURCE``.  Only the loop's runtime names are bound, so every
-    system of one dimension shares it.  The evaluations per attempt,
-    ``len(_DP_A) - 1`` (the first stage is reused, FSAL), are written in as
-    a literal, from which the loop's run record counts ``rhs_evals``.
+    unrolled over the components in ``_LOOP_SOURCE``.  Every number is a
+    ``repr`` literal (``_compile``): the tableau, the overflow limit
+    log(1e250), the 1e-14 step floor, the step budget and the evaluations
+    per attempt, ``len(_DP_A) - 1`` (the first stage is reused, FSAL), from
+    which the loop's run record counts ``rhs_evals``.  A system enters only
+    through the loop's arguments, so every system of one dimension shares
+    one compilation.
     """
-    constants = dict(
-        inf=math.inf,
-        nan=math.nan,
-        exp=math.exp,
-        expm1=math.expm1,
-        log=math.log,
-        Overflow=Overflow,
-        StepSizeUnderflow=StepSizeUnderflow,
-        limit=math.log(_OVERFLOW),
-        underflow_step=_UNDERFLOW_STEP,
-        max_steps=_MAX_STEPS,
-    )
     stages = _dp_stage_lines(dim, "t", "h_try", functools.partial(_log_rate_lines, dim))
     row = "exp(y{m} + theta * (c1_{m} + eta * (c2_{m} + theta * (c3_{m} + eta * c4_{m}))))"
     source = _LOOP_SOURCE.format(
@@ -786,10 +759,12 @@ def _dp_loop(dim: int) -> Callable:
         y_is_s7=_each("y{m} = s7_{m}", dim, "; "),
         x_is_x7=_each("x{m} = x7_{m}", dim, "; "),
         k1_is_k7=_each("k1_{m} = k7_{m}", dim, "; "),
-        overflow=_each("y{m} > limit", dim, " or "),
+        overflow=_each(f"y{{m}} > {math.log(_OVERFLOW)!r}", dim, " or "),
         evals=len(_DP_A) - 1,
+        underflow_step=_UNDERFLOW_STEP,
+        max_steps=_MAX_STEPS,
     )
-    return _generate(source, "loop", constants)
+    return _compile(source, "loop")
 
 
 def _step_loop(

@@ -675,13 +675,23 @@ SPECIALISED_CONFIGS = [
         g3=[[0.5, 1.0], [1.0, 3.0]],
     ),
     dict(MULTI_TERM_CONFIG, p=2.5, n=3, alpha=0.5, f1=[[1.0, 3.0]], f2=[[3.0, 1.0]], g1=[[1.0, 1.0]], g2=[[1.0, 0.0]]),
+    # literals at the float extremes: subnormal, smallest normal, 1e-300, 1/3 and the largest float
+    dict(
+        SWEEP_LIKE_CONFIG,
+        f1=[[5e-324, -0.0], [1 / 3, 1.5]],
+        f2=[[1.7976931348623157e308, 0.0], [0.1, 2.0]],
+        g1=[[2.2250738585072014e-308, 0.25], [1.0, 1.0]],
+        g3=[[1e-300, 1e-300], [1.0, 1.0]],
+    ),
 ]
 
 
-@pytest.mark.parametrize("config", SPECIALISED_CONFIGS, ids=["sweep_like", "mixed_sums", "positive_alpha"])
+@pytest.mark.parametrize(
+    "config", SPECIALISED_CONFIGS, ids=["sweep_like", "mixed_sums", "positive_alpha", "float_extremes"]
+)
 def test_specialised_rhs_matches_power_sum_rhs_bit_for_bit(config):
     """Signed zeros and NaN on every such term.  ``v = -0.0`` is the case to
-    watch: ``g1 = s`` writes g1(v) as ``v ** g1_e0``, which keeps the sign of
+    watch: ``g1 = s`` writes g1(v) as ``v ** 1.0``, which keeps the sign of
     -0.0, and only the clamp of -0.0 keeps it from returning the -0.0 that
     ``0.0 + 1.0 * v ** 1.0`` turns into +0.0."""
     system = system_from_config(config)
@@ -690,6 +700,22 @@ def test_specialised_rhs_matches_power_sum_rhs_bit_for_bit(config):
             for P in (-0.0, 0.0, 0.3):
                 for S in (-0.0, 0.0, 0.2):
                     _assert_rhs_matches_reference(system, r, [1.0, v, P, S])
+
+
+def test_generated_code_runs_in_the_module_namespace():
+    """Generated functions take every number as a literal: none has a
+    closure, each reads its free names from ``plap.integrator`` itself, and
+    generating them defines nothing there."""
+    names = set(vars(integrator))
+    integrator._compile.cache_clear()
+    integrator._dp_loop.cache_clear()
+    integrator._dp_stepper.cache_clear()
+    system = system_from_config(SPECIALISED_CONFIGS[-1])
+    for generated in (flux_rhs(system), integrator._dp_loop(4), integrator._dp_stepper(4)):
+        assert generated.__closure__ is None
+        assert generated.__globals__ is vars(integrator)
+    assert set(vars(integrator)) == names
+    assert not any(hasattr(integrator, name) for name in ("rhs", "loop", "step"))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 7])

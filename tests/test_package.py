@@ -93,6 +93,6 @@ def test_import_generates_no_code():
     out = _fresh_interpreter(
         "import plap.cli; from plap import integrator; "
         "print(integrator._dp_loop.cache_info().currsize, integrator._dp_stepper.cache_info().currsize, "
-        "integrator._compile_factory.cache_info().misses)"
+        "integrator._compile.cache_info().misses)"
     )
     assert out.split() == ["0", "0", "0"]

@@ -746,16 +746,24 @@ def _admissible_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(instance=_admissible_instances())
 def test_admissible_region_reports_or_fails_typed(instance):
-    """Every admissible instance either gets a report, passed or not, or
-    raises ``StepSizeUnderflow`` or ``Overflow`` at a finite positive radius;
-    any other exception or numpy warning fails."""
+    """Every admissible instance either gets a report or raises
+    ``StepSizeUnderflow`` or ``Overflow`` at a finite positive radius; any
+    other exception or numpy warning fails.  Wherever the landing steps of 8
+    points per decade, h kappa = kappa ln(10) / 8, stay inside DP5's real
+    stability interval (3.31), the monotonicity, ordering and sandwich
+    checks must pass: every one of them that failed in the measured draws
+    landed past it (ROADMAP item 13(d)).  The limit verdict at r = 1e4 is
+    left out, since a slowly converging draw misses it at any density
+    (``test_slow_convergence_instance_passes``)."""
     system, a, b, tol = instance
     try:
-        report, _, _ = run_verification(system, a, b, tol, points_per_decade=8)
+        report, traj, _ = run_verification(system, a, b, tol, points_per_decade=8)
     except (StepSizeUnderflow, Overflow) as exc:
         assert 0.0 < exc.radius < math.inf
         return
     json.dumps(report.to_dict(), allow_nan=False)
+    if traj.meta["kappa"] * math.log(10) / 8 <= 3.31:
+        assert report.monotonicity.passed and report.ordering.passed and report.convexity_bounds.passed
 
 
 # an admissible draw of the strategy above, at a loose tol
@@ -839,6 +847,51 @@ def test_unstable_landing_instance_orders_its_quotients(points_per_decade):
         system_from_config(_UNSTABLE_ORDERING_CONFIG), 0.1840, 1.777, 2.69e-7, points_per_decade=points_per_decade
     )
     assert report.ordering.passed
+    assert report.passed
+
+
+# another admissible draw of the strategy above, rounded: kappa = lambda = 9.656, mu 2.916
+_SLOW_CONVERGENCE_CONFIG = {
+    "p": 2.441,
+    "n": 5,
+    "alpha": 1.1627,
+    "r_max": 1e4,
+    "f1": [[0.7145, 0.4347]],
+    "f2": [[1.6406, 1.0385]],
+    "g1": [[0.895, 0.1158], [1, 0.3341]],
+    "g2": [[1, 0]],
+    "g3": [[0.3333, 0.02595], [1, 0.08348]],
+}
+
+
+@pytest.mark.parametrize(
+    "r_max",
+    [
+        pytest.param(
+            1e4,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="the quotients approach 1 like r^-0.64, too slowly for the limit threshold 1e-2 at "
+                "r = 1e4: u's limit estimate reads 1.0375 at 8, 16, 64 and 256 points per decade",
+            ),
+        ),
+        1e5,
+    ],
+    ids=["r_max=1e4", "r_max=1e5"],
+)
+def test_slow_convergence_instance_passes(r_max):
+    """Landing steps at 8 per decade run at h kappa 2.78, inside DP5's real
+    stability interval, and monotonicity, ordering and both sandwiches pass.
+    At r_max 1e4 the limit estimates of u and du still read 1.0375 and
+    1.0352 (rates 0.638 and 0.635), the same at every grid density, so the
+    integration is not at fault: the verdict holds the limits to 1e-2 at 1e4
+    whatever their rate.  At r_max 1e5 u's estimate reads 1.0098 and the
+    report passes."""
+    report, _, _ = run_verification(
+        system_from_config(_SLOW_CONVERGENCE_CONFIG), 1.0, 2.0, 2.59e-7, r_max=r_max, points_per_decade=8
+    )
+    assert report.monotonicity.passed and report.ordering.passed and report.convexity_bounds.passed
     assert report.passed
 
 

@@ -13,7 +13,7 @@ from; the instance generator ``gen`` always comes from this checkout's
 ``bench``, so both sides run the same instances.  Neither is written to.
 Standard library and numpy only.
 
-The ``integrate_radial`` runs, 270 in all, each at r_max 1e4 unless said
+The ``integrate_radial`` runs, 272 in all, each at r_max 1e4 unless said
 otherwise:
 
 - the four ``configs/*.json`` at their own r_max, at 8, 64 and 256 points
@@ -21,14 +21,16 @@ otherwise:
 - the ten-instance pools of seeds 1 to 3, ``tight-coarse`` (tol 1e-12 to
   1e-11, the whole region) and ``fine-grid`` (tol 1e-9 to 1e-6, passing
   classes only), at 8, 64 and 256 points per decade;
-- the admissible ``sweep`` points of seeds 1 to 3, at 8 and 64.
+- the admissible ``sweep`` points of seeds 1 to 3, at 8 and 64;
+- ``LITERALS_CONFIG``, whose numbers sit at the float extremes that the
+  generated code writes in as literals, at 8 and 64.
 
 A run prints its label, the SHA-256 of its r, u, v, P and S bytes and its
 sorted ``meta``; a run that raises ``StepSizeUnderflow`` or ``Overflow``
 prints the exception's class, message, radius, state and h instead.  Any
 other exception stops the digest.  Each of the 12 config runs prints one
 more line, its label and the ``repr`` of ``plap.flux_consistency`` on it,
-so the ``integrate_radial`` runs print 282 lines.
+so the ``integrate_radial`` runs print 284 lines.
 
 Then the 21 runs of ``CLI_RUNS`` go through ``plap.cli.main`` in-process,
 in a scratch directory: ``profile``, ``integrate``, ``verify --series-out``
@@ -53,6 +55,19 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 SEEDS = (1, 2, 3)
 R_MAX = 1e4
+# an integrable system with a subnormal coefficient on a -0.0 exponent, the
+# smallest normal float, 1e-300 as a coefficient and an exponent, and 1/3
+LITERALS_CONFIG = {
+    "p": 3,
+    "n": 2,
+    "alpha": 0,
+    "r_max": R_MAX,
+    "f1": [[5e-324, -0.0], [1 / 3, 1.5]],
+    "f2": [[0.5, 0.0], [0.1, 2.0]],
+    "g1": [[2.2250738585072014e-308, 0.25], [1, 1]],
+    "g2": [[1, 0]],
+    "g3": [[1e-300, 1e-300], [1, 1]],
+}
 
 OUTS = {
     "profile": ("--out", "profile.json"),
@@ -93,6 +108,7 @@ def run_lines(plap, gen) -> list[str]:
         for index, cfg in enumerate(gen.sweep_points(gen.sweep_config(seed))):
             if gen.admissible(cfg):
                 runs.append((f"sweep seed={seed} #{index}", cfg, R_MAX, (8, 64), False))
+    runs.append(("literals", LITERALS_CONFIG, R_MAX, (8, 64), False))
     lines = []
     for label, cfg, r_max, densities, flux in runs:
         system = plap.system_from_config(cfg)
