@@ -41,10 +41,10 @@ The loop lands exactly on each grid radius, except where a step held to
 tol/100, clamped to [1e-14, 5e-12], reaches past it: such a step passes the
 radii in its way and reads them from the method's free continuous
 extension, whose coefficients enter the generated code like the tableau's.
-A step that passes is also capped inside DP5's stability region, by the
-spectral radius of the log rates' Jacobian at the far-field profile: on the
-straight lines that solutions approach, the error estimate is rounding
-noise and would let the step grow past that region.
+One rule caps every step, passing or landing, inside DP5's stability
+region, by the spectral radius of the log rates' Jacobian at the far-field
+profile: on the straight lines that solutions approach, the error estimate
+is rounding noise and would let any step run past that region.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class Trajectory:
     log S, which stay resolved where the float u' is subnormal or 0.
     ``meta`` holds the initial data ``a`` and ``b``, the startup radius
     ``r0``, the tolerance ``rtol`` and the stability radius ``kappa`` that
-    caps steps passing radii, then the step loop's run record, whose keys
+    caps every step, then the step loop's run record, whose keys
     ``_step_loop`` lists.  A default-grid trajectory shares its read-only
     ``r`` with every other run on the same grid (see ``geometric_grid``).
     """
@@ -526,11 +526,13 @@ _TOL_MIN = 1e-13
 # on Poisson at tol 1e-9 (3.8e-11), which a ceiling of 1e-11 broke (5.7e-11).
 _PASS_FLOOR = _TOL_MIN / 10
 _PASS_CEILING = 5e-12
-# A pass step h is capped so that h kappa max_m(rho_m / s_m) <= _STABLE_REACH,
+# Every step h is capped so that h kappa max_m(rho_m / s_m) <= _STABLE_REACH,
 # with kappa the spectral radius of the log-rate Jacobian at the profile,
 # s the rates there and rho the attempt's own (``_stability_weights``).
-# Without a cap the controller grows the step on straight lines until
-# amplified rounding noise reaches the hold.  DP5 is stable to 3.31 on the
+# Without a cap the controller grows a pass step on straight lines until
+# amplified rounding noise reaches the hold, and a step that lands on the next
+# radius runs past the stability interval wherever that radius lies farther
+# out.  DP5 is stable to 3.31 on the
 # negative real axis (Hairer and Wanner, Solving ODEs II, IV.2), but runs
 # started on the Poisson and coupled_p3 profiles strayed up to 3.4e-13 from
 # them with a cap at 3.3 and 6.3e-12 at 4.0, against 3.8e-14 at 2.0.
@@ -547,10 +549,11 @@ def _stability_weights(system: ValidatedSystem) -> tuple[float, tuple[float, ...
 
     ``profile._linearisation`` gives the rates s on the profile of the
     system's pure-power companion and the Jacobian J there; kappa is J's
-    spectral radius, one ``eigvals`` of a 4x4.  A pass step h is then capped
-    to h max_m(w_m rho_m) <= 1 on the attempt's rates rho.  A kappa that is
-    not finite (J beyond the float range) gives infinite weights, which turn
-    passing off: every radius is landed on."""
+    spectral radius, one ``eigvals`` of a 4x4.  Every step h, passing or
+    landing, is then capped to h max_m(w_m rho_m) <= 1 on the attempt's rates
+    rho.  A kappa that is not finite (J beyond the float range) gives
+    infinite weights, which turn passing off and cap nothing: every radius
+    is landed on, by steps that ``tol`` alone holds."""
     s, J = _linearisation(system)
     kappa = float(np.max(np.abs(np.linalg.eigvals(J)))) if np.isfinite(J).all() else math.inf
     if not kappa < math.inf:
@@ -582,21 +585,24 @@ def _stability_weights(system: ValidatedSystem) -> tuple[float, tuple[float, ...
 #
 # Each estimate proposes two next steps by one formula: ``h`` against ``tol``
 # and ``h_pass`` against ``pass_tol`` (``_pass_tol``), whose factor is h's
-# times ``pass_scale`` = (pass_tol / tol)^0.2 before the clamp.  Every attempt
-# first caps ``h_pass`` to h_pass * reach <= 1, where ``reach`` = max(0.0,
-# w0 * k1_0, ...) weighs the rates at its start by ``weights``
-# (``_stability_weights``; zeros cap nothing, infinities cap every pass to
-# 0).  An attempt that does not pass never reads ``h_pass``, and the
-# controller sets it anew after every attempt.  If the capped ``h_pass``
-# reaches past the next grid radius, short of the last, the attempt passes:
-# it tries ``h_pass``, held to ``pass_tol``
+# times ``pass_scale`` = (pass_tol / tol)^0.2 before the clamp.  ``reach`` =
+# max(0.0, w0 * k1_0, ...) weighs the rates at the attempt's start by
+# ``weights`` (``_stability_weights``), and one cap holds every step to
+# step * reach <= 1.  An attempt passes where ``h_pass`` and the cap both
+# reach past the next grid radius, short of the last (``remaining * reach <
+# 1.0`` is ``1.0 / reach > remaining``, so this is the decision on the capped
+# ``h_pass``): it tries ``h_pass``, held to ``pass_tol``
 # (``held`` is pass_tol / tol against the scaled estimate), towards the last
 # radius; the rows it passes are read from the continuous extension in
 # DOPRI5's form: ``_dp_dense_lines`` forms its four coefficients per component
 # once per accepted attempt that passes, and each row costs ``eta`` = 1 -
 # theta, then one nested product and ``exp`` per component.  Such an attempt
 # that fails is rejected as ``error`` and the next one lands.  Otherwise it
-# tries ``h``, held to ``tol``, towards the next radius, ``times[i]``.  One
+# tries ``h``, held to ``tol``, towards the next radius, ``times[i]``.  Then
+# the cap lowers the step it tries, ``h_try``, to 1 / reach; zero weights cap
+# nothing, and infinite ones turn passing off and, by the ``reach < inf``
+# guard, cap nothing either.  The controller sets ``h_pass`` anew after every
+# attempt, and an attempt that does not pass never reads it.  One
 # rule ends every attempt: it lands on its end radius ``times[end]`` exactly
 # when ``times[end] - t <= h_try``, and then ``h_try`` is that rest of the
 # way.  One block sets both proposals, then the branches only keep their books,
@@ -636,13 +642,13 @@ def loop(f, radii, times, x, tol, pass_tol, weights):
             continue
         reach = 0.0
 {reach}
-        if h_pass * reach > 1.0:
-            h_pass = 1.0 / reach
-        passing = h_pass > remaining and i < last
+        passing = h_pass > remaining and remaining * reach < 1.0 and i < last
         if passing:
             held, end, h_try = pass_ratio, last, h_pass
         else:
             held, end, h_try = 1.0, i, h
+        if h_try * reach > 1.0 and reach < inf:
+            h_try = 1.0 / reach
         land = 0
         if times[end] - t <= h_try:
             h_try, land = times[end] - t, end
@@ -779,12 +785,13 @@ def _step_loop(
     ``_dp_loop`` steps log y against log r and holds the error estimate of every
     component of log y to ``tol``, a relative tolerance on y, and to
     ``_pass_tol(tol)`` = tol/100 in [1e-14, 5e-12] on an attempt that passes
-    grid radii.  Each attempt caps the step that hold allows once, to
+    grid radii.  One cap holds the step of every attempt, passing or not, to
     h max_m(w_m rho_m) <= 1 on the per-component ``weights`` w and the rates
-    rho at its start, and passes where the capped step reaches past the next
-    radius, short of the last; the rows it passes are read from the
-    Dormand-Prince continuous extension.  ``weights`` defaults to zeros, no
-    cap; ``integrate_radial`` passes ``_stability_weights``.
+    rho at its start (infinite weights cap nothing).  An attempt passes
+    where the step its hold allows, so capped, reaches past the next radius,
+    short of the last; the rows it passes are read from the Dormand-Prince
+    continuous extension.  ``weights`` defaults to zeros, no cap;
+    ``integrate_radial`` passes ``_stability_weights``.
     Every other attempt is held to ``tol``.  One rule ends both: an attempt
     lands on its end radius, the last for one that passes and the next for
     any other, exactly when the rest of the way there is at most its step,
@@ -844,12 +851,13 @@ def integrate_radial(
     extension (``meta["rows_interpolated"]`` counts them); every other step
     is held to ``tol``.  Either lands on its end radius, the last for a step
     that passes and the next for any other, exactly when the rest of the way
-    there is no longer than the step.  A step that passes is capped so that
-    h kappa max_m(rho_m / s_m) <= 2, inside DP5's real stability interval
-    (3.31), with rho the rates at its start, s those on the far-field
-    profile of the system's pure-power companion and ``meta["kappa"]`` the
-    spectral radius of the log rates' Jacobian there.  The trajectory
-    holds the four states and ``system``;
+    there is no longer than the step.  Every step, passing or landing, is
+    capped so that h kappa max_m(rho_m / s_m) <= 2, inside DP5's real
+    stability interval (3.31), with rho the rates at its start, s those on
+    the far-field profile of the system's pure-power companion and
+    ``meta["kappa"]`` the spectral radius of the log rates' Jacobian there;
+    a ``kappa`` that is not finite turns passing off and caps nothing.  The
+    trajectory holds the four states and ``system``;
     ``Trajectory.logs`` reads log u' and log v' from log P and log S.  Its
     ``meta`` holds ``a``, ``b``, ``r0``, ``rtol`` and ``kappa``, then the
     run record that ``_step_loop`` returns, ``rhs_evals`` included.  Default grids come from

@@ -12,6 +12,7 @@ from plap import (
     solve_profile,
     system_from_config,
 )
+from plap import integrator
 
 # The two pinned reference systems.  The first has the classical linear
 # Laplacian with constant couplings and the exact solution u = v = 1 + r^2/6
@@ -181,3 +182,21 @@ def g3_at_log_gradient(traj):
     """g3(u') as sum_i a_i exp(e_i log u'), log u' read from log P; a term of exponent 0 is its coefficient."""
     log_du = traj.logs()[2]
     return sum(a if e == 0.0 else a * np.exp(e * log_du) for a, e in traj.system.g3.terms)
+
+
+def counting_flux_rhs(monkeypatch):
+    """Wrap the callables ``plap.integrator.flux_rhs`` hands out; return the log of the radii they are called at."""
+    calls = []
+    original = integrator.flux_rhs
+
+    def flux_rhs(system):
+        rhs = original(system)
+
+        def counted(r, y):
+            calls.append(r)
+            return rhs(r, y)
+
+        return counted
+
+    monkeypatch.setattr(integrator, "flux_rhs", flux_rhs)
+    return calls

@@ -36,7 +36,15 @@ from plap import (
 )
 from plap import verify
 from plap.verify import _IDENTITY_THRESHOLD, _LIMIT_THRESHOLD, _SLACK, BoundsReport, EquationBounds
-from conftest import MULTI_TERM_CONFIG, P3_CONFIG, POISSON_CONFIG, g3_at_log_gradient, sample_integration_system
+from admissible import admissible_draw
+from conftest import (
+    MULTI_TERM_CONFIG,
+    P3_CONFIG,
+    POISSON_CONFIG,
+    counting_flux_rhs,
+    g3_at_log_gradient,
+    sample_integration_system,
+)
 
 
 @pytest.fixture(scope="module")
@@ -693,54 +701,14 @@ def test_subnormal_start_gradient_passes_or_fails_typed(alpha):
     assert report.passed
 
 
-
-def _log_uniform(draw, lo, hi):
-    return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
-
-
-def _near(draw, share):
-    """``share`` pushed to within 10^-3 to 10^-1 of 1 on about half the draws."""
-    return 1.0 - 10.0 ** -draw(st.floats(1.0, 3.0)) if draw(st.booleans()) else share
-
-
 @st.composite
 def _admissible_instances(draw):
-    """An admissible instance and its a, b, tol and r_max, at most 60 in lambda and mu.
-
-    p in [1.2, 4] and n in 2..5.  alpha is (p-1)(1 - 10^-u) with u in
-    [1, 3] on about half the draws, else up to 0.9 (p-1); k1 k3 is within
-    10^-3 to 10^-1 of the gate (p-1-alpha)(p-1-k2) on about half, else up to
-    0.9 of it.  m1 and m2 lie in [0, 2], and g1 and g3 sometimes carry a
-    lower term.  a and b lie in [0.1, 10], tol in [1e-9, 1e-6] and r_max in
-    [1e2, 1e4]."""
-    p = draw(st.floats(1.2, 4.0))
-    alpha = (p - 1.0) * _near(draw, draw(st.floats(0.0, 0.9)))
-    k2 = (p - 1.0) * draw(st.floats(0.0, 0.7))
-    product = (p - 1.0 - alpha) * (p - 1.0 - k2) * _near(draw, draw(st.floats(0.0, 0.9)))
-    split = math.exp(draw(st.floats(-0.7, 0.7)))
-    k1, k3 = math.sqrt(product) * split, math.sqrt(product) / split
-
-    def law(k):
-        if k > 0.05 and draw(st.booleans()):
-            return [[draw(st.floats(0.1, 1.0)), k * draw(st.floats(0.0, 0.8))], [1.0, k]]
-        return [[1.0, k]]
-
-    cfg = {
-        "p": p,
-        "n": draw(st.integers(2, 5)),
-        "alpha": alpha,
-        "r_max": _log_uniform(draw, 1e2, 1e4),
-        "f1": [[draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 2.0))]],
-        "f2": [[draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 2.0))]],
-        "g1": law(k1),
-        "g2": [[1.0, k2]],
-        "g3": law(k3),
-    }
-    system = system_from_config(cfg)
-    profile = solve_profile(system)
-    assume(profile.lam <= 60.0 and profile.mu <= 60.0)
-    a, b = _log_uniform(draw, 0.1, 10.0), _log_uniform(draw, 0.1, 10.0)
-    return system, a, b, _log_uniform(draw, 1e-9, 1e-6)
+    """``admissible.admissible_draw``'s distribution as a strategy, so a failing draw shrinks."""
+    instance = admissible_draw(
+        lambda lo, hi: draw(st.floats(lo, hi)), lambda lo, hi: draw(st.integers(lo, hi)), lambda: draw(st.booleans())
+    )
+    assume(instance is not None)
+    return instance
 
 
 @settings(max_examples=60, deadline=None)
@@ -748,22 +716,21 @@ def _admissible_instances(draw):
 def test_admissible_region_reports_or_fails_typed(instance):
     """Every admissible instance either gets a report or raises
     ``StepSizeUnderflow`` or ``Overflow`` at a finite positive radius; any
-    other exception or numpy warning fails.  Wherever the landing steps of 8
-    points per decade, h kappa = kappa ln(10) / 8, stay inside DP5's real
-    stability interval (3.31), the monotonicity, ordering and sandwich
-    checks must pass: every one of them that failed in the measured draws
-    landed past it (ROADMAP item 13(d)).  The limit verdict at r = 1e4 is
-    left out, since a slowly converging draw misses it at any density
+    other exception or numpy warning fails.  Every report passes the
+    monotonicity, ordering and sandwich checks at 8 points per decade, since
+    every step is capped inside DP5's real stability interval: while landing
+    steps were not, they made every such failure seen in the measured draws
+    (ROADMAP item 13(d)).  The limit verdict at r = 1e4 is left out, since a
+    slowly converging draw misses it at any density
     (``test_slow_convergence_instance_passes``)."""
     system, a, b, tol = instance
     try:
-        report, traj, _ = run_verification(system, a, b, tol, points_per_decade=8)
+        report, _, _ = run_verification(system, a, b, tol, points_per_decade=8)
     except (StepSizeUnderflow, Overflow) as exc:
         assert 0.0 < exc.radius < math.inf
         return
     json.dumps(report.to_dict(), allow_nan=False)
-    if traj.meta["kappa"] * math.log(10) / 8 <= 3.31:
-        assert report.monotonicity.passed and report.ordering.passed and report.convexity_bounds.passed
+    assert report.monotonicity.passed and report.ordering.passed and report.convexity_bounds.passed
 
 
 # an admissible draw of the strategy above, at a loose tol
@@ -780,43 +747,45 @@ _LOOSE_TOL_CONFIG = {
 }
 
 
-def _unstable_landing(points_per_decade, h_kappa, reading):
-    """A strict xfail: the landing steps of this grid run past DP5's real stability limit."""
-    return pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason=f"landing steps on {points_per_decade} points per decade run at h kappa = {h_kappa}, past "
-        f"DP5's real stability limit 3.31 (ROADMAP item 13(d)): {reading}",
-    )
-
-
 @pytest.mark.parametrize(
     "points_per_decade, tol",
-    [
-        pytest.param(8, 4.4e-7, marks=_unstable_landing(8, 8.83, "U rises by 2.66e-7 at r = 4523")),
-        pytest.param(16, 4.4e-7, marks=_unstable_landing(16, 4.41, "U rises by 2.92e-7 at r = 296")),
-        (24, 4.4e-7),
-        (64, 4.4e-7),
-        (8, 1e-9),
-    ],
+    [(8, 4.4e-7), (16, 4.4e-7), (24, 4.4e-7), (64, 4.4e-7), (8, 1e-9)],
     ids=["8-tol=4.4e-7", "16-tol=4.4e-7", "24-tol=4.4e-7", "64-tol=4.4e-7", "8-tol=1e-9"],
 )
 def test_loose_tol_instance_passes(points_per_decade, tol):
     """Ordering and the sandwiches pass, and every limit is within 1.7e-8 of
-    1.  kappa is 30.68, so a step that lands on the next radius runs at
-    h kappa = 30.68 ln(10) / points_per_decade: 8.83 at 8, 4.41 at 16 and
-    2.94 at 24.  Past DP5's real stability limit 3.31, U rises by 2.66e-7 at
-    8 per decade and tol 4.4e-7, and by 2.92e-7 at 16, though each landing
-    step halved.  From 24 per decade, at the same tol, U decreases (worst
-    increase -2.8e-13).  So the rise is the error of unstable landing steps,
-    not a floor that tol sets against ``_SLACK``; at tol 1e-9 it is 6.76e-10,
-    below the slack."""
+    1.  kappa is 30.68, so an uncapped step that lands on the next radius
+    runs at h kappa = 30.68 ln(10) / points_per_decade: 8.83 at 8, 4.41 at
+    16 and 2.94 at 24.  Past DP5's real stability limit 3.31, U rose by
+    2.66e-7 at 8 per decade and tol 4.4e-7, and by 2.92e-7 at 16.  Capped
+    inside it, U decreases at every density (worst increase -1.8e-12 at 8,
+    -6.8e-13 at 16).  So the rise was the error of unstable landing steps,
+    not a floor that tol sets against ``_SLACK``."""
     report, _, _ = run_verification(
         system_from_config(_LOOSE_TOL_CONFIG), 1.866, 0.688, tol, points_per_decade=points_per_decade
     )
     assert report.ordering.passed and report.convexity_bounds.passed
     assert all(abs(est.value - 1.0) < 1.7e-8 for est in report.limits.values())
     assert report.passed
+
+
+def test_every_far_field_attempt_keeps_inside_the_stability_interval(monkeypatch):
+    """The loose-tol instance at 8 per decade: each attempt's log step h,
+    read from its stage radii (stage 2 at t + h/5, stage 7 at t + h), has
+    h kappa <= 3.31, DP5's real stability interval, wherever it starts past
+    r = 10.  The cap holds them to about 2.0 there.  Landing steps that are
+    not capped read h kappa up to 4.6 there (8.74 near the origin, a whole
+    output interval)."""
+    calls = counting_flux_rhs(monkeypatch)
+    traj = integrate_radial(system_from_config(_LOOSE_TOL_CONFIG), 1.866, 0.688, 4.4e-7, points_per_decade=8)
+    meta = traj.meta
+    # one first evaluation, then stages 2 to 7 of every attempt
+    assert len(calls) == meta["rhs_evals"] == 1 + 6 * (meta["steps_accepted"] + meta["steps_rejected"])
+    stage2, stage7 = np.log(calls[1::6]), np.log(calls[6::6])
+    h = (stage7 - stage2) / 0.8
+    far = stage2 - 0.2 * h >= math.log(10.0)
+    assert np.count_nonzero(far) >= 50
+    assert np.max(h[far]) * meta["kappa"] <= 3.31
 
 
 # another admissible draw of the strategy above: kappa 14.21
@@ -833,16 +802,13 @@ _UNSTABLE_ORDERING_CONFIG = {
 }
 
 
-@pytest.mark.parametrize(
-    "points_per_decade",
-    [pytest.param(8, marks=_unstable_landing(8, 4.09, "min_gap_u reads -1.924e-7")), 16],
-)
+@pytest.mark.parametrize("points_per_decade", [8, 16])
 def test_unstable_landing_instance_orders_its_quotients(points_per_decade):
-    """Unstable landing steps flip the ordering check too.  At 8 per decade
-    (h kappa 4.09) the gradient quotient W rises above the value quotient U:
-    min_gap_u, the least (U - W) / U, reads -1.924e-7 against the slack
-    1e-8.  At 16 (h kappa 2.04) the same run at tol 2.69e-7 passes, with
-    min_gap_u +7.75e-8."""
+    """Unstable landing steps flipped the ordering check too.  Uncapped, an
+    8-per-decade landing step runs at h kappa 4.09, and the gradient
+    quotient W rose above the value quotient U: min_gap_u, the least
+    (U - W) / U, read -1.924e-7 against the slack 1e-8.  Capped, it reads
+    +7.75e-8 at 8 per decade, as at 16 (h kappa 2.04), at tol 2.69e-7."""
     report, _, _ = run_verification(
         system_from_config(_UNSTABLE_ORDERING_CONFIG), 0.1840, 1.777, 2.69e-7, points_per_decade=points_per_decade
     )
@@ -881,8 +847,9 @@ _SLOW_CONVERGENCE_CONFIG = {
     ids=["r_max=1e4", "r_max=1e5"],
 )
 def test_slow_convergence_instance_passes(r_max):
-    """Landing steps at 8 per decade run at h kappa 2.78, inside DP5's real
-    stability interval, and monotonicity, ordering and both sandwiches pass.
+    """Uncapped, its landing steps at 8 per decade would run at h kappa
+    2.78, inside DP5's real stability interval, and monotonicity, ordering
+    and both sandwiches pass.
     At r_max 1e4 the limit estimates of u and du still read 1.0375 and
     1.0352 (rates 0.638 and 0.635), the same at every grid density, so the
     integration is not at fault: the verdict holds the limits to 1e-2 at 1e4
